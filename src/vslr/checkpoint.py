@@ -15,6 +15,7 @@ with frombuffer(), never re-encoded.
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -58,32 +59,43 @@ def save_checkpoint(path, params: dict) -> None:
 
 
 def load_checkpoint(path) -> dict:
-    """Read back a name -> ndarray mapping written by save_checkpoint."""
+    """Read back a name -> ndarray mapping written by save_checkpoint.
+
+    Every read is bounds-checked, so a cut file raises ValueError
+    ("checkpoint: truncated ...") rather than a struct or numpy error.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != MAGIC:
         raise ValueError(f"checkpoint: bad magic in {path}")
-    version, width, count = struct.unpack_from("<IBI", blob, 4)
+    off = 4
+
+    def advance(size: int, what: str) -> int:
+        nonlocal off
+        if size > len(blob) - off:
+            raise ValueError(f"checkpoint: truncated {what} at byte {off} of {len(blob)} in {path}")
+        off += size
+        return off - size
+
+    def unpack(fmt: str, what: str) -> tuple:
+        return struct.unpack_from(fmt, blob, advance(struct.calcsize(fmt), what))
+
+    version, width, count = unpack("<IBI", "header")
     if version != VERSION:
         raise ValueError(f"checkpoint: unsupported version {version}")
     dtype = _WIDTH_TO_DTYPE.get(width)
     if dtype is None:
         raise ValueError(f"checkpoint: unsupported scalar width {width}")
-    off = 4 + 9
     out: dict[str, np.ndarray] = {}
     for _ in range(count):
-        (name_len,) = struct.unpack_from("<I", blob, off)
-        off += 4
-        name = blob[off:off + name_len].decode("utf-8")
-        off += name_len
-        (rank,) = struct.unpack_from("<I", blob, off)
-        off += 4
-        shape = struct.unpack_from(f"<{rank}Q", blob, off)
-        off += 8 * rank
-        n = int(np.prod(shape, dtype=np.int64)) if rank else 1
-        arr = np.frombuffer(blob, dtype=dtype, count=n, offset=off).reshape(shape)
-        off += n * width
-        out[name] = arr.copy()
+        (name_len,) = unpack("<I", "entry name length")
+        start = advance(name_len, "entry name")
+        name = blob[start:off].decode("utf-8")
+        (rank,) = unpack("<I", f"rank of {name!r}")
+        shape = unpack(f"<{rank}Q", f"shape of {name!r}")
+        n = math.prod(shape)
+        start = advance(n * width, f"payload of {name!r}")
+        out[name] = np.frombuffer(blob, dtype=dtype, count=n, offset=start).reshape(shape).copy()
     if off != len(blob):
         raise ValueError(f"checkpoint: {len(blob) - off} trailing bytes in {path}")
     return out

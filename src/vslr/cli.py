@@ -253,18 +253,7 @@ def cmd_finetune(args) -> int:
     merged = V.merge_train_val(manifest)
     model = TR.ClassifierModel(mcfg, manifest.num_classes, V.derive_rng(seed, "init"), dtype)
     if init_from:
-        loaded = C.load_checkpoint(init_from)
-        copied = 0
-        for name, t in model.named().items():
-            if name.startswith(("embed.", "enc.")) and name in loaded:
-                if tuple(loaded[name].shape) != t.data.shape:
-                    raise CliError("checkpoint",
-                                   f"checkpoint entry {name} has shape {loaded[name].shape}, "
-                                   f"model expects {t.data.shape}")
-                t.data = loaded[name].astype(t.data.dtype)
-                copied += 1
-        if copied == 0:
-            raise CliError("checkpoint", f"no encoder weights in {init_from} match this model")
+        M.load_encoder(model.named(), C.load_checkpoint(init_from))
     reports, _ = TR.finetune(model, merged, video_dir, tc, crop=mcfg.image_size, out_dir=out)
     _write_echo(out, {"command": "finetune", "seed": seed, "model": mcfg.to_dict(),
                       "num_classes": manifest.num_classes,

@@ -61,11 +61,6 @@ class TokenBatch:
     grid: tuple
     has_cls: bool = False
 
-    @property
-    def n_patch_tokens(self) -> int:
-        t, h, w = self.grid
-        return t * h * w
-
 
 class Embedding:
     """Projection weights, positional table, and (divided only) CLS token."""

@@ -6,6 +6,11 @@ time slice.  The encoder sees only visible tokens; a narrow, shallower
 decoder fills mask tokens back in at their original positions and
 reconstructs per-cube normalized pixels.  Loss is MSE over masked cubes
 only.
+
+Every clip in a batch has its own mask.  Masks at one ratio hide equal
+cell counts, so per-row gathers turn the batch into [B, visible] encoder
+input and [B, all] decoder input: one encoder pass and one decoder pass
+per step, whatever the batch size.
 """
 
 from __future__ import annotations
@@ -18,11 +23,11 @@ import numpy as np
 
 from . import tensor as T
 from .attention import BlockWeights, encoder_forward
-from .checkpoint import save_checkpoint
+from .checkpoint import load_into, save_checkpoint
 from .embedding import Embedding, EmbeddingConfig, TokenBatch, cube_pixels
 from .nn import LayerNormParams, LinearParams, trunc_normal
 from .tensor import Tensor, zero_grads
-from .train import Adam, ClassifierModel, ModelConfig
+from .train import Adam
 from .video import (Manifest, PipelineConfig, derive_rng, load_instance_video,
                     prepare_clip, to_model_tensor)
 
@@ -164,84 +169,75 @@ def normalized_cube_targets(x: np.ndarray, cfg: EmbeddingConfig) -> np.ndarray:
     return (cubes - mean) / np.sqrt(var + x.dtype.type(1e-6))
 
 
-def reconstruction_loss(pred: Tensor, target_cubes: np.ndarray, mask: TubeMask) -> Tensor:
+def reconstruction_loss(pred: Tensor, target_cubes: np.ndarray, masks: list) -> Tensor:
     """MSE over masked cubes only.
 
-    pred may cover all tokens or just the masked ones; either way visible
-    positions contribute exactly zero to the loss.
+    pred holds the masked-token predictions [B, K, cube_dim], row b in the
+    order of masks[b].masked_token_ids; visible targets are never read.
     """
-    ids = mask.masked_token_ids
-    n_all = target_cubes.shape[1]
-    if pred.data.shape[1] == n_all:
-        pred = T.take(pred, ids, axis=1)
-    elif pred.data.shape[1] != ids.size:
+    ids = np.stack([mk.masked_token_ids for mk in masks])
+    if pred.data.shape[:2] != ids.shape:
         raise ValueError(
-            f"prediction covers {pred.data.shape[1]} tokens, expected {ids.size} masked or {n_all} total")
-    tgt = Tensor(np.take(target_cubes, ids, axis=1).astype(pred.data.dtype))
-    diff = T.sub(pred, tgt)
+            f"prediction shape {pred.data.shape} does not cover {ids.shape} masked tokens")
+    tgt = np.take_along_axis(target_cubes, ids[:, :, None], axis=1)
+    diff = T.sub(pred, Tensor(tgt.astype(pred.data.dtype)))
     return T.mean(T.mul(diff, diff))
 
 
-def _encode_visible(model: MaeModel, tokens: Tensor, mask: TubeMask) -> Tensor:
-    vis = T.take(tokens, mask.visible_token_ids, axis=1)
+def _gather_rows(x: Tensor, ids: np.ndarray) -> Tensor:
+    """out[b, k] = x[b, ids[b, k]] for x [B, N, D] and ids [B, K]."""
+    b, n, d = x.data.shape
+    flat = (ids + n * np.arange(b)[:, None]).ravel()
+    rows = T.take(T.reshape(x, (b * n, d)), flat, axis=0)
+    return T.reshape(rows, (b, ids.shape[1], d))
+
+
+def _encode_visible(model: MaeModel, tokens: Tensor, masks: list) -> Tensor:
+    vis = _gather_rows(tokens, np.stack([mk.visible_token_ids for mk in masks]))
     tb = TokenBatch(vis, (1, 1, vis.data.shape[1]), has_cls=False)
     out, _ = encoder_forward(tb, model.enc_blocks, model.cfg.heads, model.enc_norm)
     return out.tokens
 
 
-def _decode(model: MaeModel, encoded: Tensor, mask: TubeMask) -> Tensor:
-    """Project visible tokens, splice in mask tokens at the masked
-    positions (original token order), run the decoder, predict cubes."""
+def _decode(model: MaeModel, encoded: Tensor, masks: list) -> Tensor:
+    """Project visible tokens, splice in mask tokens at each row's masked
+    positions (original token order), run the decoder, and predict the
+    masked cubes [B, K, cube_dim]."""
     b = encoded.data.shape[0]
-    n = model.embed.cfg.n_tokens
-    vis_ids, mask_ids = mask.visible_token_ids, mask.masked_token_ids
+    vis_ids = np.stack([mk.visible_token_ids for mk in masks])
+    mask_ids = np.stack([mk.masked_token_ids for mk in masks])
     proj = T.linear(encoded, model.dec_proj.w, model.dec_proj.b)
-    mask_tok = T.repeat(T.repeat(model.mask_token, b, axis=0), mask_ids.size, axis=1)
+    mask_tok = T.repeat(T.repeat(model.mask_token, b, axis=0), mask_ids.shape[1], axis=1)
     seq = T.concat([proj, mask_tok], axis=1)             # visible first, then masked
-    slots = np.empty(n, dtype=np.int64)
-    slots[vis_ids] = np.arange(vis_ids.size)
-    slots[mask_ids] = vis_ids.size + np.arange(mask_ids.size)
-    ordered = T.take(seq, slots, axis=1)
-    ordered = T.add(ordered, model.dec_pos)
+    slots = np.argsort(np.concatenate([vis_ids, mask_ids], axis=1), axis=1)
+    ordered = T.add(_gather_rows(seq, slots), model.dec_pos)
     tb = TokenBatch(ordered, model.embed.cfg.grid, has_cls=False)
     out, _ = encoder_forward(tb, model.dec_blocks, model.cfg.decoder_heads, model.dec_norm)
-    return T.linear(out.tokens, model.recon.w, model.recon.b)
+    return T.linear(_gather_rows(out.tokens, mask_ids), model.recon.w, model.recon.b)
 
 
-def mae_forward(x: Tensor, mask, model: MaeModel):
-    """Returns (masked-token predictions, scalar loss).
+def mae_forward(x: Tensor, masks: list, model: MaeModel):
+    """Returns (masked-token predictions [B, K, cube_dim], scalar loss).
 
-    mask is one TubeMask shared by the batch, or a list with one mask per
-    sample (predictions are then per-sample gathers, counts must agree).
+    masks holds one TubeMask per clip; all must hide the same number of
+    cells, so the whole batch runs through one encoder and one decoder
+    pass.  The loss is the MSE over every masked cube of the batch.
     """
+    b = x.data.shape[0]
+    if len(masks) != b:
+        raise ValueError(f"{len(masks)} masks for batch of {b}")
     grid = model.embed.cfg.grid
-    masks = mask if isinstance(mask, list) else [mask]
     for mk in masks:
         if mk.t_tokens != grid[0] or mk.spatial.shape != grid[1:]:
             raise ValueError(
                 f"mask grid ({mk.t_tokens}, {mk.spatial.shape}) does not match model grid {grid}")
+    counts = {mk.masked_cells for mk in masks}
+    if len(counts) > 1:
+        raise ValueError(f"masks in one batch must hide equal cell counts, got {sorted(counts)}")
     tokens = model.embed.embed(x).tokens
     targets = normalized_cube_targets(x.data, model.embed.cfg)
-
-    if not isinstance(mask, list):
-        pred_all = _decode(model, _encode_visible(model, tokens, mask), mask)
-        pred = T.take(pred_all, mask.masked_token_ids, axis=1)
-        return pred, reconstruction_loss(pred, targets, mask)
-
-    b = x.data.shape[0]
-    if len(masks) != b:
-        raise ValueError(f"{len(masks)} masks for batch of {b}")
-    preds, losses = [], []
-    for i, mk in enumerate(masks):
-        row = T.slice_along(tokens, 0, i, i + 1)
-        pred_all = _decode(model, _encode_visible(model, row, mk), mk)
-        pred = T.take(pred_all, mk.masked_token_ids, axis=1)
-        preds.append(pred)
-        losses.append(reconstruction_loss(pred, targets[i:i + 1], mk))
-    loss = T.scale(losses[0], 1.0 / b)
-    for extra in losses[1:]:
-        loss = T.add(loss, T.scale(extra, 1.0 / b))
-    return preds, loss
+    pred = _decode(model, _encode_visible(model, tokens, masks), masks)
+    return pred, reconstruction_loss(pred, targets, masks)
 
 
 @dataclass
@@ -303,16 +299,14 @@ def pretrain(model: MaeModel, manifest: Manifest, video_dir,
     return curve
 
 
-def classifier_from_mae(model: MaeModel, num_classes: int,
-                        rng: np.random.Generator) -> ClassifierModel:
-    """Joint-variant classifier initialized from a pretrained encoder;
-    decoder weights are dropped, the head starts fresh."""
-    cfg = ModelConfig("joint", model.cfg.dim, model.cfg.depth, model.cfg.heads,
-                      model.cfg.image_size, model.cfg.patch, model.cfg.frames,
-                      model.cfg.tube_depth)
-    clf = ClassifierModel(cfg, num_classes, rng, model.recon.w.data.dtype)
-    src, dst = model.named(), clf.named()
-    for name, tensor in dst.items():
-        if name.startswith(("embed.", "enc.")):
-            tensor.data = src[name].data.copy()
-    return clf
+def load_encoder(params: dict, loaded: dict) -> None:
+    """Copy a pretrained encoder into a classifier's named parameters.
+
+    Only `embed.*` and `enc.*` entries present in both the model and the
+    checkpoint are copied (decoder weights are dropped, the head keeps its
+    fresh init); load_into checks their shapes.
+    """
+    names = [n for n in params if n.startswith(("embed.", "enc.")) and n in loaded]
+    if not names:
+        raise ValueError("checkpoint: no encoder weights in the checkpoint match this model")
+    load_into({n: params[n] for n in names}, {n: loaded[n] for n in names})

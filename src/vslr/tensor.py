@@ -76,27 +76,11 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def item(self) -> float:
-        return float(self.data)
-
     def backward(self) -> None:
         backward(self)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
-
-    # convenience operators used throughout the model code
-    def __add__(self, other: "Tensor") -> "Tensor":
-        return add(self, other)
-
-    def __sub__(self, other: "Tensor") -> "Tensor":
-        return sub(self, other)
-
-    def __mul__(self, other: "Tensor") -> "Tensor":
-        return mul(self, other)
-
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return matmul(self, other)
 
 
 def _make_node(data: np.ndarray, parents: tuple[Tensor, ...], vjp) -> Tensor:
@@ -132,9 +116,6 @@ def _suffix_broadcast(op: str, a: Tensor, b: Tensor) -> None:
     large = sb if len(sa) <= len(sb) else sa
     if len(small) > 0 and large[len(large) - len(small):] != small:
         raise ValueError(f"{op}: shapes {sa} and {sb} are not batch-compatible")
-    if len(small) == 0 and small != large:
-        # scalar tensor against anything is fine
-        pass
 
 
 def _reduce_to(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:

@@ -59,8 +59,22 @@ def test_truncated_payload_rejected(tmp_path):
     save_checkpoint(path, {"w": np.ones((4, 4), dtype=np.float32)})
     blob = path.read_bytes()
     path.write_bytes(blob[:-8])
-    with pytest.raises(Exception):
+    with pytest.raises(ValueError, match="checkpoint: truncated payload of 'w'"):
         load_checkpoint(path)
+
+
+def test_truncated_header_rejected(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, {"w": np.ones((4, 4), dtype=np.float32)})
+    blob = path.read_bytes()
+    path.write_bytes(blob[:10])
+    with pytest.raises(ValueError, match="checkpoint: truncated header"):
+        load_checkpoint(path)
+    # every cut past the magic, wherever it lands, is the same typed error
+    for cut in range(4, len(blob)):
+        path.write_bytes(blob[:cut])
+        with pytest.raises(ValueError, match="checkpoint: truncated"):
+            load_checkpoint(path)
 
 
 def test_load_into_checks_names_and_shapes(tmp_path):

@@ -231,6 +231,18 @@ def test_pretrain_then_finetune_init_from(env, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error[checkpoint]:")
 
 
+def test_finetune_init_from_truncated_checkpoint(env, tmp_path, capsys):
+    data, run = env
+    cut = tmp_path / "cut.ckpt"
+    cut.write_bytes((run / "model.ckpt").read_bytes()[:10])   # inside the header
+    assert dispatch(["finetune", "--data", str(data), "--out", str(tmp_path / "ft"),
+                     "--epochs", "1", "--variant", "joint",
+                     "--init-from", str(cut), *MODEL_FLAGS]) == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error[checkpoint]: checkpoint: truncated header")
+    assert "\n" not in err
+
+
 # ---------------------------------------------------------------------------
 # config files and parser behavior
 

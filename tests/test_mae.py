@@ -8,9 +8,10 @@ import pytest
 from vslr import tensor as T
 from vslr.embedding import EmbeddingConfig, cube_pixels
 from vslr.mae import (MaeConfig, MaeModel, PretrainConfig, TubeMask,
-                      classifier_from_mae, mae_forward, make_tube_mask,
+                      load_encoder, mae_forward, make_tube_mask,
                       normalized_cube_targets, pretrain, reconstruction_loss)
 from vslr.tensor import Tensor
+from vslr.train import ClassifierModel, ModelConfig
 from vslr.video import PipelineConfig, derive_rng, make_synthetic_dataset
 
 
@@ -97,18 +98,18 @@ def test_reconstruction_loss_matches_loop_oracle():
     rng = np.random.default_rng(5)
     cfg = EmbeddingConfig("joint", 8, 8, 4, 4, tube_depth=2)
     x = rng.random((2, 4, 3, 8, 8))
-    mask = make_tube_mask(cfg.grid, 0.5, rng)
+    masks = [make_tube_mask(cfg.grid, 0.5, rng) for _ in range(2)]
     targets = normalized_cube_targets(x, cfg)
-    pred = rng.standard_normal((2, mask.masked_token_ids.size, cfg.cube_dim))
+    pred = rng.standard_normal((2, masks[0].masked_token_ids.size, cfg.cube_dim))
 
     total, count = 0.0, 0
     for b in range(2):
-        for j, tok in enumerate(mask.masked_token_ids):
+        for j, tok in enumerate(masks[b].masked_token_ids):
             diff = pred[b, j] - targets[b, tok]
             total += float((diff * diff).sum())
             count += diff.size
     loss = reconstruction_loss(Tensor(pred, dtype=np.float64),
-                               targets.astype(np.float64), mask)
+                               targets.astype(np.float64), masks)
     assert np.isclose(float(loss.data), total / count, atol=1e-12)
 
 
@@ -118,10 +119,10 @@ def test_visible_tokens_contribute_zero_loss():
     x = rng.random((1, 4, 3, 8, 8))
     mask = make_tube_mask(cfg.grid, 0.5, rng)
     targets = normalized_cube_targets(x, cfg)
-    pred_all = rng.standard_normal((1, cfg.n_tokens, cfg.cube_dim))
-    base = reconstruction_loss(Tensor(pred_all.copy()), targets, mask)
-    pred_all[:, mask.visible_token_ids] += 100.0
-    bumped = reconstruction_loss(Tensor(pred_all), targets, mask)
+    pred = Tensor(rng.standard_normal((1, mask.masked_token_ids.size, cfg.cube_dim)))
+    base = reconstruction_loss(pred, targets, [mask])
+    targets[:, mask.visible_token_ids] += 100.0
+    bumped = reconstruction_loss(pred, targets, [mask])
     assert float(base.data) == float(bumped.data)
 
 
@@ -135,7 +136,7 @@ def test_forward_shapes_and_leakage():
     grid = model.embed.cfg.grid
     mask = make_tube_mask(grid, 0.75, rng)
     x = rng.random((2, 4, 3, 16, 16)).astype(np.float32)
-    pred, loss = mae_forward(Tensor(x), mask, model)
+    pred, loss = mae_forward(Tensor(x), [mask, mask], model)
     cube_dim = model.embed.cfg.cube_dim
     assert pred.shape == (2, mask.masked_token_ids.size, cube_dim)
     assert loss.data.shape == ()
@@ -148,7 +149,7 @@ def test_forward_shapes_and_leakage():
     p = model.embed.cfg.patch
     block = x2[:, :, :, my * p:(my + 1) * p, mx * p:(mx + 1) * p]
     block += rng.random(block.shape, dtype=np.float32)
-    pred2, loss2 = mae_forward(Tensor(x2), mask, model)
+    pred2, loss2 = mae_forward(Tensor(x2), [mask, mask], model)
     assert np.array_equal(pred.data, pred2.data)
     assert float(loss.data) != float(loss2.data)
 
@@ -158,17 +159,51 @@ def test_mask_grid_must_match_model():
     rng = np.random.default_rng(8)
     wrong = make_tube_mask((2, 3, 3), 0.5, rng)
     with pytest.raises(ValueError, match="does not match model grid"):
-        mae_forward(Tensor(np.zeros((1, 4, 3, 16, 16), dtype=np.float32)), wrong, model)
+        mae_forward(Tensor(np.zeros((1, 4, 3, 16, 16), dtype=np.float32)), [wrong], model)
 
 
-def test_per_sample_masks_agree_with_shared_mask():
+def test_batched_forward_matches_per_clip_loop():
     rng = np.random.default_rng(9)
     model = _desk_model()
-    mask = make_tube_mask(model.embed.cfg.grid, 0.75, rng)
+    grid = model.embed.cfg.grid
+    masks = [make_tube_mask(grid, 0.75, rng) for _ in range(3)]
+    assert len({mk.spatial.tobytes() for mk in masks}) == 3
+    x = rng.random((3, 4, 3, 16, 16)).astype(np.float32)
+    pred, loss = mae_forward(Tensor(x), masks, model)
+    losses = []
+    for b, mk in enumerate(masks):
+        row_pred, row_loss = mae_forward(Tensor(x[b:b + 1]), [mk], model)
+        assert np.allclose(pred.data[b], row_pred.data[0], atol=1e-5)
+        losses.append(float(row_loss.data))
+    assert np.isclose(float(loss.data), np.mean(losses), atol=1e-6)
+
+
+def test_decoder_places_mask_tokens_at_masked_positions():
+    # with no decoder blocks each position's output depends on its own
+    # input only, so a masked prediction must be recon(norm(mask + pos))
+    rng = np.random.default_rng(15)
+    cfg = MaeConfig(dim=16, depth=2, heads=2, decoder_dim=8, decoder_depth=0,
+                    decoder_heads=2, image_size=16, patch=4, frames=4, tube_depth=2)
+    model = MaeModel(cfg, rng, np.float64)
+    masks = [make_tube_mask(model.embed.cfg.grid, 0.75, rng) for _ in range(2)]
+    pred, _ = mae_forward(Tensor(rng.random((2, 4, 3, 16, 16))), masks, model)
+    for b, mk in enumerate(masks):
+        dec_in = Tensor(model.mask_token.data[0] + model.dec_pos.data[mk.masked_token_ids])
+        normed = T.layer_norm(dec_in, model.dec_norm.g, model.dec_norm.b)
+        want = T.linear(normed, model.recon.w, model.recon.b)
+        assert np.allclose(pred.data[b], want.data, rtol=0, atol=1e-12)
+
+
+def test_mask_list_must_fit_batch():
+    rng = np.random.default_rng(14)
+    model = _desk_model()
+    grid = model.embed.cfg.grid
     x = Tensor(rng.random((2, 4, 3, 16, 16)).astype(np.float32))
-    _, shared = mae_forward(x, mask, model)
-    _, listed = mae_forward(x, [mask, mask], model)
-    assert np.isclose(float(shared.data), float(listed.data), atol=1e-6)
+    mask = make_tube_mask(grid, 0.75, rng)
+    with pytest.raises(ValueError, match="1 masks for batch of 2"):
+        mae_forward(x, [mask], model)
+    with pytest.raises(ValueError, match="equal cell counts"):
+        mae_forward(x, [mask, make_tube_mask(grid, 0.5, rng)], model)
 
 
 def test_config_asymmetry_enforced():
@@ -183,7 +218,7 @@ def test_mae_gradients_reach_all_parts():
     model = _desk_model(dtype=np.float64)
     mask = make_tube_mask(model.embed.cfg.grid, 0.75, rng)
     x = Tensor(rng.random((1, 4, 3, 16, 16)))
-    _, loss = mae_forward(Tensor(x.data.astype(np.float64)), mask, model)
+    _, loss = mae_forward(Tensor(x.data.astype(np.float64)), [mask], model)
     T.backward(loss)
     for name in ("embed.proj.w", "enc.0.joint.q.w", "dec.mask", "dec.pos",
                  "dec.0.joint.q.w", "recon.w"):
@@ -191,13 +226,15 @@ def test_mae_gradients_reach_all_parts():
 
 
 def test_mae_gradcheck_mask_token_and_head():
+    # two clips with distinct masks, so the per-row gathers' scatter
+    # backward is checked at a nonzero row offset too
     rng = np.random.default_rng(11)
     model = _desk_model(dtype=np.float64)
-    mask = make_tube_mask(model.embed.cfg.grid, 0.75, rng)
-    x = Tensor(rng.random((1, 4, 3, 16, 16)))
+    masks = [make_tube_mask(model.embed.cfg.grid, 0.75, rng) for _ in range(2)]
+    x = Tensor(rng.random((2, 4, 3, 16, 16)))
 
     def loss_fn(_):
-        _, loss = mae_forward(x, mask, model)
+        _, loss = mae_forward(x, masks, model)
         return loss
 
     assert T.grad_check(loss_fn, model.mask_token) < 1e-6
@@ -221,7 +258,7 @@ def test_encoder_cost_shrinks_quadratically_at_high_ratio():
     from vslr.embedding import TokenBatch
 
     T.reset_macs()
-    _encode_visible(model, tokens, mask)
+    _encode_visible(model, tokens, [mask])
     vis_macs = T.mac_count("attn")
     T.reset_macs()
     encoder_forward(TokenBatch(tokens, cfg.embedding_config().grid, False),
@@ -254,14 +291,23 @@ def test_pretrain_runs_and_is_deterministic(tmp_path):
     assert (tmp_path / "run0" / "mae_final.ckpt").exists()
 
 
-def test_classifier_from_mae_copies_encoder():
-    rng = np.random.default_rng(13)
+def test_load_encoder_copies_encoder():
     model = _desk_model(rng=np.random.default_rng(42))
-    clf = classifier_from_mae(model, num_classes=3, rng=rng)
-    assert clf.cfg.variant == "joint"
+    cfg = ModelConfig("joint", 16, 2, 2, 16, 4, 4, 2)
+    clf = ClassifierModel(cfg, 3, np.random.default_rng(13))
     src, dst = model.named(), clf.named()
+    src_arrays = {n: t.data for n, t in src.items()}
+    head = dst["head.w"].data.copy()
+    load_encoder(dst, src_arrays)
     assert np.array_equal(src["embed.proj.w"].data, dst["embed.proj.w"].data)
     assert np.array_equal(src["enc.1.joint.v.w"].data, dst["enc.1.joint.v.w"].data)
-    assert dst["head.w"].shape == (16, 3)
+    assert np.array_equal(dst["head.w"].data, head)
     x = Tensor(np.random.default_rng(0).random((2, 4, 3, 16, 16)).astype(np.float32))
     assert clf.forward(x).shape == (2, 3)
+
+    wide = ClassifierModel(ModelConfig("joint", 24, 2, 2, 16, 4, 4, 2), 3,
+                           np.random.default_rng(13))
+    with pytest.raises(ValueError, match="checkpoint: shape mismatch"):
+        load_encoder(wide.named(), src_arrays)
+    with pytest.raises(ValueError, match="checkpoint: no encoder weights"):
+        load_encoder(clf.named(), {"dec.pos": src_arrays["dec.pos"]})
