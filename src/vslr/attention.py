@@ -8,14 +8,13 @@ Two block types over one token layout:
   and its per-group updates are averaged.
 * joint: one attention pass over all tokens, then the MLP.
 
-Both use pre-norm residual wiring x + SubLayer(LayerNorm(x)).  Attention
-matmuls are tagged in the MAC ledger so the divided-vs-joint cost claim
-can be asserted exactly.
+Both use pre-norm residual wiring x + SubLayer(LayerNorm(x)).  Each pass
+is one fused ``T.attention`` node, whose multiply-adds are tagged in the
+MAC ledger so the divided-vs-joint cost claim can be asserted exactly.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,26 +87,13 @@ def multi_head_attention(x: Tensor, w: PassWeights, heads: int,
     Returns (output, weights) where weights is a detached
     [groups, heads, length, length] array or None.
     """
-    if x.data.ndim != 3:
-        raise ValueError(f"attention input must be [groups, length, dim], got {x.data.shape}")
-    g, n, d = x.data.shape
-    if d % heads != 0:
-        raise ValueError(f"model dim {d} not divisible by {heads} heads")
-    dh = d // heads
-
-    def split(t: Tensor) -> Tensor:
-        return T.transpose(T.reshape(t, (g, n, heads, dh)), (0, 2, 1, 3))
-
-    q = split(T.linear(x, w.q.w, w.q.b))
-    k = split(T.linear(x, w.k.w, w.k.b))
-    v = split(T.linear(x, w.v.w, w.v.b))
-    logits = T.scale(T.matmul(q, T.transpose(k, (0, 1, 3, 2)), tag="attn"),
-                     1.0 / math.sqrt(dh))
-    weights = T.softmax(logits, axis=-1)
-    ctx = T.matmul(weights, v, tag="attn")               # [g, h, n, dh]
-    merged = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (g, n, d))
-    out = T.linear(merged, w.o.w, w.o.b)
-    return out, (weights.data.copy() if want_trace else None)
+    q = T.linear(x, w.q.w, w.q.b)
+    k = T.linear(x, w.k.w, w.k.b)
+    v = T.linear(x, w.v.w, w.v.b)
+    out = T.linear(T.attention(q, k, v, heads), w.o.w, w.o.b)
+    # the fused op never holds the full weights; only rollout needs them
+    weights = T._attn_weights(*T._attn_split(q.data, k.data, heads))[0] if want_trace else None
+    return out, weights
 
 
 def _group_cls(cls_n: Tensor, groups: int) -> Tensor:

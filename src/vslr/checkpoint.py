@@ -90,7 +90,10 @@ def load_checkpoint(path) -> dict:
     for _ in range(count):
         (name_len,) = unpack("<I", "entry name length")
         start = advance(name_len, "entry name")
-        name = blob[start:off].decode("utf-8")
+        try:
+            name = blob[start:off].decode("utf-8")
+        except UnicodeDecodeError:
+            raise ValueError(f"checkpoint: entry name at byte {start} is not UTF-8 in {path}") from None
         (rank,) = unpack("<I", f"rank of {name!r}")
         shape = unpack(f"<{rank}Q", f"shape of {name!r}")
         n = math.prod(shape)

@@ -292,6 +292,8 @@ def read_raw_video(path, source_id: str = "") -> RawVideo:
         blob = fh.read()
     if blob[:4] != VRAW_MAGIC:
         raise ValueError(f"raw video: bad magic in {path}")
+    if len(blob) < 12:
+        raise ValueError(f"raw video: truncated header, {len(blob)} of 12 bytes in {path}")
     version, order_code, n, h, w = struct.unpack_from("<BBHHH", blob, 4)
     if version != 1:
         raise ValueError(f"raw video: unsupported version {version}")

@@ -58,6 +58,29 @@ def test_multi_head_attention_matches_loop_oracle():
         assert np.allclose(out.data, mha_oracle(x, w, heads), atol=1e-10)
 
 
+def test_multi_head_attention_blocked_output_and_trace(monkeypatch):
+    """Under 15 ragged query-row blocks the output still matches the loop
+    oracle, and the trace is the full softmax(q k^T / sqrt(dh))."""
+    rng = np.random.default_rng(20)
+    g, n, d, heads = 3, 9, 8, 2
+    dh = d // heads
+    monkeypatch.setattr(T, "_ATTN_BLOCK_BYTES", 2 * heads * n * 8)   # 2 float64 rows
+    assert len(T._attn_blocks(g, heads, n, 8)) == 15
+    w = _pass(rng, d)
+    x = rng.standard_normal((g, n, d))
+    out, tr = multi_head_attention(Tensor(x, dtype=np.float64), w, heads, want_trace=True)
+    assert np.allclose(out.data, mha_oracle(x, w, heads), atol=1e-10)
+
+    def heads_of(p):
+        return (x @ p.w.data + p.b.data).reshape(g, n, heads, dh).transpose(0, 2, 1, 3)
+
+    logits = heads_of(w.q) @ heads_of(w.k).swapaxes(-1, -2) / math.sqrt(dh)
+    want = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    want /= want.sum(axis=-1, keepdims=True)
+    assert tr.shape == (g, heads, n, n)
+    assert np.allclose(tr, want, rtol=0, atol=1e-10)
+
+
 def test_attention_rows_sum_to_one():
     rng = np.random.default_rng(1)
     for _ in range(5):

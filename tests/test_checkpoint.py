@@ -77,6 +77,18 @@ def test_truncated_header_rejected(tmp_path):
             load_checkpoint(path)
 
 
+def test_non_utf8_entry_name_rejected(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, {"w": np.ones(2, dtype=np.float32)})
+    blob = bytearray(path.read_bytes())
+    name_at = 4 + 9 + 4                 # magic, header, name length
+    assert blob[name_at:name_at + 1] == b"w"
+    blob[name_at] = 0xFF
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ValueError, match=f"checkpoint: entry name at byte {name_at} is not UTF-8"):
+        load_checkpoint(path)
+
+
 def test_load_into_checks_names_and_shapes(tmp_path):
     model = {"a": Tensor(np.zeros((2, 2), dtype=np.float32), requires_grad=True)}
     save_checkpoint(tmp_path / "ok.ckpt", {"a": np.ones((2, 2), dtype=np.float32)})

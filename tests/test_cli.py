@@ -4,6 +4,7 @@ self-containment, and the one-line error[<class>] contract with exit 2."""
 
 import csv
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -240,6 +241,19 @@ def test_finetune_init_from_truncated_checkpoint(env, tmp_path, capsys):
                      "--init-from", str(cut), *MODEL_FLAGS]) == 2
     err = capsys.readouterr().err.strip()
     assert err.startswith("error[checkpoint]: checkpoint: truncated header")
+    assert "\n" not in err
+
+
+def test_finetune_on_truncated_raw_video(env, tmp_path, capsys):
+    data, _ = env
+    cut = tmp_path / "data"
+    shutil.copytree(data, cut)
+    for video in (cut / "videos").glob("*.vraw"):
+        video.write_bytes(video.read_bytes()[:8])      # inside the header
+    assert dispatch(["finetune", "--data", str(cut), "--out", str(tmp_path / "ft"),
+                     "--epochs", "1", *MODEL_FLAGS]) == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error[checkpoint]: raw video: truncated header")
     assert "\n" not in err
 
 

@@ -2,6 +2,7 @@
 bookkeeping, finite-difference gradient checks, MAC accounting."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -56,6 +57,20 @@ def gelu_oracle(x):
         v = float(v)
         of[i] = 0.5 * v * (1.0 + math.tanh(c * (v + 0.044715 * v ** 3)))
     return out
+
+
+def attention_reference(q, k, v, heads):
+    """Multi-head attention composed from unfused ops: per-head split,
+    T.matmul, T.scale, T.softmax, T.matmul, merge."""
+    g, n, d = q.data.shape
+    dh = d // heads
+
+    def split(t):
+        return T.transpose(T.reshape(t, (g, n, heads, dh)), (0, 2, 1, 3))
+
+    logits = T.scale(T.matmul(split(q), T.transpose(split(k), (0, 1, 3, 2))), 1.0 / math.sqrt(dh))
+    ctx = T.matmul(T.softmax(logits, axis=-1), split(v))
+    return T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (g, n, d))
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +301,81 @@ def test_grad_check_structural_ops():
 
 
 # ---------------------------------------------------------------------------
+# fused attention
+
+
+def _split_attention(monkeypatch, mode, g, heads, n):
+    """Shrink the weight budget so a float64 forward runs >= 3 blocks of
+    two whole groups ("groups") or of two query rows of one group
+    ("rows"), the last block ragged."""
+    monkeypatch.setattr(T, "_ATTN_BLOCK_BYTES", 2 * heads * n * 8 * (n if mode == "groups" else 1))
+    blocks = T._attn_blocks(g, heads, n, 8)
+    sizes = [(len(range(g)[b]), len(range(n)[r])) for b, r in blocks]
+    assert len(blocks) >= 3 and sizes[-1] != sizes[0]
+
+
+@pytest.mark.parametrize("mode", ["one block", "groups", "rows"])
+def test_attention_matches_reference_composition(mode, monkeypatch):
+    rng = np.random.default_rng(300)
+    g, n, d, heads = 5, 7, 12, 3
+    if mode != "one block":
+        _split_attention(monkeypatch, mode, g, heads, n)
+    red = _weighted(rng, (g, n, d))
+    leaves = [rng.standard_normal((g, n, d)) * 2 for _ in range(3)]
+    results = []
+    for op in (T.attention, attention_reference):
+        qkv = [Tensor(a, requires_grad=True, dtype=np.float64) for a in leaves]
+        out = op(*qkv, heads)
+        T.backward(red(out))
+        results.append([out.data] + [t.grad for t in qkv])
+    for got, want in zip(*results):
+        assert np.allclose(got, want, rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("mode", ["groups", "rows"])
+def test_attention_grad_check_blocked(mode, monkeypatch):
+    rng = np.random.default_rng(301)
+    g, n, d, heads = 5, 5, 4, 2
+    _split_attention(monkeypatch, mode, g, heads, n)
+    qkv = [Tensor(rng.standard_normal((g, n, d)), requires_grad=True, dtype=np.float64)
+           for _ in range(3)]
+    red = _weighted(rng, (g, n, d))
+    for i in range(3):
+        def f(t, i=i):
+            args = list(qkv)
+            args[i] = t
+            return red(T.attention(*args, heads))
+        assert T.grad_check(f, qkv[i]) < 1e-6
+
+
+def test_attention_memory_is_bounded():
+    """Neither the graph a forward leaves nor backward's peak holds a full
+    [G, h, N, N] weight array (16 MiB here)."""
+    rng = np.random.default_rng(302)
+    g, heads, n, d = 1, 4, 1024, 64
+    full = g * heads * n * n * 4
+    qkv = [Tensor(rng.standard_normal((g, n, d)).astype(np.float32), requires_grad=True)
+           for _ in range(3)]
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        loss = T.sum_(T.attention(*qkv, heads))
+        held = tracemalloc.get_traced_memory()[0] - base
+        tracemalloc.reset_peak()
+        T.backward(loss)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert held < full and peak < full, (held / 2 ** 20, peak / 2 ** 20)
+
+
+def test_attention_rejects_mismatched_shapes():
+    x = Tensor(np.zeros((1, 3, 8)))
+    with pytest.raises(ValueError, match="share one"):
+        T.attention(x, x, Tensor(np.zeros((1, 4, 8))), 2)
+
+
+# ---------------------------------------------------------------------------
 # MAC accounting
 
 
@@ -300,3 +390,8 @@ def test_mac_counter_counts_multiply_adds():
     assert T.mac_count() == 48
     T.reset_macs()
     assert T.mac_count() == 0
+    g, n, d, heads = 2, 5, 8, 4
+    x = Tensor(np.ones((g, n, d)))
+    T.attention(x, x, x, heads)            # QK^T and AV: 2 * G * h * N^2 * dh
+    assert T.mac_count("attn") == T.mac_count() == 2 * g * heads * n * n * (d // heads)
+    T.reset_macs()

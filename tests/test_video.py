@@ -275,6 +275,16 @@ def test_raw_video_round_trip(tmp_path):
     assert np.array_equal(np.stack([f.pixels for f in back.frames]), frames)
 
 
+def test_truncated_raw_header_rejected(tmp_path):
+    path = tmp_path / "clip.vraw"
+    V.write_raw_video(path, np.zeros((2, 3, 4, 3), dtype=np.uint8), "BGR")
+    blob = path.read_bytes()
+    for cut in (4, 8, 11):
+        path.write_bytes(blob[:cut])
+        with pytest.raises(ValueError, match=f"raw video: truncated header, {cut} of 12"):
+            V.read_raw_video(path)
+
+
 def test_synthetic_dataset_structure_and_determinism(tmp_path):
     m1 = V.make_synthetic_dataset(tmp_path / "d1", num_classes=3, per_class=6,
                                   nominal_frames=10, size=16, seed=5)
