@@ -357,7 +357,7 @@ def cmd_attn_map(args) -> int:
             raise CliError("config",
                            f"--start-frame {start} with {pipe.frames} frames exceeds "
                            f"{len(video.frames)} available")
-        video = V.RawVideo(video.frames[start - 1:start - 1 + pipe.frames], video.source_id)
+        video.frames = video.frames[start - 1:start - 1 + pipe.frames]
     clip = V.prepare_clip(video, pipe, train=False,
                           rng=V.derive_rng(seed, "attn", video_id), label=inst.label)
     x = Tensor(V.to_model_tensor(clip, dtype)[None])

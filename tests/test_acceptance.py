@@ -517,14 +517,14 @@ def test_ablation_harness_structure(synth, tmp_path):
 
 
 def _solid(values, h=4, w=5):
-    return [V.Frame(np.full((h, w, 3), v, dtype=np.uint8)) for v in values]
+    return np.stack([np.full((h, w, 3), v, dtype=np.uint8) for v in values])
 
 
 def test_preprocessing_goldens():
     # even sampling: floor(i * 10 / 4) -> 0, 2, 5, 7
     clip = V.sample_even(V.RawVideo(_solid(range(10)), "v"), 4)
     assert clip.sampled_indices == [0, 2, 5, 7]
-    assert [int(f.pixels[0, 0, 0]) for f in clip.frames] == [0, 2, 5, 7]
+    assert clip.frames[:, 0, 0, 0].tolist() == [0, 2, 5, 7]
 
     # 12 -> 16 padding: simulate the four Bernoulli draws on a twin stream
     rng_impl = derive_rng(7, "pad")
@@ -533,18 +533,19 @@ def test_preprocessing_goldens():
     front = 4 - back
     clip = V.sample_consecutive(V.RawVideo(_solid(range(12)), "v"), 16, rng_impl)
     assert clip.sampled_indices == [-1] * front + list(range(12)) + [-1] * back
-    got = [int(f.pixels[0, 0, 0]) for f in clip.frames]
+    got = clip.frames[:, 0, 0, 0].tolist()
     assert got == [0] * front + list(range(12)) + [11] * back
 
     # resize rule: upscale short sides to 226, cap long sides at 256; the
-    # 200x400 input hits both and the cap wins
+    # 200x400 input hits both and the cap wins (a crop of at most 128 keeps
+    # the short-side stage out)
     assert V.resize_plan(113, 128) == (226, 256)
     assert V.resize_plan(200, 400) == (128, 256)
     assert V.resize_plan(240, 250) == (240, 250)
-    small = V.Frame(np.full((200, 400, 3), 77, dtype=np.uint8))
-    out = V.resize_rule(small)
-    assert out.pixels.shape == (128, 256, 3)
-    assert np.all(out.pixels == 77)              # constant image stays constant
+    small = np.full((1, 200, 400, 3), 77, dtype=np.uint8)
+    out = V.resize_rule(small, 128)
+    assert out.shape == (1, 128, 256, 3)
+    assert np.all(out == 77)                     # constant image stays constant
 
     # half-pixel bilinear on a hand-computed 2x2 -> 4x4 ramp
     src = np.zeros((2, 2, 3), dtype=np.uint8)
@@ -558,9 +559,9 @@ def test_preprocessing_goldens():
 
     # center crop of a 6x8 frame to 4: offsets floor((6-4)/2)=1, floor((8-4)/2)=2
     px = np.arange(6 * 8 * 3, dtype=np.uint8).reshape(6, 8, 3)
-    cropped = V.crop_center(V.VideoClip([V.Frame(px.copy(), "RGB")], "v", [0]), 4)
+    cropped = V.crop_center(V.VideoClip(px[None].copy(), "v", [0], channel_order="RGB"), 4)
     assert cropped.crop_offset == (1, 2)
-    assert np.array_equal(cropped.frames[0].pixels, px[1:5, 2:6])
+    assert np.array_equal(cropped.frames[0], px[1:5, 2:6])
     _line("preprocessing goldens",
           "even sampling [0,2,5,7]; 12->16 padding; 200x400 -> 128x256; "
           "bilinear 2x2->4x4 hand values; center crop offsets (1,2)")

@@ -5,6 +5,7 @@ self-containment, and the one-line error[<class>] contract with exit 2."""
 import csv
 import json
 import shutil
+import struct
 
 import numpy as np
 import pytest
@@ -157,6 +158,20 @@ def test_attn_map_start_frame_conflicts_with_even(env, tmp_path, capsys):
     assert err == "error[conflict]: --start-frame conflicts with --sampling even"
 
 
+def test_attn_map_start_frame_with_consecutive_sampling(env, tmp_path, capsys):
+    data, run = env
+    manifest = json.loads((data / "manifest.json").read_text())
+    inst = next(i for e in manifest for i in e["instances"] if i["frame_end"] >= 5)
+    out = tmp_path / "heat"
+    assert dispatch(["attn-map", "--data", str(data), "--run", str(run),
+                     "--video", inst["video_id"], "--out", str(out),
+                     "--start-frame", "2", "--sampling", "consecutive"]) == 0
+    index = json.loads((out / "index.json").read_text())
+    assert index["video"] == inst["video_id"]
+    assert index["grid"] == [4, 2, 2]
+    assert len(list(out.glob("*.pgm"))) == 4
+
+
 def test_attn_map_unknown_video(env, tmp_path, capsys):
     data, run = env
     assert dispatch(["attn-map", "--data", str(data), "--run", str(run),
@@ -254,6 +269,21 @@ def test_finetune_on_truncated_raw_video(env, tmp_path, capsys):
                      "--epochs", "1", *MODEL_FLAGS]) == 2
     err = capsys.readouterr().err.strip()
     assert err.startswith("error[checkpoint]: raw video: truncated header")
+    assert "\n" not in err
+
+
+def test_finetune_on_zero_sized_raw_frames(env, tmp_path, capsys):
+    data, _ = env
+    bad = tmp_path / "data"
+    shutil.copytree(data, bad)
+    for video in (bad / "videos").glob("*.vraw"):
+        n = struct.unpack_from("<H", video.read_bytes(), 6)[0]
+        video.write_bytes(b"VRAW" + struct.pack("<BBHHH", 1, 0, n, 0, 16))
+    # at crop 224 the resize rule would divide by h = 0, so the reader must refuse
+    assert dispatch(["finetune", "--data", str(bad), "--out", str(tmp_path / "ft"),
+                     "--epochs", "1", *MODEL_FLAGS, "--crop", "224"]) == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error[checkpoint]: raw video: zero-sized frames 0x16")
     assert "\n" not in err
 
 

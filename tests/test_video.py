@@ -1,18 +1,23 @@
 """Preprocessing: sampling/padding goldens, the two-stage resize rule with
 a loop-level bilinear oracle, channel conversion, clip-consistent
-augmentation, manifests, and the synthetic dataset generator."""
+augmentation, manifests, the raw container reader, and the synthetic
+dataset generator."""
 
+import hashlib
 import json
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from vslr import video as V
 
 
 def _frames(values, h=4, w=5):
     """One solid uint8 frame per value, so identity is checkable by pixel."""
-    return [V.Frame(np.full((h, w, 3), v, dtype=np.uint8)) for v in values]
+    return np.stack([np.full((h, w, 3), v, dtype=np.uint8) for v in values])
 
 
 # ---------------------------------------------------------------------------
@@ -24,7 +29,7 @@ def test_even_sampling_golden_indices():
     video = V.RawVideo(_frames(range(10)), "v")
     clip = V.sample_even(video, 4)
     assert clip.sampled_indices == [0, 2, 5, 7]
-    assert [f.pixels[0, 0, 0] for f in clip.frames] == [0, 2, 5, 7]
+    assert clip.frames[:, 0, 0, 0].tolist() == [0, 2, 5, 7]
 
 
 def test_even_sampling_is_pure():
@@ -32,8 +37,7 @@ def test_even_sampling_is_pure():
     a = V.sample_even(video, 5)
     b = V.sample_even(video, 5)
     assert a.sampled_indices == b.sampled_indices
-    for fa, fb in zip(a.frames, b.frames):
-        assert np.array_equal(fa.pixels, fb.pixels)
+    assert np.array_equal(a.frames, b.frames)
 
 
 def test_consecutive_sampling_window():
@@ -60,7 +64,7 @@ def test_padding_12_to_16_golden():
     clip = V.sample_consecutive(video, 16, rng_impl)
     assert len(clip.frames) == 16
     assert clip.sampled_indices == expected
-    values = [int(f.pixels[0, 0, 0]) for f in clip.frames]
+    values = clip.frames[:, 0, 0, 0].tolist()
     assert values == [0] * front + list(range(12)) + [11] * back
 
 
@@ -75,7 +79,7 @@ def test_padding_happens_for_even_sampling_too():
 
 def test_pad_clip_rejects_oversized_input():
     with pytest.raises(ValueError, match="exceed"):
-        V.pad_clip(_frames(range(5)), 3, np.random.default_rng(0))
+        V.pad_clip(V.RawVideo(_frames(range(5)), "v"), 3, np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------
@@ -121,20 +125,48 @@ def test_bilinear_matches_loop_oracle():
 def test_resize_rule_conflict_case_dims_and_pixels():
     rng = np.random.default_rng(12)
     px = rng.integers(0, 256, size=(200, 400, 3), dtype=np.uint8)
-    out = V.resize_rule(V.Frame(px))
-    assert (out.height, out.width) == (128, 256)
+    # a crop of at most 128 leaves the plan's dims to the two-stage rule
+    out = V.resize_rule(px[None], 128)
+    assert out.shape == (1, 128, 256, 3)
     # spot-check a handful of output pixels against the loop oracle
     full = V.resize_bilinear(px, 128, 256)
     probe = bilinear_oracle(px, 128, 256)
     for i, j in [(0, 0), (64, 128), (127, 255), (13, 200)]:
         assert np.array_equal(full[i, j], probe[i, j])
-    assert np.array_equal(out.pixels, full)
+    assert np.array_equal(out[0], full)
 
 
 def test_resize_rule_returns_input_when_conformant():
-    px = np.zeros((240, 250, 3), dtype=np.uint8)
-    f = V.Frame(px)
-    assert V.resize_rule(f) is f
+    px = np.zeros((2, 240, 250, 3), dtype=np.uint8)
+    assert V.resize_rule(px, 224) is px
+
+
+@pytest.mark.parametrize("h, w, want", [(240, 320, (224, 299)), (180, 320, (224, 398)),
+                                        (720, 1280, (224, 398)), (100, 150, (224, 335))])
+def test_resize_rule_brings_short_side_up_to_crop(h, w, want):
+    """4:3 and 16:9 sources: the 256 cap leaves the short side under 224, so
+    both sides scale by 224 / short in the one resample from the source."""
+    px = np.random.default_rng(h + w).integers(0, 256, size=(h, w, 3), dtype=np.uint8)
+    out = V.resize_rule(px[None], 224)
+    assert out.shape == (1, *want, 3)
+    assert np.array_equal(out[0], V.resize_bilinear(px, *want))
+
+
+@pytest.mark.parametrize("train", [True, False])
+@pytest.mark.parametrize("h, w, out_w", [(240, 320, 299), (720, 1280, 398)])
+def test_prepare_clip_accepts_4x3_and_16x9_at_224(h, w, out_w, train):
+    frames = np.random.default_rng(w).integers(0, 256, size=(3, h, w, 3), dtype=np.uint8)
+    video = V.RawVideo(frames, "v")
+    clip = V.prepare_clip(video, V.PipelineConfig(2, "even", 224), train,
+                          np.random.default_rng(1))
+    assert clip.frames.shape == (2, 224, 224, 3)
+    assert V.to_model_tensor(clip).shape == (2, 3, 224, 224)
+    dy, dx = clip.crop_offset
+    assert dy == 0
+    if train:
+        assert 0 <= dx <= out_w - 224
+    else:
+        assert dx == (out_w - 224) // 2 and clip.flipped is False
 
 
 # ---------------------------------------------------------------------------
@@ -144,37 +176,36 @@ def test_resize_rule_returns_input_when_conformant():
 def test_bgr_to_rgb_is_an_involution():
     rng = np.random.default_rng(13)
     px = rng.integers(0, 256, size=(4, 4, 3), dtype=np.uint8)
-    f = V.Frame(px, "BGR")
-    swapped = V.bgr_to_rgb(f)
+    clip = V.VideoClip(px[None], "v", [0], channel_order="BGR")
+    swapped = V.bgr_to_rgb(clip)
     assert swapped.channel_order == "RGB"
-    assert np.array_equal(swapped.pixels, px[:, :, ::-1])
+    assert np.array_equal(swapped.frames[0], px[:, :, ::-1])
     back = V.bgr_to_rgb(swapped)
     assert back.channel_order == "BGR"
-    assert np.array_equal(back.pixels, px)
+    assert np.array_equal(back.frames[0], px)
 
 
 def test_augment_applies_one_transform_to_all_frames():
     rng_px = np.random.default_rng(14)
-    frames = [V.Frame(rng_px.integers(0, 256, size=(10, 12, 3), dtype=np.uint8), "RGB")
-              for _ in range(5)]
-    clip = V.VideoClip(frames, "v", list(range(5)))
+    frames = rng_px.integers(0, 256, size=(5, 10, 12, 3), dtype=np.uint8)
+    clip = V.VideoClip(frames, "v", list(range(5)), channel_order="RGB")
     out = V.augment_train(clip, np.random.default_rng(3), size=6)
     dy, dx = out.crop_offset
     for orig, new in zip(frames, out.frames):
-        ref = orig.pixels[dy:dy + 6, dx:dx + 6]
+        ref = orig[dy:dy + 6, dx:dx + 6]
         if out.flipped:
             ref = ref[:, ::-1]
-        assert np.array_equal(new.pixels, ref)
+        assert np.array_equal(new, ref)
     assert out.sampled_indices == clip.sampled_indices
 
 
 def test_center_crop_offsets():
     px = np.arange(6 * 8 * 3, dtype=np.uint8).reshape(6, 8, 3)
-    clip = V.VideoClip([V.Frame(px, "RGB")], "v", [0])
+    clip = V.VideoClip(px[None], "v", [0], channel_order="RGB")
     out = V.crop_center(clip, 4)
     assert out.crop_offset == (1, 2)
     assert out.flipped is False
-    assert np.array_equal(out.frames[0].pixels, px[1:5, 2:6])
+    assert np.array_equal(out.frames[0], px[1:5, 2:6])
 
 
 def test_crop_larger_than_frame_rejected():
@@ -186,7 +217,7 @@ def test_crop_larger_than_frame_rejected():
 def test_to_model_tensor_layout_and_scaling():
     px = np.full((4, 5, 3), 128, dtype=np.uint8)
     px[0, 0] = [255, 0, 10]
-    clip = V.VideoClip([V.Frame(px, "RGB")] * 3, "v", [0, 1, 2])
+    clip = V.VideoClip(np.stack([px] * 3), "v", [0, 1, 2], channel_order="RGB")
     arr = V.to_model_tensor(clip)
     assert arr.shape == (3, 3, 4, 5)
     assert arr.dtype == np.float32
@@ -194,7 +225,7 @@ def test_to_model_tensor_layout_and_scaling():
     assert arr[0, 0, 0, 0] == np.float32(1.0)
     assert arr[0, 1, 0, 0] == np.float32(0.0)
     assert arr[0, 0, 1, 1] == np.float32(128) / np.float32(255)
-    bgr_clip = V.VideoClip([V.Frame(px, "BGR")], "v", [0])
+    bgr_clip = V.VideoClip(px[None], "v", [0], channel_order="BGR")
     with pytest.raises(ValueError, match="RGB"):
         V.to_model_tensor(bgr_clip)
 
@@ -237,6 +268,12 @@ def test_manifest_errors_name_the_json_path():
     nostart[0]["instances"][1]["frame_start"] = 0
     with pytest.raises(ValueError, match=r"entries\[0\].instances\[1\].frame_start"):
         V.parse_manifest(nostart)
+    for vid in ("../x", "/etc/passwd", "a\\b", "a\0b", ".", ".."):
+        escape = _valid_entries()
+        escape[1]["instances"][0]["video_id"] = vid
+        with pytest.raises(ValueError, match=r"entries\[1\].instances\[0\].video_id "
+                                             r"must be a plain file name"):
+            V.parse_manifest(escape)
 
 
 def test_load_manifest_reports_json_line(tmp_path):
@@ -270,9 +307,9 @@ def test_raw_video_round_trip(tmp_path):
     path = tmp_path / "clip.vraw"
     V.write_raw_video(path, frames, "BGR")
     back = V.read_raw_video(path, "clip")
-    assert len(back.frames) == 6
-    assert back.frames[0].channel_order == "BGR"
-    assert np.array_equal(np.stack([f.pixels for f in back.frames]), frames)
+    assert back.channel_order == "BGR"
+    assert back.frames.shape == (6, 8, 9, 3) and back.frames.dtype == np.uint8
+    assert np.array_equal(back.frames, frames)
 
 
 def test_truncated_raw_header_rejected(tmp_path):
@@ -283,6 +320,47 @@ def test_truncated_raw_header_rejected(tmp_path):
         path.write_bytes(blob[:cut])
         with pytest.raises(ValueError, match=f"raw video: truncated header, {cut} of 12"):
             V.read_raw_video(path)
+
+
+def test_zero_sized_raw_frames_rejected(tmp_path):
+    path = tmp_path / "clip.vraw"
+    for n, h, w in [(3, 0, 4), (3, 4, 0), (0, 0, 0)]:
+        path.write_bytes(V.VRAW_MAGIC + struct.pack("<BBHHH", 1, 0, n, h, w))
+        with pytest.raises(ValueError, match=f"raw video: zero-sized frames {h}x{w}"):
+            V.read_raw_video(path)
+
+
+@st.composite
+def _vraw_blobs(draw):
+    """Arbitrary bytes, or a header of small fields with a payload that is
+    sometimes the right length, optionally cut anywhere."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=40))
+    fields = [draw(st.integers(0, 2)), draw(st.integers(0, 2)),
+              draw(st.integers(0, 3)), draw(st.integers(0, 4)), draw(st.integers(0, 4))]
+    need = fields[2] * fields[3] * fields[4] * 3
+    size = draw(st.one_of(st.just(need), st.integers(0, need + 8)))
+    blob = V.VRAW_MAGIC + struct.pack("<BBHHH", *fields) + draw(st.binary(min_size=size, max_size=size))
+    return blob[:draw(st.integers(0, len(blob)))] if draw(st.booleans()) else blob
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(blob=_vraw_blobs())
+def test_read_raw_video_fuzz(tmp_path, blob):
+    """Every byte string either reads as uint8 [n, h, w, 3] frames with
+    h, w > 0 or raises one ValueError whose message starts 'raw video:'."""
+    path = tmp_path / "fuzz.vraw"
+    path.write_bytes(blob)
+    try:
+        video = V.read_raw_video(path)
+    except ValueError as e:
+        assert str(e).startswith("raw video:")
+        return
+    n, h, w = struct.unpack_from("<HHH", blob, 6)
+    assert video.frames.shape == (n, h, w, 3) and h > 0 and w > 0
+    assert video.frames.dtype == np.uint8
+    assert video.frames.tobytes() == blob[12:]
 
 
 def test_synthetic_dataset_structure_and_determinism(tmp_path):
@@ -309,7 +387,7 @@ def test_synthetic_videos_store_bgr():
         m = V.make_synthetic_dataset(d, num_classes=2, per_class=3,
                                      nominal_frames=8, size=16, seed=1)
         video = V.load_instance_video(f"{d}/videos", m.instances[0])
-        assert video.frames[0].channel_order == "BGR"
+        assert video.channel_order == "BGR"
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +405,7 @@ def test_prepare_clip_deterministic_per_seed(tmp_path):
     b = V.prepare_clip(video, pipe, True, V.derive_rng(1, inst.video_id, 0))
     ta, tb = V.to_model_tensor(a), V.to_model_tensor(b)
     assert np.array_equal(ta, tb)
-    assert a.frames[0].channel_order == "RGB"
+    assert a.channel_order == "RGB"
 
     # across epochs the derived stream changes and so (eventually) do clips
     variants = {V.to_model_tensor(
@@ -339,29 +417,30 @@ def test_prepare_clip_deterministic_per_seed(tmp_path):
 def test_prepare_clip_applies_resize_only_at_224():
     rng = np.random.default_rng(21)
     # square input: 230x230 is conformant, so only a 224 pipeline resizes it
-    frames = [V.Frame(rng.integers(0, 256, size=(230, 230, 3), dtype=np.uint8))
-              for _ in range(8)]
+    frames = rng.integers(0, 256, size=(8, 230, 230, 3), dtype=np.uint8)
     video = V.RawVideo(frames, "v")
     clip = V.prepare_clip(video, V.PipelineConfig(4, "even", 224), False,
                           np.random.default_rng(0))
-    assert clip.frames[0].height == 224 and clip.frames[0].width == 224
+    assert clip.frames.shape[1:3] == (224, 224)
 
-    # 100x150 scales to 226x339 then caps at 171x256; the 224 crop must then
-    # fail loudly, and the reported dims prove the resize rule ran first
-    small = V.RawVideo([V.Frame(rng.integers(0, 256, size=(100, 150, 3), dtype=np.uint8))
-                        for _ in range(8)], "v")
+    # 100x150 scales to 226x339 then caps at 171x256, whose short side is
+    # under the crop; it then rises to 224, so the clip resamples straight
+    # from 100x150 to 224x335 and the center crop lands at column 55
+    small = V.RawVideo(rng.integers(0, 256, size=(8, 100, 150, 3), dtype=np.uint8), "v")
     assert V.resize_plan(100, 150) == (171, 256)
-    with pytest.raises(ValueError, match="171x256"):
-        V.prepare_clip(small, V.PipelineConfig(4, "even", 224), False,
-                       np.random.default_rng(0))
+    clip = V.prepare_clip(small, V.PipelineConfig(4, "even", 224), False,
+                          np.random.default_rng(0))
+    assert clip.frames.shape == (4, 224, 224, 3)
+    assert clip.crop_offset == (0, 55)
+    full = V.resize_bilinear(small.frames[clip.sampled_indices[1]], 224, 335)
+    assert np.array_equal(clip.frames[1], full[:, 55:279, ::-1])
 
 
 def test_prepare_clip_small_crop_skips_resize():
-    frames = [V.Frame(np.full((32, 32, 3), i, dtype=np.uint8)) for i in range(8)]
-    video = V.RawVideo(frames, "v")
+    video = V.RawVideo(_frames(range(8), 32, 32), "v")
     pipe = V.PipelineConfig(frames=4, sampling="even", crop=32)
     clip = V.prepare_clip(video, pipe, False, np.random.default_rng(0))
-    assert clip.frames[0].height == 32 and clip.frames[0].width == 32
+    assert clip.frames.shape[1:3] == (32, 32)
 
 
 def test_derive_seed_is_stable_and_key_sensitive():
@@ -371,3 +450,41 @@ def test_derive_seed_is_stable_and_key_sensitive():
     r1 = V.derive_rng(0, "v", 1)
     r2 = V.derive_rng(0, "v", 1)
     assert r1.integers(0, 1000, 5).tolist() == r2.integers(0, 1000, 5).tolist()
+
+
+def _clips_digest(clips):
+    h = hashlib.sha256()
+    for clip in clips:
+        h.update(np.ascontiguousarray(clip.frames).tobytes())
+        h.update(V.to_model_tensor(clip).tobytes())
+        h.update(repr((clip.sampled_indices, clip.crop_offset, clip.flipped)).encode())
+    return h.hexdigest()[:16]
+
+
+# sha256 prefixes of the prepared uint8 frames, float32 tensors, indices,
+# crop offset and flip, recorded from the per-frame pipeline this one
+# replaced: (synthetic set at crop 32, one 200x200 source at 224)
+PREPARED_DIGESTS = {
+    ("consecutive", True): ("9073bec3ea88ea51", "3806bf7558633713"),
+    ("consecutive", False): ("c7d600588571df1f", "4cd45f71996092a0"),
+    ("even", True): ("b692d3d7bc6742f9", "ba65c3f292814b37"),
+    ("even", False): ("f63759473717cc3e", "a720736e4081d7cd"),
+}
+
+
+@pytest.mark.parametrize("sampling, train", sorted(PREPARED_DIGESTS))
+def test_prepared_clips_match_recorded_digests(tmp_path, sampling, train):
+    m = V.make_synthetic_dataset(tmp_path, num_classes=2, per_class=3,
+                                 nominal_frames=12, size=32, seed=4)
+    assert min(i.frame_count for i in m.instances) < 8    # padding is covered
+    src = np.random.default_rng(5).integers(0, 256, size=(10, 200, 200, 3), dtype=np.uint8)
+    V.write_raw_video(tmp_path / "big.vraw", src, "BGR")
+    big = V.read_raw_video(tmp_path / "big.vraw", "big")
+
+    pipe = V.PipelineConfig(8, sampling, 32)
+    clips = [V.prepare_clip(V.load_instance_video(tmp_path / "videos", i), pipe, train,
+                            V.derive_rng(17, i.video_id, sampling, train))
+             for i in m.instances]
+    c224 = V.prepare_clip(big, V.PipelineConfig(8, sampling, 224), train,
+                          V.derive_rng(17, "big", sampling, train))
+    assert (_clips_digest(clips), _clips_digest([c224])) == PREPARED_DIGESTS[sampling, train]
