@@ -20,6 +20,7 @@ import struct
 
 import numpy as np
 
+from .errors import VslrError
 from .tensor import Tensor
 
 MAGIC = b"VSLR"
@@ -58,22 +59,27 @@ def save_checkpoint(path, params: dict) -> None:
             fh.write(arr.tobytes())
 
 
+def _checkpoint_error(msg: str) -> VslrError:
+    return VslrError("checkpoint", f"checkpoint: {msg}")
+
+
 def load_checkpoint(path) -> dict:
     """Read back a name -> ndarray mapping written by save_checkpoint.
 
-    Every read is bounds-checked, so a cut file raises ValueError
-    ("checkpoint: truncated ...") rather than a struct or numpy error.
+    Every read is bounds-checked, so a cut or corrupt file raises
+    VslrError ("checkpoint: truncated ...") rather than a struct or numpy
+    error.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != MAGIC:
-        raise ValueError(f"checkpoint: bad magic in {path}")
+        raise _checkpoint_error(f"bad magic in {path}")
     off = 4
 
     def advance(size: int, what: str) -> int:
         nonlocal off
         if size > len(blob) - off:
-            raise ValueError(f"checkpoint: truncated {what} at byte {off} of {len(blob)} in {path}")
+            raise _checkpoint_error(f"truncated {what} at byte {off} of {len(blob)} in {path}")
         off += size
         return off - size
 
@@ -82,10 +88,10 @@ def load_checkpoint(path) -> dict:
 
     version, width, count = unpack("<IBI", "header")
     if version != VERSION:
-        raise ValueError(f"checkpoint: unsupported version {version}")
+        raise _checkpoint_error(f"unsupported version {version}")
     dtype = _WIDTH_TO_DTYPE.get(width)
     if dtype is None:
-        raise ValueError(f"checkpoint: unsupported scalar width {width}")
+        raise _checkpoint_error(f"unsupported scalar width {width}")
     out: dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = unpack("<I", "entry name length")
@@ -93,14 +99,18 @@ def load_checkpoint(path) -> dict:
         try:
             name = blob[start:off].decode("utf-8")
         except UnicodeDecodeError:
-            raise ValueError(f"checkpoint: entry name at byte {start} is not UTF-8 in {path}") from None
+            raise _checkpoint_error(f"entry name at byte {start} is not UTF-8 in {path}") from None
         (rank,) = unpack("<I", f"rank of {name!r}")
         shape = unpack(f"<{rank}Q", f"shape of {name!r}")
         n = math.prod(shape)
         start = advance(n * width, f"payload of {name!r}")
-        out[name] = np.frombuffer(blob, dtype=dtype, count=n, offset=start).reshape(shape).copy()
+        flat = np.frombuffer(blob, dtype=dtype, count=n, offset=start)
+        try:
+            out[name] = flat.reshape(shape).copy()
+        except ValueError:      # numpy's rank and extent limits, met with a zero extent
+            raise _checkpoint_error(f"shape {shape} of {name!r} is not a valid array shape") from None
     if off != len(blob):
-        raise ValueError(f"checkpoint: {len(blob) - off} trailing bytes in {path}")
+        raise _checkpoint_error(f"{len(blob) - off} trailing bytes in {path}")
     return out
 
 
@@ -109,11 +119,10 @@ def load_into(params: dict, loaded: dict) -> None:
     missing = sorted(set(params) - set(loaded))
     extra = sorted(set(loaded) - set(params))
     if missing or extra:
-        raise ValueError(f"checkpoint: name mismatch, missing={missing} unexpected={extra}")
+        raise _checkpoint_error(f"name mismatch, missing={missing} unexpected={extra}")
     for name, tensor in params.items():
         arr = loaded[name]
         if tuple(arr.shape) != tuple(tensor.data.shape):
-            raise ValueError(
-                f"checkpoint: shape mismatch for {name!r}: file {arr.shape}, model {tensor.data.shape}"
-            )
+            raise _checkpoint_error(
+                f"shape mismatch for {name!r}: file {arr.shape}, model {tensor.data.shape}")
         tensor.data = arr.astype(tensor.data.dtype, copy=True)

@@ -5,8 +5,9 @@ ablate, attn-map.  Every run takes an optional key = value config file;
 explicit flags override file values.  Each run writes a resolved
 config.json echo into its output directory, and training run directories
 are self-contained (config + checkpoint), so evaluate and attn-map need
-only the run directory.  Failures print one line:
-error[<class>]: message.
+only the run directory.  Failures print one line, error[<class>]: message,
+and exit 2; the README's CLI section lists the classes (errors.ERROR_CLASSES)
+with one example each.
 """
 
 from __future__ import annotations
@@ -23,28 +24,10 @@ from . import mae as M
 from . import train as TR
 from . import video as V
 from .attention import attention_rollout, export_heatmap
+from .errors import VslrError
 from .tensor import Tensor
 
 _DTYPES = {"32": np.float32, "64": np.float64}
-
-
-class CliError(Exception):
-    def __init__(self, cls: str, msg: str):
-        super().__init__(msg)
-        self.cls = cls
-
-
-def _error_class(e: Exception) -> str:
-    msg = str(e)
-    if msg.startswith("head/class mismatch"):
-        return "head/class mismatch"
-    if msg.startswith("manifest"):
-        return "manifest"
-    if msg.startswith("checkpoint") or msg.startswith("raw video"):
-        return "checkpoint"
-    if "diverged" in msg:
-        return "divergence"
-    return "config"
 
 
 class Resolver:
@@ -55,12 +38,7 @@ class Resolver:
         self.file: dict[str, str] = {}
         path = getattr(args, "config", None)
         if path:
-            if not os.path.exists(path):
-                raise CliError("io", f"config file not found: {path}")
-            try:
-                self.file = V.parse_kv_config(path)
-            except ValueError as e:
-                raise CliError("config", str(e))
+            self.file = V.parse_kv_config(path)
         self.used: set[str] = set()
         self.resolved: dict = {}
 
@@ -72,7 +50,7 @@ class Resolver:
             try:
                 v = cast(raw) if cast is not None else raw
             except ValueError:
-                raise CliError("config", f"invalid value {raw!r} for key {key}")
+                raise VslrError("config", f"invalid value {raw!r} for key {key}")
         if v is None:
             v = default
         self.resolved[key] = v
@@ -81,14 +59,27 @@ class Resolver:
     def require(self, key: str, cast=None):
         v = self.get(key, None, cast)
         if v is None:
-            raise CliError("config", f"--{key} is required")
+            raise VslrError("config", f"--{key} is required")
         return v
 
     def done(self) -> dict:
         unknown = sorted(set(self.file) - self.used)
         if unknown:
-            raise CliError("config", f"unknown config keys: {', '.join(unknown)}")
+            raise VslrError("config", f"unknown config keys: {', '.join(unknown)}")
         return dict(self.resolved)
+
+
+def _read_json(path, what: str):
+    """Parse a JSON file the CLI reads; text that does not parse is a config fault."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as e:
+            raise VslrError("config", f"{what} {path} is not valid JSON: {e.msg}") from None
+        except UnicodeDecodeError as e:
+            raise VslrError("config", f"{what} {path} is not UTF-8 at byte {e.start}") from None
+        except RecursionError:
+            raise VslrError("config", f"{what} {path} is JSON nested too deeply") from None
 
 
 def _write_echo(out_dir, payload: dict) -> None:
@@ -106,15 +97,19 @@ def _parse_layers(v):
     try:
         return int(v)
     except (TypeError, ValueError):
-        raise CliError("config", f"layers must be a positive integer or 'all', got {v!r}")
+        raise VslrError("config", f"layers must be a positive integer or 'all', got {v!r}")
 
 
-def _model_cfg(r: Resolver, default_variant: str = "divided") -> TR.ModelConfig:
-    variant = r.get("variant", default_variant)
-    if variant not in ("divided", "joint"):
-        raise CliError("config", f"variant must be divided or joint, got {variant!r}")
+def _dtype(r: Resolver):
+    precision = r.get("precision", "32")
+    if precision not in _DTYPES:
+        raise VslrError("config", f"precision must be 32 or 64, got {precision!r}")
+    return _DTYPES[precision]
+
+
+def _model_cfg(r: Resolver) -> TR.ModelConfig:
     return TR.ModelConfig(
-        variant=variant,
+        variant=r.get("variant", "divided"),
         dim=r.get("dim", 32, int),
         depth=r.get("depth", 2, int),
         heads=r.get("heads", 4, int),
@@ -127,29 +122,25 @@ def _model_cfg(r: Resolver, default_variant: str = "divided") -> TR.ModelConfig:
 
 def _load_dataset(r: Resolver):
     data = r.require("data")
-    manifest_path = os.path.join(data, "manifest.json")
-    if not os.path.exists(manifest_path):
-        raise CliError("io", f"no manifest.json under {data}")
-    return V.load_manifest(manifest_path), os.path.join(data, "videos")
+    return V.load_manifest(os.path.join(data, "manifest.json")), os.path.join(data, "videos")
 
 
 def _load_run(run_dir, dtype):
     """Rebuild a classifier from a training run directory."""
     cfg_path = os.path.join(run_dir, "config.json")
-    ckpt_path = os.path.join(run_dir, "model.ckpt")
-    for p in (cfg_path, ckpt_path):
-        if not os.path.exists(p):
-            raise CliError("io", f"run directory is missing {os.path.basename(p)}: {run_dir}")
-    with open(cfg_path, "r", encoding="utf-8") as fh:
-        stored = json.load(fh)
+    stored = _read_json(cfg_path, "run config")
     try:
         mcfg = TR.ModelConfig(**stored["model"])
         num_classes = int(stored["num_classes"])
         pipe = V.PipelineConfig(**stored["pipeline"])
-    except (KeyError, TypeError, ValueError) as e:
-        raise CliError("config", f"malformed run config {cfg_path}: {e}")
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
+        raise VslrError("config", f"malformed run config {cfg_path}: {e}")
+    if (pipe.frames, pipe.crop) != (mcfg.frames, mcfg.image_size):
+        raise VslrError("config", f"malformed run config {cfg_path}: pipeline frames and crop "
+                                  f"{pipe.frames}, {pipe.crop} differ from the model's "
+                                  f"{mcfg.frames}, {mcfg.image_size}")
     model = TR.ClassifierModel(mcfg, num_classes, np.random.default_rng(0), dtype)
-    C.load_into(model.named(), C.load_checkpoint(ckpt_path))
+    C.load_into(model.named(), C.load_checkpoint(os.path.join(run_dir, "model.ckpt")))
     return model, pipe, stored
 
 
@@ -181,10 +172,7 @@ def cmd_validate_manifest(args) -> int:
     r.done()
     manifest = V.load_manifest(path)
     if strict:
-        try:
-            V.check_wlasl100_bounds(manifest)
-        except ValueError as e:
-            raise CliError("manifest", str(e))
+        V.check_wlasl100_bounds(manifest)
     counts = manifest.counts()
     print(f"manifest OK: {manifest.num_classes} glosses, {len(manifest.instances)} instances "
           f"(train={counts['train']} val={counts['val']} test={counts['test']})")
@@ -195,7 +183,7 @@ def cmd_pretrain(args) -> int:
     r = Resolver(args)
     out = r.require("out")
     seed = r.get("seed", 0, int)
-    dtype = _DTYPES[r.get("precision", "32")]
+    dtype = _dtype(r)
     mcfg = M.MaeConfig(
         dim=r.get("dim", 32, int),
         depth=r.get("depth", 3, int),
@@ -235,7 +223,7 @@ def cmd_finetune(args) -> int:
     r = Resolver(args)
     out = r.require("out")
     seed = r.get("seed", 0, int)
-    dtype = _DTYPES[r.get("precision", "32")]
+    dtype = _dtype(r)
     mcfg = _model_cfg(r)
     tc = TR.TrainConfig(
         batch=r.get("batch", 4, int),
@@ -270,7 +258,7 @@ def cmd_finetune(args) -> int:
 def cmd_evaluate(args) -> int:
     r = Resolver(args)
     run_dir = r.require("run")
-    dtype = _DTYPES[r.get("precision", "32")]
+    dtype = _dtype(r)
     seed = r.get("seed", 0, int)
     split = r.get("split", "test")
     manifest, video_dir = _load_dataset(r)
@@ -297,19 +285,13 @@ def cmd_ablate(args) -> int:
     mcfg = _model_cfg(r)
     manifest, video_dir = _load_dataset(r)
     resolved = r.done()
-    if not os.path.exists(grid_path):
-        raise CliError("io", f"grid file not found: {grid_path}")
-    with open(grid_path, "r", encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise CliError("config", f"grid file {grid_path} is not valid JSON: {e.msg}")
+    raw = _read_json(grid_path, "grid file")
     if not isinstance(raw, list) or not raw:
-        raise CliError("config", "grid file must hold a non-empty JSON list of rows")
+        raise VslrError("config", "grid file must hold a non-empty JSON list of rows")
     grid = []
     for i, row in enumerate(raw):
         if not isinstance(row, dict):
-            raise CliError("config", f"grid row {i} must be an object")
+            raise VslrError("config", f"grid row {i} must be an object")
         try:
             grid.append(TR.TrainConfig(
                 batch=int(row.get("batch", 4)),
@@ -321,8 +303,8 @@ def cmd_ablate(args) -> int:
                 seed=int(row.get("seed", seed)),
                 variant=row.get("model", mcfg.variant),
             ))
-        except ValueError as e:
-            raise CliError("config", f"grid row {i}: {e}")
+        except (TypeError, ValueError, OverflowError) as e:
+            raise VslrError("config", f"grid row {i}: {e}")
     os.makedirs(out, exist_ok=True)
     csv_path = os.path.join(out, "ablation.csv")
     rows = TR.run_ablation(grid, manifest, video_dir, mcfg, mcfg.image_size, csv_path)
@@ -337,7 +319,7 @@ def cmd_attn_map(args) -> int:
     run_dir = r.require("run")
     out = r.require("out")
     video_id = r.require("video")
-    dtype = _DTYPES[r.get("precision", "32")]
+    dtype = _dtype(r)
     seed = r.get("seed", 0, int)
     start = r.get("start-frame", None, int)
     manifest, video_dir = _load_dataset(r)
@@ -345,18 +327,18 @@ def cmd_attn_map(args) -> int:
     sampling = r.get("sampling", pipe.sampling)
     resolved = r.done()
     if start is not None and sampling == "even":
-        raise CliError("conflict", "--start-frame conflicts with --sampling even")
+        raise VslrError("conflict", "--start-frame conflicts with --sampling even")
     pipe = V.PipelineConfig(pipe.frames, sampling, pipe.crop)
 
     inst = next((i for i in manifest.instances if i.video_id == video_id), None)
     if inst is None:
-        raise CliError("config", f"video {video_id!r} not in manifest")
+        raise VslrError("config", f"video {video_id!r} not in manifest")
     video = V.load_instance_video(video_dir, inst)
     if start is not None:
         if start < 1 or start - 1 + pipe.frames > len(video.frames):
-            raise CliError("config",
-                           f"--start-frame {start} with {pipe.frames} frames exceeds "
-                           f"{len(video.frames)} available")
+            raise VslrError("config",
+                            f"--start-frame {start} with {pipe.frames} frames exceeds "
+                            f"{len(video.frames)} available")
         video.frames = video.frames[start - 1:start - 1 + pipe.frames]
     clip = V.prepare_clip(video, pipe, train=False,
                           rng=V.derive_rng(seed, "attn", video_id), label=inst.label)
@@ -488,12 +470,8 @@ def dispatch(argv) -> int:
         return int(e.code or 0)
     try:
         return args.func(args)
-    except CliError as e:
+    except VslrError as e:
         print(f"error[{e.cls}]: {e}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as e:
+    except OSError as e:
         print(f"error[io]: {e}", file=sys.stderr)
-        return 2
-    except (ValueError, TypeError, RuntimeError) as e:
-        print(f"error[{_error_class(e)}]: {e}", file=sys.stderr)
-        return 2
+    return 2

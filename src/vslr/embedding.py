@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
+from .errors import VslrError, at_least
 from .nn import LinearParams, trunc_normal
 from .tensor import Tensor
 
@@ -29,13 +30,17 @@ class EmbeddingConfig:
 
     def __post_init__(self):
         if self.variant not in ("divided", "joint"):
-            raise ValueError(f"variant must be divided or joint, got {self.variant!r}")
+            raise VslrError("config", f"variant must be divided or joint, got {self.variant!r}")
+        at_least(1, dim=self.dim, image_size=self.image_size, patch=self.patch,
+                 frames=self.frames, tube_depth=self.tube_depth)
         if self.image_size % self.patch != 0:
-            raise ValueError(f"image size {self.image_size} not divisible by patch {self.patch}")
+            raise VslrError("config",
+                            f"image size {self.image_size} not divisible by patch {self.patch}")
         if self.frames % self.tube_depth != 0:
-            raise ValueError(f"frame count {self.frames} not divisible by tube depth {self.tube_depth}")
+            raise VslrError("config",
+                            f"frame count {self.frames} not divisible by tube depth {self.tube_depth}")
         if self.variant == "divided" and self.tube_depth != 1:
-            raise ValueError("divided variant requires tube depth 1")
+            raise VslrError("config", "divided variant requires tube depth 1")
 
     @property
     def grid(self) -> tuple:

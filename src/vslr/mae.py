@@ -25,6 +25,7 @@ from . import tensor as T
 from .attention import BlockWeights, encoder_forward
 from .checkpoint import load_into, save_checkpoint
 from .embedding import Embedding, EmbeddingConfig, TokenBatch, cube_pixels
+from .errors import VslrError, at_least
 from .nn import LayerNormParams, LinearParams, trunc_normal
 from .tensor import Tensor, zero_grads
 from .train import Adam
@@ -78,13 +79,13 @@ def make_tube_mask(grid: tuple, ratio: float, rng: np.random.Generator) -> TubeM
     """
     t, h, w = grid
     if not (0.0 < ratio < 1.0):
-        raise ValueError(f"masking ratio must be in (0, 1), got {ratio}")
+        raise VslrError("config", f"masking ratio must be in (0, 1), got {ratio}")
     cells = h * w
     count = int(np.floor(ratio * cells + 0.5))
     if count < 1:
-        raise ValueError(f"masking ratio {ratio} masks zero of {cells} cells")
+        raise VslrError("config", f"masking ratio {ratio} masks zero of {cells} cells")
     if count >= cells:
-        raise ValueError(f"masking ratio {ratio} leaves zero visible cells of {cells}")
+        raise VslrError("config", f"masking ratio {ratio} leaves zero visible cells of {cells}")
     picked = rng.choice(cells, size=count, replace=False)
     spatial = np.zeros(cells, dtype=np.bool_)
     spatial[picked] = True
@@ -105,14 +106,18 @@ class MaeConfig:
     tube_depth: int = 2
 
     def __post_init__(self):
+        self.embedding_config()         # dim and patch/cube geometry
+        at_least(1, depth=self.depth, heads=self.heads, decoder_dim=self.decoder_dim,
+                 decoder_heads=self.decoder_heads)
+        at_least(0, decoder_depth=self.decoder_depth)
         if self.decoder_depth >= self.depth:
-            raise ValueError(
-                f"decoder depth {self.decoder_depth} must be smaller than encoder depth {self.depth}")
+            raise VslrError("config", f"decoder depth {self.decoder_depth} must be smaller "
+                                      f"than encoder depth {self.depth}")
         if self.decoder_dim >= self.dim:
-            raise ValueError(
-                f"decoder dim {self.decoder_dim} must be narrower than encoder dim {self.dim}")
+            raise VslrError("config", f"decoder dim {self.decoder_dim} must be narrower "
+                                      f"than encoder dim {self.dim}")
         if self.dim % self.heads or self.decoder_dim % self.decoder_heads:
-            raise ValueError("dims must be divisible by their head counts")
+            raise VslrError("config", "dims must be divisible by their head counts")
 
     def embedding_config(self) -> EmbeddingConfig:
         return EmbeddingConfig("joint", self.dim, self.image_size, self.patch,
@@ -249,6 +254,12 @@ class PretrainConfig:
     seed: int = 0
     checkpoint_interval: int = 0    # 0 means final checkpoint only
 
+    def __post_init__(self):
+        at_least(1, steps=self.steps, batch=self.batch)
+        at_least(0, checkpoint_interval=self.checkpoint_interval)
+        if not 0 < self.lr < np.inf:
+            raise VslrError("config", f"learning rate must be positive and finite, got {self.lr!r}")
+
 
 def pretrain(model: MaeModel, manifest: Manifest, video_dir,
              cfg: PretrainConfig, pipe: PipelineConfig, out_dir=None) -> list:
@@ -260,7 +271,7 @@ def pretrain(model: MaeModel, manifest: Manifest, video_dir,
     """
     insts = manifest.by_split("train")
     if not insts:
-        raise ValueError("no train instances in manifest")
+        raise VslrError("manifest", "no train instances in manifest")
     grid = model.embed.cfg.grid
     dtype = model.recon.w.data.dtype
     params = model.params()
@@ -282,7 +293,7 @@ def pretrain(model: MaeModel, manifest: Manifest, video_dir,
             masks.append(make_tube_mask(grid, cfg.ratio, rng))
         _, loss = mae_forward(Tensor(np.stack(xs)), masks, model)
         if not np.isfinite(loss.data):
-            raise RuntimeError(f"pretraining diverged: non-finite loss at step {step}")
+            raise VslrError("divergence", f"pretraining diverged: non-finite loss at step {step}")
         T.backward(loss)
         opt.step()
         zero_grads(params)
@@ -308,5 +319,6 @@ def load_encoder(params: dict, loaded: dict) -> None:
     """
     names = [n for n in params if n.startswith(("embed.", "enc.")) and n in loaded]
     if not names:
-        raise ValueError("checkpoint: no encoder weights in the checkpoint match this model")
+        raise VslrError("checkpoint",
+                        "checkpoint: no encoder weights in the checkpoint match this model")
     load_into({n: params[n] for n in names}, {n: loaded[n] for n in names})

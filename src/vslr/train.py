@@ -14,9 +14,10 @@ from . import tensor as T
 from .attention import BlockWeights, encoder_forward
 from .checkpoint import load_into, save_checkpoint
 from .embedding import Embedding, EmbeddingConfig
+from .errors import VslrError, at_least
 from .nn import LayerNormParams, LinearParams
 from .tensor import Tensor, zero_grads
-from .video import (Manifest, PipelineConfig, derive_rng, derive_seed,
+from .video import (SPLITS, Manifest, PipelineConfig, derive_rng, derive_seed,
                     load_instance_video, prepare_clip, to_model_tensor)
 
 
@@ -94,10 +95,10 @@ class ModelConfig:
     tube_depth: int = 2      # joint variant only; divided always uses 1
 
     def __post_init__(self):
+        self.embedding_config()         # variant, dim and patch/cube geometry
+        at_least(1, depth=self.depth, heads=self.heads)
         if self.dim % self.heads != 0:
-            raise ValueError(f"model dim {self.dim} not divisible by {self.heads} heads")
-        if self.depth < 1:
-            raise ValueError("depth must be >= 1")
+            raise VslrError("config", f"model dim {self.dim} not divisible by {self.heads} heads")
 
     def embedding_config(self) -> EmbeddingConfig:
         td = 1 if self.variant == "divided" else self.tube_depth
@@ -120,7 +121,7 @@ class ClassifierModel:
     def __init__(self, cfg: ModelConfig, num_classes: int,
                  rng: np.random.Generator, dtype=np.float32):
         if num_classes < 2:
-            raise ValueError(f"need at least 2 classes, got {num_classes}")
+            raise VslrError("config", f"need at least 2 classes, got {num_classes}")
         self.cfg = cfg
         self.num_classes = num_classes
         self.embed = Embedding(cfg.embedding_config(), rng, dtype)
@@ -160,7 +161,8 @@ def freeze_layers(model: ClassifierModel, count) -> list:
     if count == "all":
         count = depth
     if not isinstance(count, int) or isinstance(count, bool) or not (1 <= count <= depth):
-        raise ValueError(f"fine-tuned layer count must be in [1, {depth}] or 'all', got {count!r}")
+        raise VslrError("config",
+                        f"fine-tuned layer count must be in [1, {depth}] or 'all', got {count!r}")
     named = model.named()
     for p in named.values():
         p.requires_grad = False
@@ -233,12 +235,14 @@ def evaluate(model: ClassifierModel, manifest: Manifest, video_dir,
     """Deterministic eval pass: even/center preprocessing, top-K metrics,
     per-class accuracy, argmax confusion counts."""
     if model.num_classes != manifest.num_classes:
-        raise ValueError(
-            f"head/class mismatch: model head has {model.num_classes} outputs, "
-            f"manifest has {manifest.num_classes} classes")
+        raise VslrError("head/class mismatch",
+                        f"head/class mismatch: model head has {model.num_classes} outputs, "
+                        f"manifest has {manifest.num_classes} classes")
+    if split not in SPLITS:
+        raise VslrError("config", f"split must be one of {SPLITS}, got {split!r}")
     insts = manifest.by_split(split)
     if not insts:
-        raise ValueError(f"no instances in split {split!r}")
+        raise VslrError("manifest", f"no instances in split {split!r}")
     t0 = time.perf_counter()
     logits = _batched_logits(model, insts, video_dir, pipe, seed)
     labels = np.array([i.label for i in insts])
@@ -273,18 +277,16 @@ class TrainConfig:
     variant: str = "divided"
 
     def __post_init__(self):
-        if self.batch < 1:
-            raise ValueError("batch must be >= 1")
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
-        if self.lr <= 0:
-            raise ValueError("learning rate must be positive")
+        at_least(1, batch=self.batch)
+        at_least(0, epochs=self.epochs)
+        if not 0 < self.lr < np.inf:
+            raise VslrError("config", f"learning rate must be positive and finite, got {self.lr!r}")
         if self.sampling not in ("consecutive", "even"):
-            raise ValueError(f"sampling must be consecutive or even, got {self.sampling!r}")
+            raise VslrError("config", f"sampling must be consecutive or even, got {self.sampling!r}")
         if self.variant not in ("divided", "joint"):
-            raise ValueError(f"variant must be divided or joint, got {self.variant!r}")
+            raise VslrError("config", f"variant must be divided or joint, got {self.variant!r}")
         if self.layers != "all" and (not isinstance(self.layers, int) or self.layers < 1):
-            raise ValueError(f"layers must be a positive count or 'all', got {self.layers!r}")
+            raise VslrError("config", f"layers must be a positive count or 'all', got {self.layers!r}")
 
 
 def finetune(model: ClassifierModel, manifest: Manifest, video_dir,
@@ -299,7 +301,7 @@ def finetune(model: ClassifierModel, manifest: Manifest, video_dir,
         raise ValueError("finetune expects val merged into train; call merge_train_val first")
     insts = manifest.by_split("train")
     if not insts:
-        raise ValueError("no train instances in manifest")
+        raise VslrError("manifest", "no train instances in manifest")
     pipe = PipelineConfig(cfg.frames, cfg.sampling, crop)
     dtype = model.head.w.data.dtype
     reports: list[EvalReport] = []
@@ -328,7 +330,7 @@ def finetune(model: ClassifierModel, manifest: Manifest, video_dir,
             logits = model.forward(Tensor(np.stack(xs)))
             loss = cross_entropy(logits, np.array(ys))
             if not np.isfinite(loss.data):
-                raise RuntimeError(f"training diverged: non-finite loss at step {step}")
+                raise VslrError("divergence", f"training diverged: non-finite loss at step {step}")
             T.backward(loss)
             opt.step()
             opt.zero_grad()
@@ -380,7 +382,9 @@ def run_ablation(grid: list, manifest: Manifest, video_dir,
             reports, _ = finetune(model, merged, video_dir, run_cfg, crop)
             best = max(r.topk.get(1, 0.0) for r in reports)
             cell = f"{100.0 * best:.2f}"
-        except Exception as e:          # record and continue the sweep
+        except VslrError as e:          # record and continue the sweep
+            cell = f"error[{e.cls}]"
+        except Exception as e:
             cell = f"error[{type(e).__name__}]"
         sampling_label = {"consecutive": "Consec.", "even": "Even"}[tc.sampling]
         layers_label = "All" if tc.layers == "all" else tc.layers

@@ -17,7 +17,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .errors import VslrError, at_least
+
 VRAW_MAGIC = b"VRAW"
+VRAW_MAX_EXTENT = 0xFFFF       # count, height and width are u16 header fields
 SPLITS = ("train", "val", "test")
 
 RESIZE_MIN = 226
@@ -230,7 +233,7 @@ def augment_train(clip: VideoClip, rng: np.random.Generator, size: int = 224) ->
     applied identically to every frame.  Draw order: dy, dx, flip."""
     h, w = clip.frames.shape[1:3]
     if h < size or w < size:
-        raise ValueError(f"crop size {size} exceeds frame {h}x{w}")
+        raise VslrError("config", f"crop size {size} exceeds frame {h}x{w}")
     dy = int(rng.integers(0, h - size + 1))
     dx = int(rng.integers(0, w - size + 1))
     flip = bool(rng.random() < 0.5)
@@ -240,7 +243,7 @@ def augment_train(clip: VideoClip, rng: np.random.Generator, size: int = 224) ->
 def crop_center(clip: VideoClip, size: int = 224) -> VideoClip:
     h, w = clip.frames.shape[1:3]
     if h < size or w < size:
-        raise ValueError(f"crop size {size} exceeds frame {h}x{w}")
+        raise VslrError("config", f"crop size {size} exceeds frame {h}x{w}")
     return _crop_all(clip, (h - size) // 2, (w - size) // 2, size, False)
 
 
@@ -257,12 +260,20 @@ def to_model_tensor(clip: VideoClip, dtype=np.float32) -> np.ndarray:
 # raw video container
 
 
+def _video_error(msg: str) -> VslrError:
+    return VslrError("video", f"raw video: {msg}")
+
+
 def write_raw_video(path, frames: np.ndarray, channel_order: str = "BGR") -> None:
-    """frames: uint8 [count, h, w, 3]."""
+    """frames: uint8 [count, h, w, 3] with 0 < h, w and count, h, w at most
+    65535, so that read_raw_video reads the file back."""
     if frames.ndim != 4 or frames.shape[3] != 3 or frames.dtype != np.uint8:
         raise ValueError(f"raw video frames must be uint8 [n, h, w, 3], got {frames.shape} {frames.dtype}")
     order_code = {"BGR": 0, "RGB": 1}[channel_order]
     n, h, w, _ = frames.shape
+    if h == 0 or w == 0 or max(n, h, w) > VRAW_MAX_EXTENT:
+        raise _video_error(f"cannot store {n} frames of {h}x{w}; h and w must be "
+                           f"positive and each extent at most {VRAW_MAX_EXTENT}")
     with open(path, "wb") as fh:
         fh.write(VRAW_MAGIC)
         fh.write(struct.pack("<BBHHH", 1, order_code, n, h, w))
@@ -274,20 +285,20 @@ def read_raw_video(path, source_id: str = "") -> RawVideo:
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != VRAW_MAGIC:
-        raise ValueError(f"raw video: bad magic in {path}")
+        raise _video_error(f"bad magic in {path}")
     if len(blob) < 12:
-        raise ValueError(f"raw video: truncated header, {len(blob)} of 12 bytes in {path}")
+        raise _video_error(f"truncated header, {len(blob)} of 12 bytes in {path}")
     version, order_code, n, h, w = struct.unpack_from("<BBHHH", blob, 4)
     if version != 1:
-        raise ValueError(f"raw video: unsupported version {version}")
+        raise _video_error(f"unsupported version {version} in {path}")
     order = {0: "BGR", 1: "RGB"}.get(order_code)
     if order is None:
-        raise ValueError(f"raw video: unknown channel order code {order_code}")
+        raise _video_error(f"unknown channel order code {order_code} in {path}")
     if h == 0 or w == 0:
-        raise ValueError(f"raw video: zero-sized frames {h}x{w} in {path}")
+        raise _video_error(f"zero-sized frames {h}x{w} in {path}")
     need = n * h * w * 3
     if len(blob) - 12 != need:
-        raise ValueError(f"raw video: payload is {len(blob) - 12} bytes, expected {need}")
+        raise _video_error(f"payload is {len(blob) - 12} bytes, expected {need} in {path}")
     frames = np.frombuffer(blob, dtype=np.uint8, count=need, offset=12).reshape(n, h, w, 3)
     return RawVideo(frames, source_id or str(path), order)
 
@@ -332,8 +343,8 @@ class Manifest:
         return out
 
 
-def _manifest_error(path: str, msg: str) -> ValueError:
-    return ValueError(f"manifest {path}: {msg}")
+def _manifest_error(path: str, msg: str) -> VslrError:
+    return VslrError("manifest", f"manifest {path}: {msg}")
 
 
 def parse_manifest(entries, path: str = "<memory>") -> Manifest:
@@ -397,6 +408,10 @@ def load_manifest(path) -> Manifest:
             entries = json.load(fh)
         except json.JSONDecodeError as e:
             raise _manifest_error(str(path), f"invalid JSON at line {e.lineno}: {e.msg}") from None
+        except UnicodeDecodeError as e:
+            raise _manifest_error(str(path), f"not UTF-8 at byte {e.start}") from None
+        except RecursionError:
+            raise _manifest_error(str(path), "JSON nested too deeply") from None
     return parse_manifest(entries, str(path))
 
 
@@ -423,7 +438,7 @@ def check_wlasl100_bounds(manifest: Manifest) -> None:
         if not (18 <= n <= 40):
             problems.append(f"gloss {g!r}: {n} instances outside [18, 40]")
     if problems:
-        raise ValueError("; ".join(problems[:8]))
+        raise VslrError("manifest", "; ".join(problems[:8]))
 
 
 # ---------------------------------------------------------------------------
@@ -438,25 +453,27 @@ class PipelineConfig:
 
     def __post_init__(self):
         if self.sampling not in ("consecutive", "even"):
-            raise ValueError(f"sampling must be consecutive or even, got {self.sampling!r}")
-        if self.frames < 1:
-            raise ValueError(f"frames must be >= 1, got {self.frames}")
-        if self.crop < 1:
-            raise ValueError(f"crop must be >= 1, got {self.crop}")
+            raise VslrError("config", f"sampling must be consecutive or even, got {self.sampling!r}")
+        at_least(1, frames=self.frames, crop=self.crop)
 
 
 def parse_kv_config(path) -> dict:
     """key = value lines; # starts a comment; later keys override earlier."""
     out: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            if "=" not in text:
-                raise ValueError(f"{path}:{lineno}: expected key = value, got {line.strip()!r}")
-            key, value = text.split("=", 1)
-            out[key.strip()] = value.strip()
+        try:
+            lines = fh.read().split("\n")     # one decode, so e.start is a file offset
+        except UnicodeDecodeError as e:
+            raise VslrError("config", f"{path}: not UTF-8 at byte {e.start}") from None
+    for lineno, line in enumerate(lines, 1):
+        text = line.split("#", 1)[0].strip()
+        if not text:
+            continue
+        if "=" not in text:
+            raise VslrError("config",
+                            f"{path}:{lineno}: expected key = value, got {line.strip()!r}")
+        key, value = text.split("=", 1)
+        out[key.strip()] = value.strip()
     return out
 
 
@@ -465,8 +482,8 @@ def load_instance_video(video_dir, inst: Instance) -> RawVideo:
     path = f"{video_dir}/{inst.video_id}.vraw"
     video = read_raw_video(path, inst.video_id)
     if inst.frame_end > len(video.frames):
-        raise ValueError(
-            f"{inst.video_id}: frame_end {inst.frame_end} exceeds stored {len(video.frames)} frames"
+        raise VslrError(
+            "video", f"{inst.video_id}: frame_end {inst.frame_end} exceeds stored {len(video.frames)} frames"
         )
     return replace(video, frames=video.frames[inst.frame_start - 1:inst.frame_end])
 
@@ -527,7 +544,14 @@ def make_synthetic_dataset(out_dir, num_classes: int = 4, per_class: int = 6,
     import os
 
     if num_classes < 2 or per_class < 3:
-        raise ValueError("need at least 2 classes and 3 videos per class")
+        raise VslrError("config", "need at least 2 classes and 3 videos per class")
+    lo = max(4, nominal_frames - nominal_frames // 2)     # video lengths drawn from [lo, hi]
+    hi = nominal_frames + nominal_frames // 2
+    if hi < lo or hi > VRAW_MAX_EXTENT:
+        raise VslrError("config", f"frames {nominal_frames} gives video lengths {lo}..{hi}; "
+                                  f"they must form a range within 4..{VRAW_MAX_EXTENT}")
+    if not 2 <= size <= VRAW_MAX_EXTENT:      # _render_video draws a square of side >= 2
+        raise VslrError("config", f"size must be in [2, {VRAW_MAX_EXTENT}], got {size}")
     os.makedirs(os.path.join(out_dir, "videos"), exist_ok=True)
     entries = []
     for c in range(num_classes):
@@ -535,8 +559,6 @@ def make_synthetic_dataset(out_dir, num_classes: int = 4, per_class: int = 6,
         for i in range(per_class):
             vid = f"c{c:02d}_v{i:02d}"
             rng = derive_rng(seed, "gen", vid)
-            lo = max(4, nominal_frames - nominal_frames // 2)
-            hi = nominal_frames + nominal_frames // 2
             length = int(rng.integers(lo, hi + 1))
             rgb = _render_video(c, num_classes, length, size, rng)
             bgr = rgb[:, :, :, ::-1].copy()

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vslr.checkpoint import load_checkpoint, load_into, save_checkpoint
+from vslr.errors import VslrError
 from vslr.tensor import Tensor
 
 
@@ -102,3 +105,42 @@ def test_load_into_checks_names_and_shapes(tmp_path):
                                               "b": np.ones(1, dtype=np.float32)})
     with pytest.raises(ValueError, match="name mismatch"):
         load_into(model, load_checkpoint(tmp_path / "extra.ckpt"))
+
+
+@pytest.fixture(scope="module")
+def real_checkpoint(tmp_path_factory):
+    path = tmp_path_factory.mktemp("ckpt") / "real.ckpt"
+    save_checkpoint(path, {"embed.proj.w": np.ones((2, 3), dtype=np.float32),
+                           "b": np.arange(4, dtype=np.float32),
+                           "s": np.ones((), dtype=np.float32),
+                           "z": np.ones((0, 3), dtype=np.float32)})
+    return path, path.read_bytes()
+
+
+@st.composite
+def _mutations(draw):
+    """Up to 6 (offset, byte) overwrites, then an optional cut or tail."""
+    edits = draw(st.lists(st.tuples(st.integers(0, 10_000), st.integers(0, 255)), max_size=6))
+    cut = draw(st.none() | st.integers(0, 200))
+    tail = draw(st.binary(max_size=12))
+    return edits, cut, tail
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(mutation=_mutations())
+def test_load_checkpoint_fuzz(real_checkpoint, mutation):
+    """Every mutation of a real checkpoint either loads as float32 arrays
+    or raises VslrError of class checkpoint."""
+    path, blob = real_checkpoint
+    edits, cut, tail = mutation
+    data = bytearray(blob)
+    for at, byte in edits:
+        data[at % len(data)] = byte
+    mutated = path.with_name("mutated.ckpt")
+    mutated.write_bytes(bytes(data[:cut]) + tail)
+    try:
+        loaded = load_checkpoint(mutated)
+    except VslrError as e:
+        assert e.cls == "checkpoint" and str(e).startswith("checkpoint: ")
+        return
+    assert all(isinstance(a, np.ndarray) and a.dtype == np.float32 for a in loaded.values())

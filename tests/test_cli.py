@@ -4,6 +4,7 @@ self-containment, and the one-line error[<class>] contract with exit 2."""
 
 import csv
 import json
+import pathlib
 import shutil
 import struct
 
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 from vslr.cli import dispatch
+from vslr.errors import ERROR_CLASSES, VslrError
 from vslr.train import ABLATION_COLUMNS
 
 MODEL_FLAGS = ["--dim", "16", "--depth", "2", "--heads", "2", "--patch", "8",
@@ -268,7 +270,7 @@ def test_finetune_on_truncated_raw_video(env, tmp_path, capsys):
     assert dispatch(["finetune", "--data", str(cut), "--out", str(tmp_path / "ft"),
                      "--epochs", "1", *MODEL_FLAGS]) == 2
     err = capsys.readouterr().err.strip()
-    assert err.startswith("error[checkpoint]: raw video: truncated header")
+    assert err.startswith("error[video]: raw video: truncated header")
     assert "\n" not in err
 
 
@@ -283,7 +285,7 @@ def test_finetune_on_zero_sized_raw_frames(env, tmp_path, capsys):
     assert dispatch(["finetune", "--data", str(bad), "--out", str(tmp_path / "ft"),
                      "--epochs", "1", *MODEL_FLAGS, "--crop", "224"]) == 2
     err = capsys.readouterr().err.strip()
-    assert err.startswith("error[checkpoint]: raw video: zero-sized frames 0x16")
+    assert err.startswith("error[video]: raw video: zero-sized frames 0x16")
     assert "\n" not in err
 
 
@@ -316,6 +318,139 @@ def test_missing_config_file(tmp_path, capsys):
     assert dispatch(["gen-data", "--out", str(tmp_path / "ds"),
                      "--config", str(tmp_path / "none.cfg")]) == 2
     assert capsys.readouterr().err.startswith("error[io]:")
+
+
+# ---------------------------------------------------------------------------
+# the one-line error contract, one row per kind of bad input
+
+
+def _copy_data(tmp, data, run):
+    shutil.copytree(data, tmp / "data")
+
+
+def _non_utf8_manifest(tmp, data, run):
+    _copy_data(tmp, data, run)
+    (tmp / "data" / "manifest.json").write_bytes(b'[{"gloss": "\xff"}]')
+
+
+def _corrupt_raw_videos(tmp, data, run):
+    _copy_data(tmp, data, run)
+    for video in (tmp / "data" / "videos").glob("*.vraw"):
+        video.write_bytes(video.read_bytes()[:-1])     # payload one byte short
+
+
+def _frame_end_past_stored(tmp, data, run):
+    _copy_data(tmp, data, run)
+    entries = json.loads((tmp / "data" / "manifest.json").read_text())
+    for inst in (i for e in entries for i in e["instances"]):
+        inst["frame_end"] = 999
+    (tmp / "data" / "manifest.json").write_text(json.dumps(entries))
+
+
+def _run_config(edit):
+    def setup(tmp, data, run):
+        shutil.copytree(run, tmp / "run")
+        edit(tmp / "run" / "config.json")
+    return setup
+
+
+def _pipeline_frames_8(path):
+    stored = json.loads(path.read_text())
+    stored["pipeline"]["frames"] = 8
+    path.write_text(json.dumps(stored))
+
+
+def _write(name, content):
+    def setup(tmp, data, run):
+        (tmp / name).write_bytes(content)
+    return setup
+
+
+FINETUNE = ["finetune", "--data", "{data}", "--out", "{tmp}/ft", "--epochs", "1", *MODEL_FLAGS]
+PRETRAIN = ["pretrain", "--data", "{data}", "--out", "{tmp}/pre", "--steps", "1", "--dim", "16",
+            "--depth", "2", "--heads", "2", "--decoder-dim", "8", "--decoder-depth", "1",
+            "--patch", "8", "--crop", "16", "--frames", "4"]
+GEN = ["gen-data", "--out", "{tmp}/ds", "--classes", "2", "--per-class", "3", "--size", "16"]
+
+# (setup, argv, class, text the one line must hold); {data}, {run} and {tmp}
+# are the shared dataset, the shared run and this row's own directory
+FAILURES = {
+    "finetune-heads-0": (None, [*FINETUNE, "--heads", "0"], "config", "heads must be"),
+    "finetune-patch-0": (None, [*FINETUNE, "--patch", "0"], "config", "patch must be"),
+    "finetune-joint-tube-depth-0": (None, [*FINETUNE, "--variant", "joint", "--tube-depth", "0"],
+                                    "config", "tube_depth must be"),
+    "finetune-dim-negative": (None, [*FINETUNE, "--dim", "-16"], "config", "dim must be"),
+    "finetune-lr-nan": (None, [*FINETUNE, "--lr", "nan"], "config", "learning rate"),
+    "pretrain-decoder-heads-0": (None, [*PRETRAIN, "--decoder-heads", "0"], "config",
+                                 "decoder_heads must be"),
+    "pretrain-batch-0": (None, [*PRETRAIN, "--batch", "0"], "config", "batch must be"),
+    "gen-data-out-regular-file": (_write("file", b""), [*GEN, "--out", "{tmp}/file"], "io",
+                                  "Not a directory"),
+    "gen-data-out-under-regular-file": (_write("file", b""), [*GEN, "--out", "{tmp}/file/x"],
+                                        "io", "Not a directory"),
+    "gen-data-config-directory": (None, [*GEN, "--config", "{tmp}"], "io", "Is a directory"),
+    "gen-data-frames-0": (None, [*GEN, "--frames", "0"], "config", "frames 0"),
+    "gen-data-size-0": (None, [*GEN, "--size", "0"], "config", "size must be"),
+    "gen-data-non-utf8-config": (_write("bad.cfg", b"classes = \xff\n"),
+                                 [*GEN, "--config", "{tmp}/bad.cfg"], "config", "bad.cfg"),
+    "finetune-config-precision-16": (_write("p.cfg", b"precision = 16\n"),
+                                     ["finetune", "--data", "{data}", "--out", "{tmp}/ft",
+                                      "--config", "{tmp}/p.cfg"], "config", "precision"),
+    "finetune-config-variant-x": (_write("v.cfg", b"variant = x\n"),
+                                  [*FINETUNE, "--config", "{tmp}/v.cfg"], "config",
+                                  "variant must be divided or joint, got 'x'"),
+    "evaluate-config-split-dev": (_write("s.cfg", b"split = dev\n"),
+                                  ["evaluate", "--data", "{data}", "--run", "{run}",
+                                   "--config", "{tmp}/s.cfg"], "config", "split must be one of"),
+    "validate-manifest-directory": (None, ["validate-manifest", "--manifest", "{tmp}"], "io",
+                                    "Is a directory"),
+    "validate-manifest-non-utf8": (_non_utf8_manifest,
+                                   ["validate-manifest", "--manifest", "{tmp}/data/manifest.json"],
+                                   "manifest", "not UTF-8"),
+    "validate-manifest-deeply-nested": (_write("deep.json", b"[" * 100_000 + b"]" * 100_000),
+                                        ["validate-manifest", "--manifest", "{tmp}/deep.json"],
+                                        "manifest", "nested too deeply"),
+    "ablate-grid-deeply-nested": (_write("grid.json", b"[" * 100_000 + b"]" * 100_000),
+                                  ["ablate", "--data", "{data}", "--grid", "{tmp}/grid.json",
+                                   "--out", "{tmp}/abl", *MODEL_FLAGS], "config",
+                                  "nested too deeply"),
+    "finetune-corrupt-raw-video": (_corrupt_raw_videos, [*FINETUNE, "--data", "{tmp}/data"],
+                                   "video", "raw video: payload"),
+    "finetune-frame-end-past-stored": (_frame_end_past_stored, [*FINETUNE, "--data", "{tmp}/data"],
+                                       "video", "frame_end 999"),
+    "evaluate-run-config-invalid-json": (_run_config(lambda p: p.write_text("{")),
+                                         ["evaluate", "--data", "{data}", "--run", "{tmp}/run"],
+                                         "config", "not valid JSON"),
+    "evaluate-run-config-pipeline-mismatch": (_run_config(_pipeline_frames_8),
+                                              ["evaluate", "--data", "{data}", "--run", "{tmp}/run"],
+                                              "config", "differ from the model"),
+    "ablate-grid-infinite-batch": (_write("grid.json", b'[{"batch": Infinity}]'),
+                                   ["ablate", "--data", "{data}", "--grid", "{tmp}/grid.json",
+                                    "--out", "{tmp}/abl", *MODEL_FLAGS], "config", "grid row 0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAILURES))
+def test_bad_input_prints_one_error_line(env, tmp_path, capsys, case):
+    setup, argv, cls, text = FAILURES[case]
+    data, run = env
+    if setup is not None:
+        setup(tmp_path, data, run)
+    argv = [a.format(data=data, run=run, tmp=tmp_path) for a in argv]
+    capsys.readouterr()
+    assert dispatch(argv) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1, lines
+    assert lines[0].startswith(f"error[{cls}]: ") and text in lines[0], lines[0]
+
+
+def test_error_classes_are_the_documented_set():
+    assert VslrError("video", "m").cls == "video"
+    with pytest.raises(ValueError, match="unknown error class 'checkpoints'"):
+        VslrError("checkpoints", "m")
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    for cls in ERROR_CLASSES:
+        assert f"`error[{cls}]: " in readme, cls
 
 
 def test_parser_exit_codes(capsys):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from vslr import tensor as T
+from vslr.errors import VslrError
 from vslr.tensor import Tensor
 from vslr.train import (ABLATION_COLUMNS, Adam, ClassifierModel, ModelConfig,
                         TrainConfig, cross_entropy, evaluate, finetune,
@@ -265,8 +266,9 @@ def test_finetune_divergence_guard(dataset):
     model = _tiny_model(num_classes=2)
     model.head.w.data[:] = np.inf
     cfg = TrainConfig(batch=4, epochs=1, lr=1e-3, frames=4, layers=1, seed=0)
-    with pytest.raises(RuntimeError, match="diverged"):
+    with pytest.raises(VslrError, match="diverged") as e:
         finetune(model, merged, videos, cfg, crop=16)
+    assert e.value.cls == "divergence"
 
 
 def test_train_config_validation():
@@ -302,7 +304,7 @@ def test_ablation_csv_structure_and_error_rows(dataset, tmp_path):
     assert len(parsed) == 4
     assert parsed[1][4:7] == ["divided", "All", "Consec."]
     assert parsed[2][4:7] == ["joint", "1", "Even"]
-    assert parsed[3][7] == "error[ValueError]"
+    assert parsed[3][7] == "error[config]"
     for row in parsed[1:3]:
         assert 0.0 <= float(row[7]) <= 100.0
     assert parsed[1][3] == "0.001" and parsed[2][3] == "0.0001"

@@ -13,6 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from vslr import video as V
+from vslr.errors import VslrError
 
 
 def _frames(values, h=4, w=5):
@@ -291,6 +292,39 @@ def test_merge_train_val_leaves_no_val():
     assert counts["test"] == 1
 
 
+_MANIFEST_KEYS = st.sampled_from(["gloss", "instances", "video_id", "split",
+                                  "frame_start", "frame_end"]) | st.text(max_size=3)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 50) | st.floats() | st.text(max_size=4)
+    | st.sampled_from([*V.SPLITS, "..", "a/b"]),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_MANIFEST_KEYS, inner, max_size=6),
+    max_leaves=30)
+
+
+@st.composite
+def _manifest_values(draw):
+    """Arbitrary JSON, or a valid manifest with one field set to arbitrary JSON."""
+    if draw(st.booleans()):
+        return draw(_JSON)
+    entries = _valid_entries()
+    entry = draw(st.sampled_from(entries))
+    target = entry if draw(st.booleans()) else draw(st.sampled_from(entry["instances"]))
+    target[draw(_MANIFEST_KEYS)] = draw(_JSON)
+    return entries
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(value=_manifest_values())
+def test_parse_manifest_fuzz(value):
+    """Every JSON value either parses or raises VslrError of class manifest."""
+    try:
+        m = V.parse_manifest(value)
+    except VslrError as e:
+        assert e.cls == "manifest" and str(e).startswith("manifest <memory>: ")
+        return
+    assert m.instances and all(0 <= i.label < m.num_classes for i in m.instances)
+
+
 def test_wlasl100_bounds_reject_small_manifest():
     m = V.parse_manifest(_valid_entries())
     with pytest.raises(ValueError, match="100 glosses"):
@@ -328,6 +362,17 @@ def test_zero_sized_raw_frames_rejected(tmp_path):
         path.write_bytes(V.VRAW_MAGIC + struct.pack("<BBHHH", 1, 0, n, h, w))
         with pytest.raises(ValueError, match=f"raw video: zero-sized frames {h}x{w}"):
             V.read_raw_video(path)
+
+
+def test_write_raw_video_rejects_frames_it_cannot_store(tmp_path):
+    path = tmp_path / "v.vraw"
+    for shape in ((2, 0, 4, 3), (2, 4, 0, 3), (65536, 1, 1, 3), (1, 65536, 1, 3), (1, 1, 65536, 3)):
+        with pytest.raises(VslrError, match="raw video: cannot store") as e:
+            V.write_raw_video(path, np.zeros(shape, dtype=np.uint8))
+        assert e.value.cls == "video" and not path.exists()
+    edge = np.zeros((1, 1, 65535, 3), dtype=np.uint8)
+    V.write_raw_video(path, edge)
+    assert V.read_raw_video(path).frames.shape == edge.shape
 
 
 @st.composite
