@@ -1,6 +1,6 @@
 """Space-time transformer blocks.
 
-Two block types over one token layout:
+Two block types over one token layout, [CLS?, frame 0, frame 1, ...]:
 
 * divided: per-block temporal attention (each spatial position attends
   across frames), then spatial attention (each frame attends across its
@@ -8,9 +8,11 @@ Two block types over one token layout:
   and its per-group updates are averaged.
 * joint: one attention pass over all tokens, then the MLP.
 
-Both use pre-norm residual wiring x + SubLayer(LayerNorm(x)).  Each pass
-is one fused ``T.attention`` node, whose multiply-adds are tagged in the
-MAC ledger so the divided-vs-joint cost claim can be asserted exactly.
+Both run one block body of pre-norm residual passes, x + Attn(LayerNorm(x)),
+then the MLP.  ``pass_groups`` alone defines each pass's groups, for the
+forward pass and for rollout.  Each pass is one fused ``T.attention`` node,
+whose multiply-adds are tagged in the MAC ledger so the divided-vs-joint
+cost claim can be asserted exactly.
 """
 
 from __future__ import annotations
@@ -48,6 +50,9 @@ class BlockWeights:
     joint:   ln1+joint attention, ln2+MLP.
     """
 
+    _PARTS = {"divided": ("ln1", "temporal", "ln2", "spatial", "ln3"),
+              "joint": ("ln1", "joint", "ln2")}
+
     def __init__(self, rng: np.random.Generator, variant: str, dim: int, dtype=np.float32):
         if variant not in ("divided", "joint"):
             raise ValueError(f"variant must be divided or joint, got {variant!r}")
@@ -66,96 +71,75 @@ class BlockWeights:
         self.mlp1 = LinearParams(rng, 4 * dim, dim, dtype)
 
     def named(self, prefix: str) -> dict:
-        out = self.ln1.named(f"{prefix}.ln1")
-        if self.variant == "divided":
-            out.update(self.temporal.named(f"{prefix}.temporal"))
-            out.update(self.ln2.named(f"{prefix}.ln2"))
-            out.update(self.spatial.named(f"{prefix}.spatial"))
-            out.update(self.ln3.named(f"{prefix}.ln3"))
-        else:
-            out.update(self.joint.named(f"{prefix}.joint"))
-            out.update(self.ln2.named(f"{prefix}.ln2"))
+        out = {}
+        for part in self._PARTS[self.variant]:
+            out.update(getattr(self, part).named(f"{prefix}.{part}"))
         out.update(self.mlp0.named(f"{prefix}.mlp.0"))
         out.update(self.mlp1.named(f"{prefix}.mlp.1"))
         return out
 
 
-def multi_head_attention(x: Tensor, w: PassWeights, heads: int,
+def pass_groups(grid: tuple, has_cls: bool, kind: str) -> np.ndarray:
+    """Token ids [G, L] of each attention group of one pass, over the token
+    layout [CLS, frame 0's positions, frame 1's positions, ...].
+
+    temporal: one group per spatial position, across frames.  spatial: one
+    group per frame, across its positions.  joint: one group of every
+    token.  The CLS (id 0), when present, leads every group.
+    """
+    f, hs, ws = grid
+    off = 1 if has_cls else 0
+    patches = off + np.arange(f * hs * ws).reshape(f, hs * ws)
+    ids = {"temporal": patches.T, "spatial": patches, "joint": patches.reshape(1, -1)}[kind]
+    return np.pad(ids, ((0, 0), (off, 0)))
+
+
+def multi_head_attention(x: Tensor, w: PassWeights, heads: int, groups: np.ndarray,
                          want_trace: bool = False):
-    """Scaled dot-product attention over [groups, length, dim].
+    """Scaled dot-product attention within each group of [G, L] token ids
+    over [batch, tokens, dim] (see ``T.attention``).
 
     Returns (output, weights) where weights is a detached
-    [groups, heads, length, length] array or None.
+    [batch, groups, heads, length, length] array or None.
     """
     q = T.linear(x, w.q.w, w.q.b)
     k = T.linear(x, w.k.w, w.k.b)
     v = T.linear(x, w.v.w, w.v.b)
-    out = T.linear(T.attention(q, k, v, heads), w.o.w, w.o.b)
+    out = T.linear(T.attention(q, k, v, heads, groups), w.o.w, w.o.b)
+    if not want_trace:
+        return out, None
     # the fused op never holds the full weights; only rollout needs them
-    weights = T._attn_weights(*T._attn_split(q.data, k.data, heads))[0] if want_trace else None
-    return out, weights
+    g, n = groups.shape
+    weights = T._attn_weights(*T._attn_split(q.data, k.data, heads, groups)[:2])[0]
+    return out, weights.reshape(x.data.shape[0], g, heads, n, n)
 
 
-def _group_cls(cls_n: Tensor, groups: int) -> Tensor:
-    """[B, 1, D] -> [B*groups, 1, D] by tiling across groups."""
-    b, _, d = cls_n.data.shape
-    tiled = T.repeat(T.reshape(cls_n, (b, 1, 1, d)), groups, axis=1)
-    return T.reshape(tiled, (b * groups, 1, d))
+def _block(tb: TokenBatch, w: BlockWeights, heads: int, want_trace: bool,
+           passes: list, mlp_ln: LayerNormParams):
+    """Each (kind, pass weights, norm) attention pass, then the MLP, each
+    with a pre-norm residual.  T.attention rejects a token count that does
+    not fit the grid's groups."""
+    x = tb.tokens
+    trace = {}
+    for kind, pw, ln in passes:
+        groups = pass_groups(tb.grid, tb.has_cls, kind)
+        att, trace[kind] = multi_head_attention(T.layer_norm(x, ln.g, ln.b), pw, heads,
+                                                groups, want_trace)
+        x = T.add(x, att)
+    hidden = T.gelu(T.linear(T.layer_norm(x, mlp_ln.g, mlp_ln.b), w.mlp0.w, w.mlp0.b))
+    x = T.add(x, T.linear(hidden, w.mlp1.w, w.mlp1.b))
+    return TokenBatch(x, tb.grid, tb.has_cls), trace if want_trace else None
 
 
 def divided_block(tb: TokenBatch, w: BlockWeights, heads: int,
                   want_trace: bool = False):
-    """Temporal pass, spatial pass, MLP, each with a pre-norm residual.
-
-    The CLS token (when present) is appended to every group in both
-    passes; its residual update is the mean of its per-group outputs.
-    """
+    """Temporal pass, spatial pass, MLP.  The CLS token (when present)
+    joins every group of both passes; its update is the mean of its
+    per-group outputs."""
     if w.variant != "divided":
         raise ValueError("divided_block needs divided weights")
-    f, hs, ws = tb.grid
-    s = hs * ws
-    b, m, d = tb.tokens.data.shape
-    n = f * s
-    offset = 1 if tb.has_cls else 0
-    if m != n + offset:
-        raise ValueError(f"token count {m} does not match grid {tb.grid} (cls={tb.has_cls})")
-
-    def attention_pass(x: Tensor, pw: PassWeights, ln: LayerNormParams, temporal: bool):
-        xn = T.layer_norm(x, ln.g, ln.b)
-        if tb.has_cls:
-            cls_n = T.slice_along(xn, 1, 0, 1)
-            patch_n = T.slice_along(xn, 1, 1, m)
-        else:
-            cls_n, patch_n = None, xn
-        grid4 = T.reshape(patch_n, (b, f, s, d))
-        if temporal:
-            groups, length = s, f
-            seq = T.reshape(T.transpose(grid4, (0, 2, 1, 3)), (b * s, f, d))
-        else:
-            groups, length = f, s
-            seq = T.reshape(grid4, (b * f, s, d))
-        if cls_n is not None:
-            seq = T.concat([_group_cls(cls_n, groups), seq], axis=1)
-        att, tr = multi_head_attention(seq, pw, heads, want_trace)
-        if cls_n is not None:
-            cls_upd = T.mean(T.reshape(T.slice_along(att, 1, 0, 1), (b, groups, 1, d)), axis=1)
-            att = T.slice_along(att, 1, 1, 1 + length)
-        grid_out = T.reshape(att, (b, groups, length, d))
-        if temporal:
-            grid_out = T.transpose(grid_out, (0, 2, 1, 3))
-        patch_upd = T.reshape(grid_out, (b, n, d))
-        upd = T.concat([cls_upd, patch_upd], axis=1) if cls_n is not None else patch_upd
-        if tr is not None:
-            tr = tr.reshape(b, groups, heads, offset + length, offset + length)
-        return T.add(x, upd), tr
-
-    x = tb.tokens
-    x, trace_t = attention_pass(x, w.temporal, w.ln1, temporal=True)
-    x, trace_s = attention_pass(x, w.spatial, w.ln2, temporal=False)
-    hidden = T.gelu(T.linear(T.layer_norm(x, w.ln3.g, w.ln3.b), w.mlp0.w, w.mlp0.b))
-    x = T.add(x, T.linear(hidden, w.mlp1.w, w.mlp1.b))
-    trace = {"temporal": trace_t, "spatial": trace_s} if want_trace else None
-    return TokenBatch(x, tb.grid, tb.has_cls), trace
+    return _block(tb, w, heads, want_trace,
+                  [("temporal", w.temporal, w.ln1), ("spatial", w.spatial, w.ln2)], w.ln3)
 
 
 def joint_block(tb: TokenBatch, w: BlockWeights, heads: int,
@@ -163,14 +147,7 @@ def joint_block(tb: TokenBatch, w: BlockWeights, heads: int,
     """Single attention pass over every token, then the MLP."""
     if w.variant != "joint":
         raise ValueError("joint_block needs joint weights")
-    x = tb.tokens
-    xn = T.layer_norm(x, w.ln1.g, w.ln1.b)
-    att, tr = multi_head_attention(xn, w.joint, heads, want_trace)
-    x = T.add(x, att)
-    hidden = T.gelu(T.linear(T.layer_norm(x, w.ln2.g, w.ln2.b), w.mlp0.w, w.mlp0.b))
-    x = T.add(x, T.linear(hidden, w.mlp1.w, w.mlp1.b))
-    trace = {"joint": tr} if want_trace else None
-    return TokenBatch(x, tb.grid, tb.has_cls), trace
+    return _block(tb, w, heads, want_trace, [("joint", w.joint, w.ln1)], w.ln2)
 
 
 @dataclass
@@ -185,61 +162,38 @@ class AttentionTrace:
 
 def encoder_forward(tb: TokenBatch, blocks: list, heads: int,
                     final_ln: LayerNormParams, want_trace: bool = False):
-    traces = [] if want_trace else None
-    variant = blocks[0].variant if blocks else "joint"
+    traces = []
     for w in blocks:
         step = divided_block if w.variant == "divided" else joint_block
         tb, tr = step(tb, w, heads, want_trace)
-        if want_trace:
-            traces.append(tr)
+        traces.append(tr)
     out = TokenBatch(T.layer_norm(tb.tokens, final_ln.g, final_ln.b), tb.grid, tb.has_cls)
-    trace = AttentionTrace(variant, tb.grid, tb.has_cls, traces) if want_trace else None
-    return out, trace
+    variant = blocks[0].variant if blocks else "joint"
+    return out, AttentionTrace(variant, tb.grid, tb.has_cls, traces) if want_trace else None
 
 
 # ---------------------------------------------------------------------------
 # attention rollout
 
 
-def _mix_identity(a: np.ndarray) -> np.ndarray:
-    """0.5 * A + 0.5 * I with rows renormalized to sum 1."""
-    m = 0.5 * a + 0.5 * np.eye(a.shape[0], dtype=a.dtype)
-    return m / m.sum(axis=-1, keepdims=True)
+def _pass_matrix(block_trace: dict, kind: str, grid: tuple, has_cls: bool,
+                 batch_index: int) -> np.ndarray:
+    """One pass's head-averaged group weights as a token-level matrix A,
+    mixed as 0.5 * A + 0.5 * I with rows renormalized to sum 1.  A token in
+    several groups (the CLS) gets the mean of its rows, as in the forward
+    pass."""
+    ids = pass_groups(grid, has_cls, kind)
+    a = np.zeros((ids.max() + 1,) * 2, dtype=np.float64)
+    np.add.at(a, (ids[:, :, None], ids[:, None, :]), block_trace[kind][batch_index].mean(axis=1))
+    mixed = 0.5 * a / np.bincount(ids.ravel())[:, None] + 0.5 * np.eye(len(a))
+    return mixed / mixed.sum(axis=-1, keepdims=True)
 
 
 def _full_matrix_divided(block_trace: dict, grid: tuple, has_cls: bool,
                          batch_index: int) -> np.ndarray:
-    """Compose per-group temporal and spatial weights into one token-level
-    matrix.  The CLS row averages over the groups it was replicated into,
-    mirroring the forward pass."""
-    f, hs, ws = grid
-    s = hs * ws
-    n = f * s
-    off = 1 if has_cls else 0
-    m = n + off
-
-    def assemble(per_group: np.ndarray, ids_of) -> np.ndarray:
-        # per_group: [groups, off+len, off+len], head-averaged
-        full = np.zeros((m, m), dtype=np.float64)
-        groups = per_group.shape[0]
-        cls_row = np.zeros(m, dtype=np.float64)
-        for gi in range(groups):
-            ids = ids_of(gi)
-            a = per_group[gi]
-            full[np.ix_(ids[off:], ids)] = a[off:, :]
-            if has_cls:
-                cls_row[ids] += a[0, :]
-        if has_cls:
-            full[0] = cls_row / groups
-        return full
-
-    at = block_trace["temporal"][batch_index].mean(axis=1).astype(np.float64)
-    a_s = block_trace["spatial"][batch_index].mean(axis=1).astype(np.float64)
-    ids_t = lambda sp: [0] * off + [off + t * s + sp for t in range(f)]
-    ids_s = lambda fr: [0] * off + [off + fr * s + sp for sp in range(s)]
-    mt = _mix_identity(assemble(at, ids_t))
-    ms = _mix_identity(assemble(a_s, ids_s))
-    return ms @ mt
+    """The temporal pass's matrix, then the spatial pass's."""
+    return (_pass_matrix(block_trace, "spatial", grid, has_cls, batch_index)
+            @ _pass_matrix(block_trace, "temporal", grid, has_cls, batch_index))
 
 
 def attention_rollout(trace: AttentionTrace, batch_index: int = 0) -> np.ndarray:
@@ -254,7 +208,7 @@ def attention_rollout(trace: AttentionTrace, batch_index: int = 0) -> np.ndarray
         if trace.variant == "divided":
             mat = _full_matrix_divided(block_trace, trace.grid, trace.has_cls, batch_index)
         else:
-            mat = _mix_identity(block_trace["joint"][batch_index].mean(axis=0).astype(np.float64))
+            mat = _pass_matrix(block_trace, "joint", trace.grid, trace.has_cls, batch_index)
         rolled = mat @ rolled
     if trace.has_cls:
         mass = rolled[0, off:]

@@ -28,7 +28,7 @@ from .embedding import Embedding, EmbeddingConfig, TokenBatch, cube_pixels
 from .errors import VslrError, at_least
 from .nn import LayerNormParams, LinearParams, trunc_normal
 from .tensor import Tensor, zero_grads
-from .train import Adam
+from .train import Adam, check_finite_grads
 from .video import (Manifest, PipelineConfig, derive_rng, load_instance_video,
                     prepare_clip, to_model_tensor)
 
@@ -274,7 +274,8 @@ def pretrain(model: MaeModel, manifest: Manifest, video_dir,
         raise VslrError("manifest", "no train instances in manifest")
     grid = model.embed.cfg.grid
     dtype = model.recon.w.data.dtype
-    params = model.params()
+    named = model.named()
+    params = list(named.values())
     opt = Adam(params, cfg.lr)
     curve: list[tuple] = []
     if out_dir is not None:
@@ -295,6 +296,7 @@ def pretrain(model: MaeModel, manifest: Manifest, video_dir,
         if not np.isfinite(loss.data):
             raise VslrError("divergence", f"pretraining diverged: non-finite loss at step {step}")
         T.backward(loss)
+        check_finite_grads(named, step, "pretraining")
         opt.step()
         zero_grads(params)
         curve.append((step, float(loss.data)))

@@ -14,6 +14,7 @@ promoted.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable, Iterable, Sequence
 
@@ -244,18 +245,47 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 _ATTN_BLOCK_BYTES = 1 << 20
 
 
-def _attn_heads(x: np.ndarray, heads: int) -> np.ndarray:
-    """[G, N, D] -> per-head [G, h, N, dh] view."""
-    g, n, d = x.shape
-    return x.reshape(g, n, heads, d // heads).transpose(0, 2, 1, 3)
+@functools.lru_cache(maxsize=64)
+def _attn_layout(ids: bytes, length: int, b: int, m: int, heads: int, dh: int) -> tuple:
+    """``rows``: for each per-head entry, in [B, G, h, L] order, the row of
+    the tokens viewed as [B*M*h, dh] that it reads.  ``rep``: one entry of
+    each row.  ``dup_src``/``dup_dst``: for every other entry, its values'
+    flat indices in the entries and in the rows.  ``shared``: the entries of
+    rows read more than once, and ``inv``, 1 / how often.  Built without
+    sorting, and cached: each pass meets its own layout again every step."""
+    groups = np.frombuffer(ids, dtype=np.intp).reshape(-1, length)
+    if groups.min() < 0 or groups.max() >= m:
+        raise ValueError(f"attention: group token ids must lie in [0, {m})")
+    tokens = np.arange(0, b * m, m)[:, None, None, None] + groups[None, :, None, :]
+    rows = (tokens * heads + np.arange(heads)[:, None]).ravel()
+    entries = np.arange(rows.size)
+    rep = np.full(b * m * heads, -1, dtype=np.intp)
+    rep[rows] = entries                   # a repeated row keeps one of its entries
+    if rep.min() < 0:
+        raise ValueError("attention: groups leave some tokens out")
+    dup = np.flatnonzero(rep[rows] != entries)
+    count = np.bincount(rows, minlength=rep.size)[rows]
+    shared = np.flatnonzero(count > 1)
+    # element indices, as np.add.at is several times faster on 1-D arrays
+    cols = np.arange(dh)
+    return (rows, rep, (dup[:, None] * dh + cols).ravel(), (rows[dup, None] * dh + cols).ravel(),
+            shared, 1.0 / count[shared, None])
 
 
-def _attn_split(q: np.ndarray, k: np.ndarray, heads: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-head queries scaled by 1/sqrt(dh), [G, h, N, dh] (a new array),
-    and per-head transposed keys, [G, h, dh, N]."""
-    dh = q.shape[-1] // heads
-    qs = np.multiply(_attn_heads(q, heads), q.dtype.type(1.0 / math.sqrt(dh)), order="C")
-    return qs, np.ascontiguousarray(_attn_heads(k, heads).swapaxes(-1, -2))
+def _attn_gather(x: np.ndarray, rows: np.ndarray, heads: int, length: int) -> np.ndarray:
+    """[B, M, D] -> the per-head group entries [B*G, h, L, dh], one new array."""
+    dh = x.shape[-1] // heads
+    return np.take(x.reshape(-1, dh), rows, axis=0).reshape(-1, heads, length, dh)
+
+
+def _attn_split(q: np.ndarray, k: np.ndarray, heads: int, groups: np.ndarray) -> tuple:
+    """Per-head queries of each group scaled by 1/sqrt(dh), [B*G, h, L, dh],
+    per-head transposed keys, [B*G, h, dh, L], and the _attn_layout plan."""
+    (b, m, d), n = q.shape, groups.shape[1]
+    plan = _attn_layout(groups.astype(np.intp, copy=False).tobytes(), n, b, m, heads, d // heads)
+    qs = _attn_gather(q, plan[0], heads, n)
+    qs *= q.dtype.type(1.0 / math.sqrt(d // heads))
+    return qs, np.ascontiguousarray(_attn_gather(k, plan[0], heads, n).swapaxes(-1, -2)), plan
 
 
 def _attn_weights(qs: np.ndarray, kt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -280,62 +310,77 @@ def _attn_blocks(g: int, heads: int, n: int, itemsize: int) -> list:
     return [(slice(a, a + gs), slice(r, r + rs)) for a in range(0, g, gs) for r in range(0, n, rs)]
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
-    """Multi-head scaled dot-product attention, softmax(q k^T / sqrt(dh)) v.
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, groups: np.ndarray) -> Tensor:
+    """Multi-head scaled dot-product attention, softmax(q k^T / sqrt(dh)) v,
+    within each group of the [G, L] token ids ``groups``.
 
-    q, k, v are [G, N, D]; head i owns columns [i*dh, (i+1)*dh) of D, and
-    the heads' contexts come back merged as [G, N, D].  The forward runs
-    over blocks of groups and query rows whose weights fit in
-    ``_ATTN_BLOCK_BYTES`` and keeps only each row's log-sum-exp; backward
-    recomputes every block's weights from q and k.  So attention memory is
-    O(rows * N) per pass and no [G, h, N, N] array is ever held.  Records
-    the QK^T and AV multiply-adds, 2*G*h*N^2*dh, under "all" and "attn".
+    q, k, v are [B, M, D], and head i owns columns [i*dh, (i+1)*dh) of D.
+    The groups, which must cover all M tokens, are gathered straight into
+    the per-head copies; a token in several groups (the divided CLS) gets
+    the mean of its group outputs.  The forward runs over blocks of groups
+    and query rows whose weights fit in ``_ATTN_BLOCK_BYTES`` and keeps
+    only each row's log-sum-exp; backward recomputes every block's weights
+    from q and k, so no [B*G, h, L, L] array is ever held.  Records the QK^T
+    and AV multiply-adds, 2*B*G*h*L^2*dh, under "all" and "attn".
     """
     _check_dtype("attention", q, k, v)
     if q.data.ndim != 3 or k.data.shape != q.data.shape or v.data.shape != q.data.shape:
-        raise ValueError(f"attention: q, k, v must share one [groups, length, dim] shape, "
+        raise ValueError(f"attention: q, k, v must share one [batch, tokens, dim] shape, "
                          f"got {q.data.shape}, {k.data.shape} and {v.data.shape}")
-    g, n, d = q.data.shape
+    b, m, d = q.data.shape
     if d % heads != 0:
         raise ValueError(f"attention: model dim {d} not divisible by {heads} heads")
-    dh = d // heads
+    qs, kt, (rows, rep, dup_src, dup_dst, shared, inv) = _attn_split(q.data, k.data, heads, groups)
+    g, n = groups.shape
+    bg, dh = b * g, d // heads
     dtype = q.data.dtype
-    qs, kt = _attn_split(q.data, k.data, heads)
-    vh = np.ascontiguousarray(_attn_heads(v.data, heads))
-    blocks = _attn_blocks(g, heads, n, dtype.itemsize)
-    ctx = np.empty((g, heads, n, dh), dtype=dtype)
-    lse = np.empty((g, heads, n, 1), dtype=dtype)
 
-    def merge(x):                                        # [G, h, N, dh] -> [G, N, D]
-        return x.transpose(0, 2, 1, 3).reshape(g, n, d)
+    def scatter(x):                       # [B*G, h, L, dh] -> [B, M, D], entries summed
+        out = np.take(x.reshape(-1, dh), rep, axis=0)
+        if dup_src.size:
+            np.add.at(out.reshape(-1), dup_dst, x.reshape(-1)[dup_src])
+        return out.reshape(b, m, d)
 
-    for b, r in blocks:
-        w, lse[b, :, r] = _attn_weights(qs[b, :, r], kt[b])
-        np.matmul(w, vh[b], out=ctx[b, :, r])
-    out = merge(ctx)
-    _record_macs(2 * g * n * n * d, "attn")
+    vh = _attn_gather(v.data, rows, heads, n)
+    blocks = _attn_blocks(bg, heads, n, dtype.itemsize)
+    ctx = np.empty_like(vh)
+    lse = np.empty((bg, heads, n, 1), dtype=dtype)
+    for gs, r in blocks:
+        w, lse[gs, :, r] = _attn_weights(qs[gs, :, r], kt[gs])
+        np.matmul(w, vh[gs], out=ctx[gs, :, r])
+    if shared.size:
+        ctx = ctx.reshape(-1, dh)
+        shared_ctx = ctx[shared]          # each group's own output, for backward
+        ctx[shared] = shared_ctx * inv
+    out = scatter(ctx)
+    _record_macs(2 * bg * n * n * d, "attn")
 
     def vjp(gout):
-        go = np.ascontiguousarray(_attn_heads(gout, heads))
+        go = _attn_gather(gout, rows, heads, n)
+        oe = _attn_gather(out, rows, heads, n)
+        if shared.size:
+            go.reshape(-1, dh)[shared] *= inv
+            oe.reshape(-1, dh)[shared] = shared_ctx
         # sum_j w_ij * dw_ij, which equals dout_i . out_i per head
-        delta = np.einsum("gnhd,gnhd->ghn", gout.reshape(g, n, heads, dh),
-                          out.reshape(g, n, heads, dh))[..., None]
-        kh, vt = kt.swapaxes(-1, -2), vh.swapaxes(-1, -2)
+        delta = np.einsum("ghnd,ghnd->ghn", go, oe)[..., None]
+        # contiguous: a transposed view makes these stacked matmuls 2-4x slower
+        kh = np.ascontiguousarray(kt.swapaxes(-1, -2))
+        vt = np.ascontiguousarray(vh.swapaxes(-1, -2))
         dqs = np.empty_like(qs)
         dk = np.zeros_like(qs)
         dv = np.zeros_like(vh)
-        for b, r in blocks:
-            w = np.matmul(qs[b, :, r], kt[b])
-            w -= lse[b, :, r]
+        for gs, r in blocks:
+            w = np.matmul(qs[gs, :, r], kt[gs])
+            w -= lse[gs, :, r]
             np.exp(w, out=w)
-            dv[b] += np.matmul(w.swapaxes(-1, -2), go[b, :, r])
-            dw = np.matmul(go[b, :, r], vt[b])
-            dw -= delta[b, :, r]
+            dv[gs] += np.matmul(w.swapaxes(-1, -2), go[gs, :, r])
+            dw = np.matmul(go[gs, :, r], vt[gs])
+            dw -= delta[gs, :, r]
             dw *= w                                      # d(logits) of the block
-            np.matmul(dw, kh[b], out=dqs[b, :, r])
-            dk[b] += np.matmul(dw.swapaxes(-1, -2), qs[b, :, r])
+            np.matmul(dw, kh[gs], out=dqs[gs, :, r])
+            dk[gs] += np.matmul(dw.swapaxes(-1, -2), qs[gs, :, r])
         dqs *= dtype.type(1.0 / math.sqrt(dh))
-        return merge(dqs), merge(dk), merge(dv)
+        return scatter(dqs), scatter(dk), scatter(dv)
 
     return _make_node(out, (q, k, v), vjp)
 

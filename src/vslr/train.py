@@ -81,6 +81,16 @@ class Adam:
         zero_grads(self.params)
 
 
+def check_finite_grads(named: dict, step: int, run: str) -> None:
+    """Stop a run at the first parameter, in ``named`` order, whose gradient
+    holds a NaN or an infinity.  One float64 sum per parameter finds both,
+    and no finite float32 gradient can overflow it."""
+    for name, p in named.items():
+        if p.grad is not None and not np.isfinite(p.grad.sum(dtype=np.float64)):
+            raise VslrError("divergence",
+                            f"{run} diverged: non-finite gradient of {name} at step {step}")
+
+
 @dataclass
 class ModelConfig:
     """Architecture hyperparameters shared by the CLI and the tests."""
@@ -217,15 +227,24 @@ class EvalReport:
 def _batched_logits(model: ClassifierModel, insts: list, video_dir,
                     pipe: PipelineConfig, seed: int, chunk: int = 8) -> np.ndarray:
     dtype = model.head.w.data.dtype
+    # forward only: while no parameter asks for a gradient, no op keeps its
+    # inputs for a backward pass, so a batch never holds its whole graph
+    live = [p for p in model.params() if p.requires_grad]
+    for p in live:
+        p.requires_grad = False
     rows = []
-    for lo in range(0, len(insts), chunk):
-        xs = []
-        for inst in insts[lo:lo + chunk]:
-            rng = derive_rng(seed, "eval", inst.video_id)
-            video = load_instance_video(video_dir, inst)
-            clip = prepare_clip(video, pipe, train=False, rng=rng, label=inst.label)
-            xs.append(to_model_tensor(clip, dtype))
-        rows.append(model.forward(Tensor(np.stack(xs))).data)
+    try:
+        for lo in range(0, len(insts), chunk):
+            xs = []
+            for inst in insts[lo:lo + chunk]:
+                rng = derive_rng(seed, "eval", inst.video_id)
+                video = load_instance_video(video_dir, inst)
+                clip = prepare_clip(video, pipe, train=False, rng=rng, label=inst.label)
+                xs.append(to_model_tensor(clip, dtype))
+            rows.append(model.forward(Tensor(np.stack(xs))).data)
+    finally:
+        for p in live:
+            p.requires_grad = True
     return np.concatenate(rows, axis=0)
 
 
@@ -313,6 +332,7 @@ def finetune(model: ClassifierModel, manifest: Manifest, video_dir,
 
     trainable = freeze_layers(model, cfg.layers)
     opt = Adam(trainable, cfg.lr)
+    named = model.named()
     best_top1, best_params = -1.0, None
     step = 0
     for epoch in range(cfg.epochs):
@@ -332,6 +352,7 @@ def finetune(model: ClassifierModel, manifest: Manifest, video_dir,
             if not np.isfinite(loss.data):
                 raise VslrError("divergence", f"training diverged: non-finite loss at step {step}")
             T.backward(loss)
+            check_finite_grads(named, step, "training")
             opt.step()
             opt.zero_grad()
             log.append((step, float(loss.data), cfg.lr,

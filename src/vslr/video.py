@@ -253,7 +253,11 @@ def to_model_tensor(clip: VideoClip, dtype=np.float32) -> np.ndarray:
     if clip.channel_order != "RGB":
         raise ValueError("model tensors require RGB frames; convert first")
     dt = np.dtype(dtype)
-    return np.transpose(clip.frames.astype(dt) / dt.type(255.0), (0, 3, 1, 2))
+    f, h, w, _ = clip.frames.shape
+    # one cast straight into C order: casting the channel-reversed view
+    # that bgr_to_rgb leaves, then transposing, is ~3x slower
+    return np.divide(np.transpose(clip.frames, (0, 3, 1, 2)), 255,
+                     out=np.empty((f, 3, h, w), dtype=dt), dtype=dt)
 
 
 # ---------------------------------------------------------------------------

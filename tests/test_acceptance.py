@@ -334,7 +334,7 @@ def test_oracle_equivalence_hundred_instances_each():
         g, n = int(rng.integers(1, 3)), int(rng.integers(2, 7))
         w = PassWeights(rng, d, dtype=np.float64)
         x = rng.standard_normal((g, n, d))
-        got, _ = multi_head_attention(Tensor(x), w, heads)
+        got, _ = multi_head_attention(Tensor(x), w, heads, np.arange(n)[None])
         worst = max(worst, float(np.abs(got.data - _mha_oracle(x, w, heads)).max()))
     assert worst < 1e-10
     mha_worst = worst

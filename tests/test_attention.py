@@ -10,7 +10,7 @@ from vslr import tensor as T
 from vslr.attention import (AttentionTrace, BlockWeights, PassWeights,
                             _full_matrix_divided, attention_rollout,
                             divided_block, encoder_forward, joint_block,
-                            multi_head_attention, write_pgm)
+                            multi_head_attention, pass_groups, write_pgm)
 from vslr.embedding import TokenBatch
 from vslr.nn import LayerNormParams
 from vslr.tensor import Tensor
@@ -54,7 +54,7 @@ def test_multi_head_attention_matches_loop_oracle():
         g, n, d = 2, 5, 8
         w = _pass(rng, d)
         x = rng.standard_normal((g, n, d))
-        out, _ = multi_head_attention(Tensor(x, dtype=np.float64), w, heads)
+        out, _ = multi_head_attention(Tensor(x, dtype=np.float64), w, heads, np.arange(n)[None])
         assert np.allclose(out.data, mha_oracle(x, w, heads), atol=1e-10)
 
 
@@ -68,7 +68,8 @@ def test_multi_head_attention_blocked_output_and_trace(monkeypatch):
     assert len(T._attn_blocks(g, heads, n, 8)) == 15
     w = _pass(rng, d)
     x = rng.standard_normal((g, n, d))
-    out, tr = multi_head_attention(Tensor(x, dtype=np.float64), w, heads, want_trace=True)
+    out, tr = multi_head_attention(Tensor(x, dtype=np.float64), w, heads, np.arange(n)[None],
+                                   want_trace=True)
     assert np.allclose(out.data, mha_oracle(x, w, heads), atol=1e-10)
 
     def heads_of(p):
@@ -77,8 +78,8 @@ def test_multi_head_attention_blocked_output_and_trace(monkeypatch):
     logits = heads_of(w.q) @ heads_of(w.k).swapaxes(-1, -2) / math.sqrt(dh)
     want = np.exp(logits - logits.max(axis=-1, keepdims=True))
     want /= want.sum(axis=-1, keepdims=True)
-    assert tr.shape == (g, heads, n, n)
-    assert np.allclose(tr, want, rtol=0, atol=1e-10)
+    assert tr.shape == (g, 1, heads, n, n)
+    assert np.allclose(tr[:, 0], want, rtol=0, atol=1e-10)
 
 
 def test_attention_rows_sum_to_one():
@@ -89,8 +90,8 @@ def test_attention_rows_sum_to_one():
         heads = [1, 2, 4][int(rng.integers(0, 3))]
         w = _pass(rng, d)
         x = Tensor(rng.standard_normal((g, n, d)) * 3, dtype=np.float64)
-        _, tr = multi_head_attention(x, w, heads, want_trace=True)
-        assert tr.shape == (g, heads, n, n)
+        _, tr = multi_head_attention(x, w, heads, np.arange(n)[None], want_trace=True)
+        assert tr.shape == (g, 1, heads, n, n)
         assert np.allclose(tr.sum(axis=-1), 1.0, atol=1e-12)
 
 
@@ -100,7 +101,7 @@ def test_identical_keys_give_uniform_weights():
     w = _pass(rng, d)
     w.k.w.data[:] = 0.0          # every key identical -> flat logits
     x = Tensor(rng.standard_normal((1, n, d)), dtype=np.float64)
-    _, tr = multi_head_attention(x, w, 2, want_trace=True)
+    _, tr = multi_head_attention(x, w, 2, np.arange(n)[None], want_trace=True)
     assert np.allclose(tr, 1.0 / n, atol=1e-15)
 
 
@@ -108,7 +109,7 @@ def test_head_count_must_divide_dim():
     w = _pass(np.random.default_rng(0), 8)
     x = Tensor(np.zeros((1, 3, 8)))
     with pytest.raises(ValueError, match="divisible"):
-        multi_head_attention(Tensor(x.data.astype(np.float64)), w, 3)
+        multi_head_attention(Tensor(x.data.astype(np.float64)), w, 3, np.arange(3)[None])
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +194,80 @@ def test_divided_trace_rows_sum_to_one_with_cls():
     assert np.allclose(tr["spatial"].sum(axis=-1), 1.0, atol=1e-12)
     assert tr["temporal"].shape == (2, 4, 4, 4, 4)   # [B, S, heads, 1+F, 1+F]
     assert tr["spatial"].shape == (2, 3, 4, 5, 5)    # [B, F, heads, 1+S, 1+S]
+
+
+def divided_block_oracle(x, w, heads, grid, cls):
+    """Loop-level divided block on [B, M, D]: mha_oracle on each temporal
+    group, then on each spatial group, the CLS (when present) prepended to
+    every group and its output averaged over groups; then the MLP."""
+    f, hs, ws = grid
+    s = hs * ws
+    off = 1 if cls else 0
+
+    def ln(a, p):
+        mu = a.mean(axis=-1, keepdims=True)
+        var = ((a - mu) ** 2).mean(axis=-1, keepdims=True)
+        return (a - mu) / np.sqrt(var + 1e-5) * p.g.data + p.b.data
+
+    def attention_pass(x, pw, lnp, groups):
+        xn = ln(x, lnp)
+        upd = np.zeros_like(x)
+        for bi in range(x.shape[0]):
+            for ids in groups:
+                ids = [0] * off + [off + i for i in ids]
+                o = mha_oracle(xn[bi, ids][None], pw, heads)[0]
+                upd[bi, ids[off:]] = o[off:]
+                if cls:
+                    upd[bi, 0] += o[0] / len(groups)
+        return x + upd
+
+    temporal = [[t * s + p for t in range(f)] for p in range(s)]
+    spatial = [[t * s + p for p in range(s)] for t in range(f)]
+    x = attention_pass(x, w.temporal, w.ln1, temporal)
+    x = attention_pass(x, w.spatial, w.ln2, spatial)
+    h = ln(x, w.ln3) @ w.mlp0.w.data + w.mlp0.b.data
+    h = 0.5 * h * (1.0 + np.tanh(math.sqrt(2.0 / math.pi) * (h + 0.044715 * h ** 3)))
+    return x + h @ w.mlp1.w.data + w.mlp1.b.data
+
+
+@pytest.mark.parametrize("cls", [True, False])
+@pytest.mark.parametrize("ragged", [False, True])
+def test_divided_block_matches_loop_oracle(cls, ragged, monkeypatch):
+    rng = np.random.default_rng(14)
+    heads, grid, d = 2, (3, 2, 2), 8
+    if ragged:      # 3 query rows per block, so CLS-led groups (L = 4 and 5) split unevenly
+        monkeypatch.setattr(T, "_ATTN_BLOCK_BYTES", 3 * heads * 5 * 8)
+        assert len(T._attn_blocks(2 * 4, heads, 4, 8)) == 16
+        assert len(T._attn_blocks(2 * 3, heads, 5, 8)) == 12
+    w = BlockWeights(rng, "divided", d, dtype=np.float64)
+    tb = _tb(rng, 2, *grid, d, cls=cls)
+    out, _ = divided_block(tb, w, heads)
+    want = divided_block_oracle(tb.tokens.data, w, heads, grid, cls)
+    assert np.allclose(out.tokens.data, want, rtol=0, atol=1e-10)
+
+
+def test_pass_groups_layout():
+    assert pass_groups((2, 1, 3), False, "temporal").tolist() == [[0, 3], [1, 4], [2, 5]]
+    assert pass_groups((2, 1, 3), False, "spatial").tolist() == [[0, 1, 2], [3, 4, 5]]
+    assert pass_groups((2, 1, 3), True, "temporal").tolist() == [[0, 1, 4], [0, 2, 5], [0, 3, 6]]
+    assert pass_groups((2, 1, 3), True, "spatial").tolist() == [[0, 1, 2, 3], [0, 4, 5, 6]]
+    assert pass_groups((2, 1, 2), True, "joint").tolist() == [[0, 1, 2, 3, 4]]
+
+
+def test_divided_block_builds_one_joint_pass_more(monkeypatch):
+    """Each pass is the same 7 nodes (norm, q/k/v, attention, output,
+    residual), so no token-grid copies sit around the divided passes."""
+    built = []
+    make = T._make_node
+    monkeypatch.setattr(T, "_make_node", lambda *a: built.append(1) or make(*a))
+    rng = np.random.default_rng(15)
+    counts = {}
+    for variant, block in (("divided", divided_block), ("joint", joint_block)):
+        built.clear()
+        block(_tb(rng, 2, 2, 2, 2, 8, cls=variant == "divided"),
+              BlockWeights(rng, variant, 8, dtype=np.float64), 2)
+        counts[variant] = len(built)
+    assert counts["divided"] - counts["joint"] == 7, counts
 
 
 # ---------------------------------------------------------------------------

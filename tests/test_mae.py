@@ -7,6 +7,7 @@ import pytest
 
 from vslr import tensor as T
 from vslr.embedding import EmbeddingConfig, cube_pixels
+from vslr.errors import VslrError
 from vslr.mae import (MaeConfig, MaeModel, PretrainConfig, TubeMask,
                       load_encoder, mae_forward, make_tube_mask,
                       normalized_cube_targets, pretrain, reconstruction_loss)
@@ -289,6 +290,21 @@ def test_pretrain_runs_and_is_deterministic(tmp_path):
     assert curves[0] == curves[1]
     assert (tmp_path / "run0" / "loss.csv").exists()
     assert (tmp_path / "run0" / "mae_final.ckpt").exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_pretrain_stops_on_non_finite_gradient(tmp_path):
+    manifest = make_synthetic_dataset(tmp_path / "data", num_classes=2, per_class=3,
+                                      nominal_frames=6, size=16, seed=3)
+    pipe = PipelineConfig(frames=4, sampling="even", crop=16)
+    model = _desk_model(rng=derive_rng(5, "init"))
+    model.enc_blocks[0].mlp0.w.data *= np.float32(1e21)     # finite loss, overflowing grads
+    pcfg = PretrainConfig(ratio=0.75, steps=2, batch=2, lr=1e-3, seed=5)
+    with pytest.raises(VslrError, match="non-finite gradient of embed.proj.w at step 0") as e:
+        pretrain(model, manifest, tmp_path / "data" / "videos", pcfg, pipe,
+                 out_dir=tmp_path / "run")
+    assert e.value.cls == "divergence"
+    assert not (tmp_path / "run" / "mae_final.ckpt").exists()
 
 
 def test_load_encoder_copies_encoder():

@@ -323,9 +323,10 @@ def test_attention_matches_reference_composition(mode, monkeypatch):
     red = _weighted(rng, (g, n, d))
     leaves = [rng.standard_normal((g, n, d)) * 2 for _ in range(3)]
     results = []
-    for op in (T.attention, attention_reference):
+    for op in (lambda *qkv: T.attention(*qkv, heads, np.arange(n)[None]),
+               lambda *qkv: attention_reference(*qkv, heads)):
         qkv = [Tensor(a, requires_grad=True, dtype=np.float64) for a in leaves]
-        out = op(*qkv, heads)
+        out = op(*qkv)
         T.backward(red(out))
         results.append([out.data] + [t.grad for t in qkv])
     for got, want in zip(*results):
@@ -344,7 +345,7 @@ def test_attention_grad_check_blocked(mode, monkeypatch):
         def f(t, i=i):
             args = list(qkv)
             args[i] = t
-            return red(T.attention(*args, heads))
+            return red(T.attention(*args, heads, np.arange(n)[None]))
         assert T.grad_check(f, qkv[i]) < 1e-6
 
 
@@ -359,7 +360,7 @@ def test_attention_memory_is_bounded():
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        loss = T.sum_(T.attention(*qkv, heads))
+        loss = T.sum_(T.attention(*qkv, heads, np.arange(n)[None]))
         held = tracemalloc.get_traced_memory()[0] - base
         tracemalloc.reset_peak()
         T.backward(loss)
@@ -369,10 +370,70 @@ def test_attention_memory_is_bounded():
     assert held < full and peak < full, (held / 2 ** 20, peak / 2 ** 20)
 
 
+# over 8 tokens: token 0 sits in every group, 1, 2, 4, 6 and 7 in two, 3 and 5 in one
+OVERLAPPING = np.array([[0, 1, 2, 3, 4], [0, 5, 6, 7, 2], [0, 4, 6, 1, 7]])
+
+
+def grouped_attention_reference(q, k, v, heads, groups):
+    """T.take each group, attention_reference on [B*G, L, D], then each
+    token's mean over the group entries that hold it, as a T.matmul."""
+    b, m, d = q.data.shape
+    g, n = groups.shape
+    flat = groups.ravel()
+
+    def gather(t):
+        return T.reshape(T.take(t, flat, axis=1), (b * g, n, d))
+
+    ctx = T.reshape(attention_reference(gather(q), gather(k), gather(v), heads), (b, g * n, d))
+    member = (flat[None, :] == np.arange(m)[:, None]).astype(np.float64)
+    return T.matmul(Tensor(member / member.sum(axis=1, keepdims=True)), ctx)
+
+
+@pytest.mark.parametrize("mode", ["one block", "rows"])
+def test_attention_overlapping_groups_match_reference(mode, monkeypatch):
+    rng = np.random.default_rng(303)
+    b, m, d, heads = 2, 8, 6, 3
+    g, n = OVERLAPPING.shape
+    if mode == "rows":
+        _split_attention(monkeypatch, mode, b * g, heads, n)
+    red = _weighted(rng, (b, m, d))
+    leaves = [rng.standard_normal((b, m, d)) * 2 for _ in range(3)]
+    results = []
+    for op in (T.attention, grouped_attention_reference):
+        qkv = [Tensor(a, requires_grad=True, dtype=np.float64) for a in leaves]
+        out = op(*qkv, heads, OVERLAPPING)
+        T.backward(red(out))
+        results.append([out.data] + [t.grad for t in qkv])
+    for got, want in zip(*results):
+        assert np.allclose(got, want, rtol=0, atol=1e-10)
+
+
+def test_attention_overlapping_groups_grad_check():
+    rng = np.random.default_rng(304)
+    b, m, d, heads = 2, 8, 4, 2
+    qkv = [Tensor(rng.standard_normal((b, m, d)), requires_grad=True, dtype=np.float64)
+           for _ in range(3)]
+    red = _weighted(rng, (b, m, d))
+    for i in range(3):
+        def f(t, i=i):
+            args = list(qkv)
+            args[i] = t
+            return red(T.attention(*args, heads, OVERLAPPING))
+        assert T.grad_check(f, qkv[i]) < 1e-6
+
+
+def test_attention_rejects_bad_groups():
+    x = Tensor(np.zeros((1, 4, 8)))
+    with pytest.raises(ValueError, match="leave"):
+        T.attention(x, x, x, 2, np.array([[0, 1], [1, 2]]))
+    with pytest.raises(ValueError, match="lie in"):
+        T.attention(x, x, x, 2, np.array([[0, 1], [2, 4]]))
+
+
 def test_attention_rejects_mismatched_shapes():
     x = Tensor(np.zeros((1, 3, 8)))
     with pytest.raises(ValueError, match="share one"):
-        T.attention(x, x, Tensor(np.zeros((1, 4, 8))), 2)
+        T.attention(x, x, Tensor(np.zeros((1, 4, 8))), 2, np.arange(3)[None])
 
 
 # ---------------------------------------------------------------------------
@@ -392,6 +453,6 @@ def test_mac_counter_counts_multiply_adds():
     assert T.mac_count() == 0
     g, n, d, heads = 2, 5, 8, 4
     x = Tensor(np.ones((g, n, d)))
-    T.attention(x, x, x, heads)            # QK^T and AV: 2 * G * h * N^2 * dh
+    T.attention(x, x, x, heads, np.arange(n)[None])   # QK^T and AV: 2 * G * h * N^2 * dh
     assert T.mac_count("attn") == T.mac_count() == 2 * g * heads * n * n * (d // heads)
     T.reset_macs()

@@ -209,6 +209,15 @@ def test_evaluate_report_shape(dataset):
     assert parsed["num_instances"] == n_test
 
 
+def test_evaluate_leaves_trainable_flags_as_found(dataset):
+    manifest, videos = dataset
+    model = _tiny_model(num_classes=2)
+    freeze_layers(model, 1)
+    before = {n: p.requires_grad for n, p in model.named().items()}
+    evaluate(model, manifest, videos, PipelineConfig(frames=4, sampling="even", crop=16))
+    assert {n: p.requires_grad for n, p in model.named().items()} == before
+
+
 def test_evaluate_rejects_head_mismatch(dataset):
     manifest, videos = dataset
     model = _tiny_model(num_classes=5)
@@ -269,6 +278,26 @@ def test_finetune_divergence_guard(dataset):
     with pytest.raises(VslrError, match="diverged") as e:
         finetune(model, merged, videos, cfg, crop=16)
     assert e.value.cls == "divergence"
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_finetune_stops_on_non_finite_gradient(dataset, tmp_path):
+    """A huge MLP weight leaves the loss finite but overflows the backward
+    pass; the run stops before Adam writes NaN into the weights."""
+    manifest, videos = dataset
+    merged = merge_train_val(manifest)
+    cfg = ModelConfig(variant="joint", dim=16, depth=1, heads=2, image_size=16,
+                      patch=8, frames=4)
+    model = ClassifierModel(cfg, 2, np.random.default_rng(0))
+    model.blocks[0].mlp0.w.data *= np.float32(1e21)
+    before = {k: v.data.copy() for k, v in model.named().items()}
+    run = TrainConfig(batch=4, epochs=1, lr=1e-3, frames=4, layers="all", seed=0)
+    with pytest.raises(VslrError, match="non-finite gradient of embed.proj.w at step 0") as e:
+        finetune(model, merged, videos, run, crop=16, out_dir=tmp_path)
+    assert e.value.cls == "divergence"
+    assert not (tmp_path / "model.ckpt").exists()
+    for name, p in model.named().items():
+        assert np.array_equal(p.data, before[name]), name
 
 
 def test_train_config_validation():
