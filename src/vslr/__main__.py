@@ -20,6 +20,16 @@ def _peek_threads(argv) -> str | None:
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     explicit = _peek_threads(argv)
+    if explicit is not None:            # read as argparse reads it, then checked
+        try:
+            count = int(explicit)
+        except ValueError:
+            count = 0
+        if count < 1:
+            print(f"error[config]: --threads must be an integer >= 1, got {explicit!r}",
+                  file=sys.stderr)
+            return 2
+        explicit = str(count)
     for var in _THREAD_VARS:
         if explicit is not None:
             os.environ[var] = explicit

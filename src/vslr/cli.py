@@ -16,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -209,7 +210,7 @@ def cmd_pretrain(args) -> int:
     resolved = r.done()
     model = M.MaeModel(mcfg, V.derive_rng(seed, "init"), dtype)
     curve = M.pretrain(model, manifest, video_dir, pcfg, pipe, out_dir=out)
-    _write_echo(out, {"command": "pretrain", "seed": seed, "model": mcfg.to_dict(),
+    _write_echo(out, {"command": "pretrain", "seed": seed, "model": asdict(mcfg),
                       "pipeline": {"frames": pipe.frames, "sampling": pipe.sampling,
                                    "crop": pipe.crop},
                       "resolved": resolved})
@@ -243,7 +244,7 @@ def cmd_finetune(args) -> int:
     if init_from:
         M.load_encoder(model.named(), C.load_checkpoint(init_from))
     reports, _ = TR.finetune(model, merged, video_dir, tc, crop=mcfg.image_size, out_dir=out)
-    _write_echo(out, {"command": "finetune", "seed": seed, "model": mcfg.to_dict(),
+    _write_echo(out, {"command": "finetune", "seed": seed, "model": asdict(mcfg),
                       "num_classes": manifest.num_classes,
                       "pipeline": {"frames": tc.frames, "sampling": tc.sampling,
                                    "crop": mcfg.image_size},
@@ -308,7 +309,7 @@ def cmd_ablate(args) -> int:
     os.makedirs(out, exist_ok=True)
     csv_path = os.path.join(out, "ablation.csv")
     rows = TR.run_ablation(grid, manifest, video_dir, mcfg, mcfg.image_size, csv_path)
-    _write_echo(out, {"command": "ablate", "seed": seed, "model": mcfg.to_dict(),
+    _write_echo(out, {"command": "ablate", "seed": seed, "model": asdict(mcfg),
                       "rows": len(rows), "resolved": resolved})
     print(f"wrote {len(rows)} ablation rows to {csv_path}")
     return 0

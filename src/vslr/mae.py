@@ -7,10 +7,11 @@ decoder fills mask tokens back in at their original positions and
 reconstructs per-cube normalized pixels.  Loss is MSE over masked cubes
 only.
 
-Every clip in a batch has its own mask.  Masks at one ratio hide equal
-cell counts, so per-row gathers turn the batch into [B, visible] encoder
-input and [B, all] decoder input: one encoder pass and one decoder pass
-per step, whatever the batch size.
+A batch's masks are one boolean [B, h, w] array.  Masks at one ratio
+hide equal cell counts, so per-row gathers by the token ids built once
+per step turn the batch into [B, visible] encoder input and [B, all]
+decoder input: one encoder pass and one decoder pass per step, whatever
+the batch size.
 """
 
 from __future__ import annotations
@@ -33,51 +34,14 @@ from .video import (Manifest, PipelineConfig, derive_rng, load_instance_video,
                     prepare_clip, to_model_tensor)
 
 
-@dataclass
-class TubeMask:
-    """spatial[h, w] is True where the tube at that position is masked in
-    every temporal slice."""
-
-    spatial: np.ndarray
-    t_tokens: int
-    ratio: float
-
-    def __post_init__(self):
-        if self.spatial.dtype != np.bool_ or self.spatial.ndim != 2:
-            raise ValueError("tube mask needs a 2-D boolean spatial grid")
-
-    @property
-    def cells(self) -> int:
-        return self.spatial.size
-
-    @property
-    def masked_cells(self) -> int:
-        return int(self.spatial.sum())
-
-    @property
-    def visible_cells(self) -> int:
-        return self.cells - self.masked_cells
-
-    def _token_ids(self, spatial_ids: np.ndarray) -> np.ndarray:
-        s = self.cells
-        return (np.arange(self.t_tokens)[:, None] * s + spatial_ids[None, :]).ravel()
-
-    @property
-    def masked_token_ids(self) -> np.ndarray:
-        return self._token_ids(np.flatnonzero(self.spatial.ravel()))
-
-    @property
-    def visible_token_ids(self) -> np.ndarray:
-        return self._token_ids(np.flatnonzero(~self.spatial.ravel()))
-
-
-def make_tube_mask(grid: tuple, ratio: float, rng: np.random.Generator) -> TubeMask:
-    """Sample round(ratio * cells) masked spatial positions, half-up.
+def make_tube_mask(grid: tuple, ratio: float, rng: np.random.Generator) -> np.ndarray:
+    """Sample round(ratio * cells) masked spatial positions, half-up, as
+    the clip's boolean [h, w] grid, True where a tube is masked.
 
     Ratios that round to zero masked or zero visible cells are rejected;
     both degenerate ends make the objective meaningless.
     """
-    t, h, w = grid
+    _, h, w = grid
     if not (0.0 < ratio < 1.0):
         raise VslrError("config", f"masking ratio must be in (0, 1), got {ratio}")
     cells = h * w
@@ -89,7 +53,18 @@ def make_tube_mask(grid: tuple, ratio: float, rng: np.random.Generator) -> TubeM
     picked = rng.choice(cells, size=count, replace=False)
     spatial = np.zeros(cells, dtype=np.bool_)
     spatial[picked] = True
-    return TubeMask(spatial.reshape(h, w), t, ratio)
+    return spatial.reshape(h, w)
+
+
+def tube_token_ids(masks: np.ndarray, t_tokens: int) -> tuple:
+    """(visible, masked) token ids, ascending per row, of a boolean [B, h, w]
+    mask batch whose clips hide equal cell counts: a cell's tokens are the
+    same cell in each of the t_tokens time slices."""
+    b = masks.shape[0]
+    flat = masks.reshape(b, -1)
+    offsets = np.arange(t_tokens)[:, None] * flat.shape[1]
+    return tuple((offsets + np.nonzero(m)[1].reshape(b, 1, -1)).reshape(b, -1)
+                 for m in (~flat, flat))
 
 
 @dataclass
@@ -122,11 +97,6 @@ class MaeConfig:
     def embedding_config(self) -> EmbeddingConfig:
         return EmbeddingConfig("joint", self.dim, self.image_size, self.patch,
                                self.frames, self.tube_depth)
-
-    def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in (
-            "dim", "depth", "heads", "decoder_dim", "decoder_depth",
-            "decoder_heads", "image_size", "patch", "frames", "tube_depth")}
 
 
 class MaeModel:
@@ -165,52 +135,52 @@ class MaeModel:
         return list(self.named().values())
 
 
-def normalized_cube_targets(x: np.ndarray, cfg: EmbeddingConfig) -> np.ndarray:
-    """Per-cube normalized reconstruction targets: (pix - mean) / std with
-    variance floored by eps 1e-6."""
+def _flat_rows(ids: np.ndarray, n: int) -> np.ndarray:
+    """Row ids [B, K] into [B, N] as flat ids into [B * N]."""
+    return (ids + n * np.arange(len(ids))[:, None]).ravel()
+
+
+def normalized_cube_targets(x: np.ndarray, cfg: EmbeddingConfig, ids: np.ndarray) -> np.ndarray:
+    """Per-cube normalized targets [B, K, cube_dim] of the cubes ids [B, K]
+    names, and of no other: (pix - mean) / std, variance floored by 1e-6."""
     cubes = cube_pixels(Tensor(x, dtype=x.dtype), cfg).data
+    b, n, d = cubes.shape
+    cubes = cubes.reshape(b * n, d)[_flat_rows(ids, n)].reshape(b, -1, d)
     mean = cubes.mean(axis=-1, keepdims=True)
     var = cubes.var(axis=-1, keepdims=True)
     return (cubes - mean) / np.sqrt(var + x.dtype.type(1e-6))
 
 
-def reconstruction_loss(pred: Tensor, target_cubes: np.ndarray, masks: list) -> Tensor:
-    """MSE over masked cubes only.
-
-    pred holds the masked-token predictions [B, K, cube_dim], row b in the
-    order of masks[b].masked_token_ids; visible targets are never read.
-    """
-    ids = np.stack([mk.masked_token_ids for mk in masks])
-    if pred.data.shape[:2] != ids.shape:
+def reconstruction_loss(pred: Tensor, targets: np.ndarray) -> Tensor:
+    """MSE of the masked-token predictions [B, K, cube_dim] against the
+    targets of the same cubes."""
+    if pred.data.shape != targets.shape:
         raise ValueError(
-            f"prediction shape {pred.data.shape} does not cover {ids.shape} masked tokens")
-    tgt = np.take_along_axis(target_cubes, ids[:, :, None], axis=1)
-    diff = T.sub(pred, Tensor(tgt.astype(pred.data.dtype)))
+            f"prediction shape {pred.data.shape} does not match target shape {targets.shape}")
+    diff = T.sub(pred, Tensor(targets.astype(pred.data.dtype)))
     return T.mean(T.mul(diff, diff))
 
 
 def _gather_rows(x: Tensor, ids: np.ndarray) -> Tensor:
     """out[b, k] = x[b, ids[b, k]] for x [B, N, D] and ids [B, K]."""
     b, n, d = x.data.shape
-    flat = (ids + n * np.arange(b)[:, None]).ravel()
-    rows = T.take(T.reshape(x, (b * n, d)), flat, axis=0)
+    rows = T.take(T.reshape(x, (b * n, d)), _flat_rows(ids, n), axis=0)
     return T.reshape(rows, (b, ids.shape[1], d))
 
 
-def _encode_visible(model: MaeModel, tokens: Tensor, masks: list) -> Tensor:
-    vis = _gather_rows(tokens, np.stack([mk.visible_token_ids for mk in masks]))
+def _encode_visible(model: MaeModel, tokens: Tensor, vis_ids: np.ndarray) -> Tensor:
+    vis = _gather_rows(tokens, vis_ids)
     tb = TokenBatch(vis, (1, 1, vis.data.shape[1]), has_cls=False)
     out, _ = encoder_forward(tb, model.enc_blocks, model.cfg.heads, model.enc_norm)
     return out.tokens
 
 
-def _decode(model: MaeModel, encoded: Tensor, masks: list) -> Tensor:
+def _decode(model: MaeModel, encoded: Tensor, vis_ids: np.ndarray,
+            mask_ids: np.ndarray) -> Tensor:
     """Project visible tokens, splice in mask tokens at each row's masked
     positions (original token order), run the decoder, and predict the
     masked cubes [B, K, cube_dim]."""
     b = encoded.data.shape[0]
-    vis_ids = np.stack([mk.visible_token_ids for mk in masks])
-    mask_ids = np.stack([mk.masked_token_ids for mk in masks])
     proj = T.linear(encoded, model.dec_proj.w, model.dec_proj.b)
     mask_tok = T.repeat(T.repeat(model.mask_token, b, axis=0), mask_ids.shape[1], axis=1)
     seq = T.concat([proj, mask_tok], axis=1)             # visible first, then masked
@@ -221,28 +191,26 @@ def _decode(model: MaeModel, encoded: Tensor, masks: list) -> Tensor:
     return T.linear(_gather_rows(out.tokens, mask_ids), model.recon.w, model.recon.b)
 
 
-def mae_forward(x: Tensor, masks: list, model: MaeModel):
+def mae_forward(x: Tensor, masks: np.ndarray, model: MaeModel):
     """Returns (masked-token predictions [B, K, cube_dim], scalar loss).
 
-    masks holds one TubeMask per clip; all must hide the same number of
-    cells, so the whole batch runs through one encoder and one decoder
-    pass.  The loss is the MSE over every masked cube of the batch.
+    masks is one boolean [B, h, w] array, True where a clip's tube is
+    masked; every clip must hide the same number of cells.  The loss is
+    the MSE over every masked cube of the batch.
     """
     b = x.data.shape[0]
-    if len(masks) != b:
-        raise ValueError(f"{len(masks)} masks for batch of {b}")
     grid = model.embed.cfg.grid
-    for mk in masks:
-        if mk.t_tokens != grid[0] or mk.spatial.shape != grid[1:]:
-            raise ValueError(
-                f"mask grid ({mk.t_tokens}, {mk.spatial.shape}) does not match model grid {grid}")
-    counts = {mk.masked_cells for mk in masks}
+    if masks.dtype != np.bool_ or masks.shape != (b, *grid[1:]):
+        raise ValueError(f"masks {masks.dtype} {masks.shape} do not fit a batch of {b} "
+                         f"on model grid {grid}")
+    counts = np.unique(masks.reshape(b, -1).sum(axis=1))
     if len(counts) > 1:
-        raise ValueError(f"masks in one batch must hide equal cell counts, got {sorted(counts)}")
+        raise ValueError(f"masks in one batch must hide equal cell counts, got {counts.tolist()}")
+    vis_ids, mask_ids = tube_token_ids(masks, grid[0])
     tokens = model.embed.embed(x).tokens
-    targets = normalized_cube_targets(x.data, model.embed.cfg)
-    pred = _decode(model, _encode_visible(model, tokens, masks), masks)
-    return pred, reconstruction_loss(pred, targets, masks)
+    targets = normalized_cube_targets(x.data, model.embed.cfg, mask_ids)
+    pred = _decode(model, _encode_visible(model, tokens, vis_ids), vis_ids, mask_ids)
+    return pred, reconstruction_loss(pred, targets)
 
 
 @dataclass
@@ -292,7 +260,7 @@ def pretrain(model: MaeModel, manifest: Manifest, video_dir,
             clip = prepare_clip(video, pipe, train=True, rng=rng, label=inst.label)
             xs.append(to_model_tensor(clip, dtype))
             masks.append(make_tube_mask(grid, cfg.ratio, rng))
-        _, loss = mae_forward(Tensor(np.stack(xs)), masks, model)
+        _, loss = mae_forward(Tensor(np.stack(xs)), np.stack(masks), model)
         if not np.isfinite(loss.data):
             raise VslrError("divergence", f"pretraining diverged: non-finite loss at step {step}")
         T.backward(loss)

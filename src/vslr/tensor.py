@@ -588,7 +588,6 @@ def backward(loss: Tensor) -> None:
         raise ValueError(f"backward: loss must be a scalar, got shape {loss.data.shape}")
     order = _topo_order(loss)
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    nodes = {id(loss): loss}
     for node in reversed(order):
         g = grads.pop(id(node), None)
         if g is None:
@@ -602,7 +601,6 @@ def backward(loss: Tensor) -> None:
                     grads[key] = grads[key] + pg
                 else:
                     grads[key] = pg
-                    nodes[key] = parent
         elif node.requires_grad:
             node.grad = g.copy() if node.grad is None else node.grad + g
 

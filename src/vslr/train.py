@@ -115,12 +115,6 @@ class ModelConfig:
         return EmbeddingConfig(self.variant, self.dim, self.image_size,
                                self.patch, self.frames, td)
 
-    def to_dict(self) -> dict:
-        return {"variant": self.variant, "dim": self.dim, "depth": self.depth,
-                "heads": self.heads, "image_size": self.image_size,
-                "patch": self.patch, "frames": self.frames,
-                "tube_depth": self.tube_depth}
-
 
 class ClassifierModel:
     """Embedding, encoder stack, final norm, linear head.
@@ -384,8 +378,9 @@ ABLATION_COLUMNS = ["Batch", "Epochs", "Frames", "Init. LR", "Model",
 def run_ablation(grid: list, manifest: Manifest, video_dir,
                  model_cfg: ModelConfig, crop: int, out_csv=None,
                  num_classes: int | None = None) -> list:
-    """Run each TrainConfig row with its own derived seed; a failing row
-    becomes an error[...] entry instead of aborting the sweep."""
+    """Run each TrainConfig row with its own derived seed; a row that
+    raises VslrError becomes an error[<class>] entry instead of aborting
+    the sweep, and any other exception propagates."""
     merged = manifest if not manifest.by_split("val") else None
     if merged is None:
         from .video import merge_train_val
@@ -405,8 +400,6 @@ def run_ablation(grid: list, manifest: Manifest, video_dir,
             cell = f"{100.0 * best:.2f}"
         except VslrError as e:          # record and continue the sweep
             cell = f"error[{e.cls}]"
-        except Exception as e:
-            cell = f"error[{type(e).__name__}]"
         sampling_label = {"consecutive": "Consec.", "even": "Even"}[tc.sampling]
         layers_label = "All" if tc.layers == "all" else tc.layers
         rows.append([tc.batch, tc.epochs, tc.frames, f"{tc.lr:g}", tc.variant,

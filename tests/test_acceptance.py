@@ -17,7 +17,8 @@ from vslr import video as V
 from vslr.attention import (BlockWeights, PassWeights, divided_block,
                             joint_block, multi_head_attention)
 from vslr.embedding import EmbeddingConfig, TokenBatch
-from vslr.mae import MaeConfig, MaeModel, PretrainConfig, make_tube_mask, pretrain
+from vslr.mae import (MaeConfig, MaeModel, PretrainConfig, make_tube_mask, pretrain,
+                      tube_token_ids)
 from vslr.tensor import Tensor
 from vslr.train import (ABLATION_COLUMNS, Adam, ClassifierModel, ModelConfig,
                         TrainConfig, cross_entropy, evaluate, freeze_layers,
@@ -240,19 +241,20 @@ def test_tube_mask_suite():
             want = int(np.floor(ratio * cells + 0.5))
             if want < 1 or want >= cells:
                 continue
-            for _ in range(25):
-                mask = make_tube_mask(grid, ratio, rng)
-                assert mask.masked_cells == want
+            masks = np.stack([make_tube_mask(grid, ratio, rng) for _ in range(25)])
+            assert np.all(masks.sum(axis=(1, 2)) == want)
+            _, hidden = tube_token_ids(masks, grid[0])
+            for mask, ids in zip(masks, hidden):
                 tok = np.zeros(grid[0] * cells, dtype=bool)
-                tok[mask.masked_token_ids] = True
+                tok[ids] = True
                 by_t = tok.reshape(grid[0], cells)
-                assert np.all(by_t == by_t[0])      # tube property
+                assert np.all(by_t == mask.ravel())     # tube property
                 checked += 1
 
     ratio, draws = 0.75, 10_000
     freq = np.zeros((4, 4))
     for _ in range(draws):
-        freq += make_tube_mask((2, 4, 4), ratio, rng).spatial
+        freq += make_tube_mask((2, 4, 4), ratio, rng)
     freq /= draws
     dev = float(np.abs(freq - ratio).max())
     assert dev < 0.02

@@ -4,6 +4,7 @@ self-containment, and the one-line error[<class>] contract with exit 2."""
 
 import csv
 import json
+import os
 import pathlib
 import shutil
 import struct
@@ -11,6 +12,7 @@ import struct
 import numpy as np
 import pytest
 
+from vslr.__main__ import _THREAD_VARS, main
 from vslr.cli import dispatch
 from vslr.errors import ERROR_CLASSES, VslrError
 from vslr.train import ABLATION_COLUMNS
@@ -451,6 +453,28 @@ def test_error_classes_are_the_documented_set():
     readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
     for cls in ERROR_CLASSES:
         assert f"`error[{cls}]: " in readme, cls
+
+
+@pytest.mark.parametrize("flag", [["--threads", "-3"], ["--threads", "0"],
+                                  ["--threads=-1"], ["--threads", "two"], ["--threads", "1.5"]])
+def test_threads_below_one_rejected_before_env_is_written(monkeypatch, capsys, flag):
+    for var in _THREAD_VARS:
+        monkeypatch.setenv(var, "7")             # restored by monkeypatch afterwards
+    capsys.readouterr()
+    assert main(["validate-manifest", *flag, "--manifest", "m.json"]) == 2
+    value = flag[-1].split("=", 1)[-1]
+    assert capsys.readouterr().err.splitlines() == [
+        f"error[config]: --threads must be an integer >= 1, got {value!r}"]
+    assert all(os.environ[var] == "7" for var in _THREAD_VARS)
+
+
+def test_threads_pins_every_blas_variable(monkeypatch, tmp_path, capsys):
+    for var in _THREAD_VARS:
+        monkeypatch.setenv(var, "7")
+    assert main(["validate-manifest", "--threads", "02", "--manifest",
+                 str(tmp_path / "missing.json")]) == 2
+    assert capsys.readouterr().err.startswith("error[io]:")
+    assert all(os.environ[var] == "2" for var in _THREAD_VARS)
 
 
 def test_parser_exit_codes(capsys):

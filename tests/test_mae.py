@@ -2,18 +2,25 @@
 property, no-leakage and zero-visible-contribution checks, loss oracle,
 encoder cost at high masking, and pretraining determinism."""
 
+import csv
+
 import numpy as np
 import pytest
 
 from vslr import tensor as T
+from vslr.checkpoint import load_checkpoint
 from vslr.embedding import EmbeddingConfig, cube_pixels
 from vslr.errors import VslrError
-from vslr.mae import (MaeConfig, MaeModel, PretrainConfig, TubeMask,
-                      load_encoder, mae_forward, make_tube_mask,
-                      normalized_cube_targets, pretrain, reconstruction_loss)
+from vslr.mae import (MaeConfig, MaeModel, PretrainConfig, load_encoder,
+                      mae_forward, make_tube_mask, normalized_cube_targets,
+                      pretrain, reconstruction_loss, tube_token_ids)
 from vslr.tensor import Tensor
 from vslr.train import ClassifierModel, ModelConfig
 from vslr.video import PipelineConfig, derive_rng, make_synthetic_dataset
+
+
+def _masks(grid, ratio, rng, n):
+    return np.stack([make_tube_mask(grid, ratio, rng) for _ in range(n)])
 
 
 def _desk_model(rng=None, dtype=np.float32, **kw):
@@ -32,8 +39,8 @@ def test_mask_count_is_round_half_up():
     grid = (4, 4, 4)                      # 16 spatial cells
     for ratio, want in [(0.9, 14), (0.75, 12), (0.5, 8), (0.53125, 9), (0.1, 2)]:
         mask = make_tube_mask(grid, ratio, rng)
-        assert mask.masked_cells == want, ratio
-        assert mask.visible_cells == 16 - want
+        assert mask.dtype == np.bool_ and mask.shape == (4, 4)
+        assert mask.sum() == want, ratio
 
 
 def test_degenerate_ratios_rejected():
@@ -48,18 +55,21 @@ def test_degenerate_ratios_rejected():
 
 def test_masked_tokens_form_tubes():
     rng = np.random.default_rng(2)
-    for _ in range(50):
-        mask = make_tube_mask((4, 3, 5), 0.6, rng)
-        n = 4 * 15
-        token_mask = np.zeros(n, dtype=bool)
-        token_mask[mask.masked_token_ids] = True
-        by_time = token_mask.reshape(4, 15)
-        # the same spatial cells are hidden in every temporal slice
-        assert np.all(by_time == by_time[0])
-        assert by_time[0].sum() == mask.masked_cells
-        # visible + masked ids partition the token range
-        both = np.concatenate([mask.visible_token_ids, mask.masked_token_ids])
-        assert np.array_equal(np.sort(both), np.arange(n))
+    n = 4 * 15
+    for _ in range(10):
+        masks = _masks((4, 3, 5), 0.6, rng, 5)
+        vis, hidden = tube_token_ids(masks, 4)
+        assert vis.shape == (5, 4 * 6) and hidden.shape == (5, 4 * 9)
+        for b in range(5):
+            token_mask = np.zeros(n, dtype=bool)
+            token_mask[hidden[b]] = True
+            by_time = token_mask.reshape(4, 15)
+            # the row's own spatial cells are hidden in every temporal slice
+            assert np.all(by_time == masks[b].ravel())
+            # visible + masked ids partition the token range, each in order
+            assert np.all(np.diff(vis[b]) > 0) and np.all(np.diff(hidden[b]) > 0)
+            both = np.concatenate([vis[b], hidden[b]])
+            assert np.array_equal(np.sort(both), np.arange(n))
 
 
 def test_per_cell_mask_frequency_tracks_ratio():
@@ -67,7 +77,7 @@ def test_per_cell_mask_frequency_tracks_ratio():
     ratio, draws = 0.75, 1000
     freq = np.zeros((4, 4))
     for _ in range(draws):
-        freq += make_tube_mask((2, 4, 4), ratio, rng).spatial
+        freq += make_tube_mask((2, 4, 4), ratio, rng)
     freq /= draws
     assert np.all(np.abs(freq - ratio) < 0.05)
 
@@ -91,40 +101,52 @@ def test_normalized_targets_match_oracle():
     rng = np.random.default_rng(4)
     cfg = EmbeddingConfig("joint", 8, 8, 4, 4, tube_depth=2)
     x = rng.random((2, 4, 3, 8, 8))
-    got = normalized_cube_targets(x, cfg)
-    assert np.allclose(got, targets_oracle(x, cfg), atol=1e-10)
+    want = targets_oracle(x, cfg)
+    every = np.tile(np.arange(cfg.n_tokens), (2, 1))
+    assert np.allclose(normalized_cube_targets(x, cfg, every), want, atol=1e-10)
+    _, ids = tube_token_ids(_masks(cfg.grid, 0.5, rng, 2), cfg.grid[0])
+    got = normalized_cube_targets(x, cfg, ids)
+    assert np.allclose(got, np.take_along_axis(want, ids[:, :, None], axis=1), atol=1e-10)
 
 
 def test_reconstruction_loss_matches_loop_oracle():
     rng = np.random.default_rng(5)
     cfg = EmbeddingConfig("joint", 8, 8, 4, 4, tube_depth=2)
     x = rng.random((2, 4, 3, 8, 8))
-    masks = [make_tube_mask(cfg.grid, 0.5, rng) for _ in range(2)]
-    targets = normalized_cube_targets(x, cfg)
-    pred = rng.standard_normal((2, masks[0].masked_token_ids.size, cfg.cube_dim))
+    _, ids = tube_token_ids(_masks(cfg.grid, 0.5, rng, 2), cfg.grid[0])
+    every = targets_oracle(x, cfg)
+    pred = rng.standard_normal((2, ids.shape[1], cfg.cube_dim))
 
     total, count = 0.0, 0
     for b in range(2):
-        for j, tok in enumerate(masks[b].masked_token_ids):
-            diff = pred[b, j] - targets[b, tok]
+        for j, tok in enumerate(ids[b]):
+            diff = pred[b, j] - every[b, tok]
             total += float((diff * diff).sum())
             count += diff.size
     loss = reconstruction_loss(Tensor(pred, dtype=np.float64),
-                               targets.astype(np.float64), masks)
+                               normalized_cube_targets(x, cfg, ids))
     assert np.isclose(float(loss.data), total / count, atol=1e-12)
+    with pytest.raises(ValueError, match="does not match target shape"):
+        reconstruction_loss(Tensor(pred[:, 1:]), normalized_cube_targets(x, cfg, ids))
 
 
 def test_visible_tokens_contribute_zero_loss():
+    # targets are built for masked cubes only, so no visible pixel reaches them
     rng = np.random.default_rng(6)
     cfg = EmbeddingConfig("joint", 8, 8, 4, 4, tube_depth=2)
     x = rng.random((1, 4, 3, 8, 8))
-    mask = make_tube_mask(cfg.grid, 0.5, rng)
-    targets = normalized_cube_targets(x, cfg)
-    pred = Tensor(rng.standard_normal((1, mask.masked_token_ids.size, cfg.cube_dim)))
-    base = reconstruction_loss(pred, targets, [mask])
-    targets[:, mask.visible_token_ids] += 100.0
-    bumped = reconstruction_loss(pred, targets, [mask])
-    assert float(base.data) == float(bumped.data)
+    mask = _masks(cfg.grid, 0.5, rng, 1)
+    _, ids = tube_token_ids(mask, cfg.grid[0])
+    targets = normalized_cube_targets(x, cfg, ids)
+    pred = Tensor(rng.standard_normal((1, ids.shape[1], cfg.cube_dim)))
+    base = reconstruction_loss(pred, targets)
+    x2 = x.copy()
+    p = cfg.patch
+    for my, mx in np.argwhere(~mask[0]):
+        x2[:, :, :, my * p:(my + 1) * p, mx * p:(mx + 1) * p] += rng.random((1, 4, 3, p, p))
+    bumped_targets = normalized_cube_targets(x2, cfg, ids)
+    assert np.array_equal(targets, bumped_targets)
+    assert float(base.data) == float(reconstruction_loss(pred, bumped_targets).data)
 
 
 # ---------------------------------------------------------------------------
@@ -136,21 +158,22 @@ def test_forward_shapes_and_leakage():
     model = _desk_model()
     grid = model.embed.cfg.grid
     mask = make_tube_mask(grid, 0.75, rng)
+    masks = np.stack([mask, mask])
     x = rng.random((2, 4, 3, 16, 16)).astype(np.float32)
-    pred, loss = mae_forward(Tensor(x), [mask, mask], model)
+    pred, loss = mae_forward(Tensor(x), masks, model)
     cube_dim = model.embed.cfg.cube_dim
-    assert pred.shape == (2, mask.masked_token_ids.size, cube_dim)
+    assert pred.shape == (2, grid[0] * mask.sum(), cube_dim)
     assert loss.data.shape == ()
 
     # perturbing pixels inside masked tubes cannot reach the encoder, so
     # predictions are bit-identical; only the targets (and loss) move.
     # The noise must not be constant per cube or normalization removes it.
     x2 = x.copy()
-    my, mx = np.argwhere(mask.spatial)[0]
+    my, mx = np.argwhere(mask)[0]
     p = model.embed.cfg.patch
     block = x2[:, :, :, my * p:(my + 1) * p, mx * p:(mx + 1) * p]
     block += rng.random(block.shape, dtype=np.float32)
-    pred2, loss2 = mae_forward(Tensor(x2), [mask, mask], model)
+    pred2, loss2 = mae_forward(Tensor(x2), masks, model)
     assert np.array_equal(pred.data, pred2.data)
     assert float(loss.data) != float(loss2.data)
 
@@ -158,22 +181,25 @@ def test_forward_shapes_and_leakage():
 def test_mask_grid_must_match_model():
     model = _desk_model()
     rng = np.random.default_rng(8)
-    wrong = make_tube_mask((2, 3, 3), 0.5, rng)
-    with pytest.raises(ValueError, match="does not match model grid"):
-        mae_forward(Tensor(np.zeros((1, 4, 3, 16, 16), dtype=np.float32)), [wrong], model)
+    x = Tensor(np.zeros((1, 4, 3, 16, 16), dtype=np.float32))
+    with pytest.raises(ValueError, match=r"\(1, 3, 3\) do not fit a batch of 1 on model grid"):
+        mae_forward(x, _masks((2, 3, 3), 0.5, rng, 1), model)
+    good = _masks(model.embed.cfg.grid, 0.5, rng, 1)
+    with pytest.raises(ValueError, match="masks uint8"):
+        mae_forward(x, good.astype(np.uint8), model)
 
 
 def test_batched_forward_matches_per_clip_loop():
     rng = np.random.default_rng(9)
     model = _desk_model()
     grid = model.embed.cfg.grid
-    masks = [make_tube_mask(grid, 0.75, rng) for _ in range(3)]
-    assert len({mk.spatial.tobytes() for mk in masks}) == 3
+    masks = _masks(grid, 0.75, rng, 3)
+    assert len({mk.tobytes() for mk in masks}) == 3
     x = rng.random((3, 4, 3, 16, 16)).astype(np.float32)
     pred, loss = mae_forward(Tensor(x), masks, model)
     losses = []
-    for b, mk in enumerate(masks):
-        row_pred, row_loss = mae_forward(Tensor(x[b:b + 1]), [mk], model)
+    for b in range(3):
+        row_pred, row_loss = mae_forward(Tensor(x[b:b + 1]), masks[b:b + 1], model)
         assert np.allclose(pred.data[b], row_pred.data[0], atol=1e-5)
         losses.append(float(row_loss.data))
     assert np.isclose(float(loss.data), np.mean(losses), atol=1e-6)
@@ -186,10 +212,12 @@ def test_decoder_places_mask_tokens_at_masked_positions():
     cfg = MaeConfig(dim=16, depth=2, heads=2, decoder_dim=8, decoder_depth=0,
                     decoder_heads=2, image_size=16, patch=4, frames=4, tube_depth=2)
     model = MaeModel(cfg, rng, np.float64)
-    masks = [make_tube_mask(model.embed.cfg.grid, 0.75, rng) for _ in range(2)]
+    grid = model.embed.cfg.grid
+    masks = _masks(grid, 0.75, rng, 2)
     pred, _ = mae_forward(Tensor(rng.random((2, 4, 3, 16, 16))), masks, model)
-    for b, mk in enumerate(masks):
-        dec_in = Tensor(model.mask_token.data[0] + model.dec_pos.data[mk.masked_token_ids])
+    _, ids = tube_token_ids(masks, grid[0])
+    for b in range(2):
+        dec_in = Tensor(model.mask_token.data[0] + model.dec_pos.data[ids[b]])
         normed = T.layer_norm(dec_in, model.dec_norm.g, model.dec_norm.b)
         want = T.linear(normed, model.recon.w, model.recon.b)
         assert np.allclose(pred.data[b], want.data, rtol=0, atol=1e-12)
@@ -201,10 +229,10 @@ def test_mask_list_must_fit_batch():
     grid = model.embed.cfg.grid
     x = Tensor(rng.random((2, 4, 3, 16, 16)).astype(np.float32))
     mask = make_tube_mask(grid, 0.75, rng)
-    with pytest.raises(ValueError, match="1 masks for batch of 2"):
-        mae_forward(x, [mask], model)
-    with pytest.raises(ValueError, match="equal cell counts"):
-        mae_forward(x, [mask, make_tube_mask(grid, 0.5, rng)], model)
+    with pytest.raises(ValueError, match=r"\(1, 4, 4\) do not fit a batch of 2"):
+        mae_forward(x, mask[None], model)
+    with pytest.raises(ValueError, match=r"equal cell counts, got \[8, 12\]"):
+        mae_forward(x, np.stack([mask, make_tube_mask(grid, 0.5, rng)]), model)
 
 
 def test_config_asymmetry_enforced():
@@ -217,9 +245,9 @@ def test_config_asymmetry_enforced():
 def test_mae_gradients_reach_all_parts():
     rng = np.random.default_rng(10)
     model = _desk_model(dtype=np.float64)
-    mask = make_tube_mask(model.embed.cfg.grid, 0.75, rng)
+    masks = _masks(model.embed.cfg.grid, 0.75, rng, 1)
     x = Tensor(rng.random((1, 4, 3, 16, 16)))
-    _, loss = mae_forward(Tensor(x.data.astype(np.float64)), [mask], model)
+    _, loss = mae_forward(Tensor(x.data.astype(np.float64)), masks, model)
     T.backward(loss)
     for name in ("embed.proj.w", "enc.0.joint.q.w", "dec.mask", "dec.pos",
                  "dec.0.joint.q.w", "recon.w"):
@@ -231,7 +259,7 @@ def test_mae_gradcheck_mask_token_and_head():
     # backward is checked at a nonzero row offset too
     rng = np.random.default_rng(11)
     model = _desk_model(dtype=np.float64)
-    masks = [make_tube_mask(model.embed.cfg.grid, 0.75, rng) for _ in range(2)]
+    masks = _masks(model.embed.cfg.grid, 0.75, rng, 2)
     x = Tensor(rng.random((2, 4, 3, 16, 16)))
 
     def loss_fn(_):
@@ -249,8 +277,9 @@ def test_encoder_cost_shrinks_quadratically_at_high_ratio():
     cfg = MaeConfig(dim=8, depth=2, heads=2, decoder_dim=4, decoder_depth=1,
                     decoder_heads=1, image_size=14, patch=1, frames=2, tube_depth=2)
     model = MaeModel(cfg, rng)
-    mask = make_tube_mask(cfg.embedding_config().grid, 0.9, rng)
-    assert mask.visible_cells == 20
+    grid = cfg.embedding_config().grid
+    mask = _masks(grid, 0.9, rng, 1)
+    assert (~mask).sum() == 20
     x = Tensor(rng.random((1, 2, 3, 14, 14)).astype(np.float32))
     tokens = model.embed.embed(x).tokens
 
@@ -259,10 +288,10 @@ def test_encoder_cost_shrinks_quadratically_at_high_ratio():
     from vslr.embedding import TokenBatch
 
     T.reset_macs()
-    _encode_visible(model, tokens, [mask])
+    _encode_visible(model, tokens, tube_token_ids(mask, grid[0])[0])
     vis_macs = T.mac_count("attn")
     T.reset_macs()
-    encoder_forward(TokenBatch(tokens, cfg.embedding_config().grid, False),
+    encoder_forward(TokenBatch(tokens, grid, False),
                     model.enc_blocks, cfg.heads, model.enc_norm)
     full_macs = T.mac_count("attn")
     assert vis_macs * 196 ** 2 == full_macs * 20 ** 2
@@ -290,6 +319,32 @@ def test_pretrain_runs_and_is_deterministic(tmp_path):
     assert curves[0] == curves[1]
     assert (tmp_path / "run0" / "loss.csv").exists()
     assert (tmp_path / "run0" / "mae_final.ckpt").exists()
+
+
+def test_pretrain_checkpoint_interval(tmp_path):
+    manifest = make_synthetic_dataset(tmp_path / "data", num_classes=2, per_class=3,
+                                      nominal_frames=6, size=16, seed=3)
+    pipe = PipelineConfig(frames=4, sampling="even", crop=16)
+    model = _desk_model(rng=derive_rng(5, "init"))
+    pcfg = PretrainConfig(ratio=0.75, steps=5, batch=2, lr=1e-3, seed=5, checkpoint_interval=2)
+    out = tmp_path / "run"
+    pretrain(model, manifest, tmp_path / "data" / "videos", pcfg, pipe, out_dir=out)
+    assert sorted(p.name for p in out.glob("*.ckpt")) == [
+        "mae_00002.ckpt", "mae_00004.ckpt", "mae_final.ckpt"]
+    with open(out / "loss.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["step", "loss"] and [r[0] for r in rows[1:]] == ["0", "1", "2", "3", "4"]
+
+    step4, final = load_checkpoint(out / "mae_00004.ckpt"), load_checkpoint(out / "mae_final.ckpt")
+    assert list(step4) == list(final) == list(model.named())
+    assert all(np.array_equal(final[n], t.data) for n, t in model.named().items())
+    assert not np.array_equal(step4["embed.proj.w"], final["embed.proj.w"])
+
+    clf = ClassifierModel(ModelConfig("joint", 16, 2, 2, 16, 4, 4, 2), 3,
+                          np.random.default_rng(13))
+    load_encoder(clf.named(), step4)
+    assert np.array_equal(clf.named()["embed.proj.w"].data, step4["embed.proj.w"])
+    assert np.array_equal(clf.named()["enc.1.joint.v.w"].data, step4["enc.1.joint.v.w"])
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")

@@ -337,3 +337,22 @@ def test_ablation_csv_structure_and_error_rows(dataset, tmp_path):
     for row in parsed[1:3]:
         assert 0.0 <= float(row[7]) <= 100.0
     assert parsed[1][3] == "0.001" and parsed[2][3] == "0.0001"
+
+
+def test_ablation_lets_a_non_vslr_error_propagate(dataset, tmp_path, monkeypatch):
+    # only a VslrError becomes an error[<class>] cell; a bug keeps its traceback
+    import vslr.train as train_module
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("bug inside a row")
+
+    monkeypatch.setattr(train_module, "finetune", broken)
+    manifest, videos = dataset
+    mcfg = ModelConfig(variant="divided", dim=16, depth=2, heads=2,
+                       image_size=16, patch=8, frames=4, tube_depth=2)
+    grid = [TrainConfig(batch=4, epochs=1, lr=1e-3, frames=4, sampling="even",
+                        layers="all", seed=1, variant="divided")]
+    with pytest.raises(RuntimeError, match="bug inside a row"):
+        run_ablation(grid, manifest, videos, mcfg, crop=16,
+                     out_csv=tmp_path / "ablation.csv", num_classes=2)
+    assert not (tmp_path / "ablation.csv").exists()
