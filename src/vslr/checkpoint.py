@@ -20,7 +20,7 @@ import struct
 
 import numpy as np
 
-from .errors import VslrError
+from .errors import VslrError, first_non_finite
 from .tensor import Tensor
 
 MAGIC = b"VSLR"
@@ -68,7 +68,7 @@ def load_checkpoint(path) -> dict:
 
     Every read is bounds-checked, so a cut or corrupt file raises
     VslrError ("checkpoint: truncated ...") rather than a struct or numpy
-    error.
+    error, and an entry holding a NaN or an infinity is refused by name.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -111,6 +111,9 @@ def load_checkpoint(path) -> dict:
             raise _checkpoint_error(f"shape {shape} of {name!r} is not a valid array shape") from None
     if off != len(blob):
         raise _checkpoint_error(f"{len(blob) - off} trailing bytes in {path}")
+    bad = first_non_finite(out)
+    if bad is not None:
+        raise _checkpoint_error(f"entry {bad!r} holds a NaN or an infinity in {path}")
     return out
 
 

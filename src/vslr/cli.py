@@ -16,7 +16,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -334,16 +334,14 @@ def cmd_attn_map(args) -> int:
     inst = next((i for i in manifest.instances if i.video_id == video_id), None)
     if inst is None:
         raise VslrError("config", f"video {video_id!r} not in manifest")
-    video = V.load_instance_video(video_dir, inst)
     if start is not None:
-        if start < 1 or start - 1 + pipe.frames > len(video.frames):
-            raise VslrError("config",
-                            f"--start-frame {start} with {pipe.frames} frames exceeds "
-                            f"{len(video.frames)} available")
-        video.frames = video.frames[start - 1:start - 1 + pipe.frames]
-    clip = V.prepare_clip(video, pipe, train=False,
-                          rng=V.derive_rng(seed, "attn", video_id), label=inst.label)
-    x = Tensor(V.to_model_tensor(clip, dtype)[None])
+        if start < 1 or start - 1 + pipe.frames > inst.frame_count:
+            raise VslrError("config", f"--start-frame {start} with {pipe.frames} frames "
+                                      f"exceeds {inst.frame_count} available")
+        first = inst.frame_start + start - 1
+        inst = replace(inst, frame_start=first, frame_end=first + pipe.frames - 1)
+    x = Tensor(TR.load_batch(video_dir, [inst], [V.derive_rng(seed, "attn", video_id)],
+                             pipe, False, dtype))
     logits, trace = model.forward(x, want_trace=True)
     heat = attention_rollout(trace)
     paths = export_heatmap(heat, out)

@@ -136,16 +136,6 @@ def cube_pixels(x: Tensor, cfg: EmbeddingConfig) -> Tensor:
     return T.reshape(t2, (b, t * hs * ws, cfg.cube_dim))
 
 
-def uncube_pixels(cubes: np.ndarray, cfg: EmbeddingConfig) -> np.ndarray:
-    """Inverse of cube_pixels on raw arrays: [B, N, cube_dim] -> [B, F, 3, H, W]."""
-    b = cubes.shape[0]
-    td, p = cfg.tube_depth, cfg.patch
-    t, hs, ws = cfg.grid
-    a = cubes.reshape(b, t, hs, ws, 3, td, p, p)
-    a = np.transpose(a, (0, 1, 5, 4, 2, 6, 3, 7))        # [B, T, td, c, Hs, ph, Ws, pw]
-    return a.reshape(b, t * td, 3, hs * p, ws * p)
-
-
 def cube_embed_3d(x: Tensor, emb: Embedding) -> TokenBatch:
     """Tube cubes (td x p x p) projected to D."""
     cfg = emb.cfg

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numbers
 
+import numpy as np
+
 ERROR_CLASSES = ("config", "manifest", "video", "checkpoint", "io",
                  "conflict", "divergence", "head/class mismatch")
 
@@ -30,3 +32,15 @@ def at_least(low: int, **values) -> None:
     for name, v in values.items():
         if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < low:
             raise VslrError("config", f"{name} must be an integer >= {low}, got {v!r}")
+
+
+def first_non_finite(arrays: dict):
+    """Name of the first array, in order, holding a NaN or an infinity, or
+    None.  One float64 sum per array finds both; no finite float32 array can
+    overflow it, so only a float64 array whose sum overflows is also checked
+    element by element."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        for name, a in arrays.items():
+            if not np.isfinite(a.sum(dtype=np.float64)) and not np.isfinite(a).all():
+                return name
+    return None

@@ -28,8 +28,8 @@ from .checkpoint import load_into, save_checkpoint
 from .embedding import Embedding, EmbeddingConfig, TokenBatch, cube_pixels
 from .errors import VslrError, at_least
 from .nn import LayerNormParams, LinearParams, trunc_normal
-from .tensor import Tensor, zero_grads
-from .train import Adam, check_finite_grads
+from .tensor import Tensor
+from .train import Adam, train_step
 from .video import (Manifest, PipelineConfig, derive_rng, load_instance_video,
                     prepare_clip, to_model_tensor)
 
@@ -243,8 +243,7 @@ def pretrain(model: MaeModel, manifest: Manifest, video_dir,
     grid = model.embed.cfg.grid
     dtype = model.recon.w.data.dtype
     named = model.named()
-    params = list(named.values())
-    opt = Adam(params, cfg.lr)
+    opt = Adam(list(named.values()), cfg.lr)
     curve: list[tuple] = []
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
@@ -260,14 +259,9 @@ def pretrain(model: MaeModel, manifest: Manifest, video_dir,
             clip = prepare_clip(video, pipe, train=True, rng=rng, label=inst.label)
             xs.append(to_model_tensor(clip, dtype))
             masks.append(make_tube_mask(grid, cfg.ratio, rng))
-        _, loss = mae_forward(Tensor(np.stack(xs)), np.stack(masks), model)
-        if not np.isfinite(loss.data):
-            raise VslrError("divergence", f"pretraining diverged: non-finite loss at step {step}")
-        T.backward(loss)
-        check_finite_grads(named, step, "pretraining")
-        opt.step()
-        zero_grads(params)
-        curve.append((step, float(loss.data)))
+        loss = train_step(lambda: mae_forward(Tensor(np.stack(xs)), np.stack(masks), model)[1],
+                          named, opt, step, "pretraining")
+        curve.append((step, loss))
         if out_dir is not None and cfg.checkpoint_interval and \
                 (step + 1) % cfg.checkpoint_interval == 0:
             save_checkpoint(os.path.join(out_dir, f"mae_{step + 1:05d}.ckpt"), model.named())

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import time
 from dataclasses import dataclass, field, replace
 
@@ -14,11 +15,11 @@ from . import tensor as T
 from .attention import BlockWeights, encoder_forward
 from .checkpoint import load_into, save_checkpoint
 from .embedding import Embedding, EmbeddingConfig
-from .errors import VslrError, at_least
+from .errors import VslrError, at_least, first_non_finite
 from .nn import LayerNormParams, LinearParams
 from .tensor import Tensor, zero_grads
 from .video import (SPLITS, Manifest, PipelineConfig, derive_rng, derive_seed,
-                    load_instance_video, prepare_clip, to_model_tensor)
+                    load_instance_video, merge_train_val, prepare_clip, to_model_tensor)
 
 
 def cross_entropy(logits: Tensor, labels) -> Tensor:
@@ -81,14 +82,40 @@ class Adam:
         zero_grads(self.params)
 
 
-def check_finite_grads(named: dict, step: int, run: str) -> None:
-    """Stop a run at the first parameter, in ``named`` order, whose gradient
-    holds a NaN or an infinity.  One float64 sum per parameter finds both,
-    and no finite float32 gradient can overflow it."""
-    for name, p in named.items():
-        if p.grad is not None and not np.isfinite(p.grad.sum(dtype=np.float64)):
-            raise VslrError("divergence",
-                            f"{run} diverged: non-finite gradient of {name} at step {step}")
+def train_step(loss_fn, named: dict, opt: Adam, step: int, run: str) -> float:
+    """One Adam step on the loss ``loss_fn()`` builds; returns that loss.
+
+    Stops the run with error[divergence] at a non-finite loss, or at the
+    first parameter in ``named`` order whose gradient before the step or
+    weight after it is non-finite.  Those checks catch every non-finite
+    value numpy can make here, so its warnings are silenced."""
+    def check(what: str, arrays: dict) -> None:
+        bad = first_non_finite(arrays)
+        if bad is not None:
+            raise VslrError("divergence", f"{run} diverged: non-finite {what}{bad} at step {step}")
+
+    with np.errstate(all="ignore"):
+        loss = loss_fn()
+        check("", {"loss": loss.data})
+        T.backward(loss)
+        stepped = {n: p for n, p in named.items() if p.grad is not None}
+        check("gradient of ", {n: p.grad for n, p in stepped.items()})
+        opt.step()
+        check("weight of ", {n: p.data for n, p in stepped.items()})
+        opt.zero_grad()
+    return float(loss.data)
+
+
+def load_batch(video_dir, insts: list, rngs: list, pipe: PipelineConfig,
+               train: bool, dtype) -> np.ndarray:
+    """Each instance's clip, prepared with its own rng, written into one
+    fresh [B, frames, 3, crop, crop] array."""
+    out = np.empty((len(insts), pipe.frames, 3, pipe.crop, pipe.crop), dtype=dtype)
+    for i, (inst, rng) in enumerate(zip(insts, rngs)):
+        video = load_instance_video(video_dir, inst)
+        clip = prepare_clip(video, pipe, train=train, rng=rng, label=inst.label)
+        out[i] = to_model_tensor(clip, dtype)
+    return out
 
 
 @dataclass
@@ -220,7 +247,6 @@ class EvalReport:
 
 def _batched_logits(model: ClassifierModel, insts: list, video_dir,
                     pipe: PipelineConfig, seed: int, chunk: int = 8) -> np.ndarray:
-    dtype = model.head.w.data.dtype
     # forward only: while no parameter asks for a gradient, no op keeps its
     # inputs for a backward pass, so a batch never holds its whole graph
     live = [p for p in model.params() if p.requires_grad]
@@ -229,13 +255,10 @@ def _batched_logits(model: ClassifierModel, insts: list, video_dir,
     rows = []
     try:
         for lo in range(0, len(insts), chunk):
-            xs = []
-            for inst in insts[lo:lo + chunk]:
-                rng = derive_rng(seed, "eval", inst.video_id)
-                video = load_instance_video(video_dir, inst)
-                clip = prepare_clip(video, pipe, train=False, rng=rng, label=inst.label)
-                xs.append(to_model_tensor(clip, dtype))
-            rows.append(model.forward(Tensor(np.stack(xs))).data)
+            part = insts[lo:lo + chunk]
+            rngs = [derive_rng(seed, "eval", inst.video_id) for inst in part]
+            x = load_batch(video_dir, part, rngs, pipe, False, model.head.w.data.dtype)
+            rows.append(model.forward(Tensor(x)).data)
     finally:
         for p in live:
             p.requires_grad = True
@@ -315,6 +338,8 @@ def finetune(model: ClassifierModel, manifest: Manifest, video_dir,
     insts = manifest.by_split("train")
     if not insts:
         raise VslrError("manifest", "no train instances in manifest")
+    if not manifest.by_split("test"):
+        raise VslrError("manifest", "no instances in split 'test'")
     pipe = PipelineConfig(cfg.frames, cfg.sampling, crop)
     dtype = model.head.w.data.dtype
     reports: list[EvalReport] = []
@@ -333,24 +358,13 @@ def finetune(model: ClassifierModel, manifest: Manifest, video_dir,
         perm = derive_rng(cfg.seed, "shuffle", epoch).permutation(len(insts))
         for lo in range(0, len(perm), cfg.batch):
             t0 = time.perf_counter()
-            xs, ys = [], []
-            for j in perm[lo:lo + cfg.batch]:
-                inst = insts[int(j)]
-                rng = derive_rng(cfg.seed, inst.video_id, epoch)
-                video = load_instance_video(video_dir, inst)
-                clip = prepare_clip(video, pipe, train=True, rng=rng, label=inst.label)
-                xs.append(to_model_tensor(clip, dtype))
-                ys.append(inst.label)
-            logits = model.forward(Tensor(np.stack(xs)))
-            loss = cross_entropy(logits, np.array(ys))
-            if not np.isfinite(loss.data):
-                raise VslrError("divergence", f"training diverged: non-finite loss at step {step}")
-            T.backward(loss)
-            check_finite_grads(named, step, "training")
-            opt.step()
-            opt.zero_grad()
-            log.append((step, float(loss.data), cfg.lr,
-                        (time.perf_counter() - t0) * 1000.0))
+            batch = [insts[int(j)] for j in perm[lo:lo + cfg.batch]]
+            rngs = [derive_rng(cfg.seed, inst.video_id, epoch) for inst in batch]
+            x = load_batch(video_dir, batch, rngs, pipe, True, dtype)
+            y = np.array([inst.label for inst in batch])
+            loss = train_step(lambda: cross_entropy(model.forward(Tensor(x)), y),
+                              named, opt, step, "training")
+            log.append((step, loss, cfg.lr, (time.perf_counter() - t0) * 1000.0))
             step += 1
         report = evaluate(model, manifest, video_dir, pipe, cfg.seed)
         reports.append(report)
@@ -360,8 +374,6 @@ def finetune(model: ClassifierModel, manifest: Manifest, video_dir,
     if best_params is not None:
         load_into(model.named(), best_params)
     if out_dir is not None:
-        import os
-
         os.makedirs(out_dir, exist_ok=True)
         save_checkpoint(os.path.join(out_dir, "model.ckpt"), model.named())
         with open(os.path.join(out_dir, "train_log.csv"), "w", newline="") as fh:
@@ -381,11 +393,7 @@ def run_ablation(grid: list, manifest: Manifest, video_dir,
     """Run each TrainConfig row with its own derived seed; a row that
     raises VslrError becomes an error[<class>] entry instead of aborting
     the sweep, and any other exception propagates."""
-    merged = manifest if not manifest.by_split("val") else None
-    if merged is None:
-        from .video import merge_train_val
-
-        merged = merge_train_val(manifest)
+    merged = merge_train_val(manifest)
     classes = num_classes or manifest.num_classes
     rows = []
     for idx, tc in enumerate(grid):

@@ -107,6 +107,25 @@ def test_load_into_checks_names_and_shapes(tmp_path):
         load_into(model, load_checkpoint(tmp_path / "extra.ckpt"))
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_entry_refused_by_name(tmp_path, dtype, bad):
+    params = {"a": np.ones(3, dtype=dtype), "b": np.ones((2, 2), dtype=dtype),
+              "c": np.full(1, bad, dtype=dtype)}
+    params["b"][1, 0] = bad
+    save_checkpoint(tmp_path / "bad.ckpt", params)
+    with pytest.raises(VslrError, match="checkpoint: entry 'b' holds a NaN or an infinity") as e:
+        load_checkpoint(tmp_path / "bad.ckpt")
+    assert e.value.cls == "checkpoint"
+
+
+def test_finite_entry_whose_sum_overflows_loads(tmp_path):
+    big = np.full(4, np.finfo(np.float64).max)
+    save_checkpoint(tmp_path / "big.ckpt", {"w": big, "v": -big})
+    back = load_checkpoint(tmp_path / "big.ckpt")
+    assert np.array_equal(back["w"], big) and np.array_equal(back["v"], -big)
+
+
 @pytest.fixture(scope="module")
 def real_checkpoint(tmp_path_factory):
     path = tmp_path_factory.mktemp("ckpt") / "real.ckpt"

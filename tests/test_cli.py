@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from vslr.__main__ import _THREAD_VARS, main
+from vslr.checkpoint import load_checkpoint, save_checkpoint
 from vslr.cli import dispatch
 from vslr.errors import ERROR_CLASSES, VslrError
 from vslr.train import ABLATION_COLUMNS
@@ -362,6 +363,19 @@ def _pipeline_frames_8(path):
     path.write_text(json.dumps(stored))
 
 
+def _nan_checkpoint(name, entries):
+    """This row's copy of the shared run, with NaN written into the named
+    entries of its model.ckpt (every entry when entries is None), saved
+    as {tmp}/<name>."""
+    def setup(tmp, data, run):
+        shutil.copytree(run, tmp / "run")
+        params = load_checkpoint(run / "model.ckpt")
+        for entry in entries or params:
+            params[entry].flat[-1] = np.nan
+        save_checkpoint(tmp / name, params)
+    return setup
+
+
 def _write(name, content):
     def setup(tmp, data, run):
         (tmp / name).write_bytes(content)
@@ -429,6 +443,16 @@ FAILURES = {
     "ablate-grid-infinite-batch": (_write("grid.json", b'[{"batch": Infinity}]'),
                                    ["ablate", "--data", "{data}", "--grid", "{tmp}/grid.json",
                                     "--out", "{tmp}/abl", *MODEL_FLAGS], "config", "grid row 0"),
+    "finetune-lr-overflows-adam": (None, [*FINETUNE, "--lr", "1e300", "--batch", "64"],
+                                   "divergence", "non-finite weight of embed.proj.w at step 0"),
+    "pretrain-lr-overflows-adam": (None, [*PRETRAIN, "--lr", "1e300", "--patch", "4"],
+                                   "divergence", "non-finite weight of embed.proj.w at step 0"),
+    "evaluate-nan-in-model-checkpoint": (_nan_checkpoint("run/model.ckpt", ["head.w"]),
+                                         ["evaluate", "--data", "{data}", "--run", "{tmp}/run"],
+                                         "checkpoint", "entry 'head.w' holds a NaN"),
+    "finetune-init-from-nan-checkpoint": (_nan_checkpoint("nan.ckpt", None),
+                                          [*FINETUNE, "--init-from", "{tmp}/nan.ckpt"],
+                                          "checkpoint", "entry 'embed.proj.w' holds a NaN"),
 }
 
 
@@ -444,6 +468,7 @@ def test_bad_input_prints_one_error_line(env, tmp_path, capsys, case):
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1, lines
     assert lines[0].startswith(f"error[{cls}]: ") and text in lines[0], lines[0]
+    assert not list(tmp_path.glob("ft/*.ckpt")) and not list(tmp_path.glob("pre/*.ckpt"))
 
 
 def test_error_classes_are_the_documented_set():

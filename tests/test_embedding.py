@@ -6,8 +6,18 @@ import pytest
 
 from vslr.embedding import (Embedding, EmbeddingConfig, add_positional,
                             cube_embed_3d, cube_pixels, patch_embed_2d,
-                            prepend_cls, uncube_pixels)
+                            prepend_cls)
 from vslr.tensor import Tensor
+
+
+def uncube_pixels(cubes: np.ndarray, cfg: EmbeddingConfig) -> np.ndarray:
+    """Inverse of cube_pixels on raw arrays: [B, N, cube_dim] -> [B, F, 3, H, W]."""
+    b = cubes.shape[0]
+    td, p = cfg.tube_depth, cfg.patch
+    t, hs, ws = cfg.grid
+    a = cubes.reshape(b, t, hs, ws, 3, td, p, p)
+    a = np.transpose(a, (0, 1, 5, 4, 2, 6, 3, 7))        # [B, T, td, c, Hs, ph, Ws, pw]
+    return a.reshape(b, t * td, 3, hs * p, ws * p)
 
 
 def patch_tokens_oracle(x, p):

@@ -347,7 +347,6 @@ def test_pretrain_checkpoint_interval(tmp_path):
     assert np.array_equal(clf.named()["enc.1.joint.v.w"].data, step4["enc.1.joint.v.w"])
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
 def test_pretrain_stops_on_non_finite_gradient(tmp_path):
     manifest = make_synthetic_dataset(tmp_path / "data", num_classes=2, per_class=3,
                                       nominal_frames=6, size=16, seed=3)

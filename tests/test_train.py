@@ -8,13 +8,16 @@ import numpy as np
 import pytest
 
 from vslr import tensor as T
+from vslr import train as TR
 from vslr.errors import VslrError
 from vslr.tensor import Tensor
 from vslr.train import (ABLATION_COLUMNS, Adam, ClassifierModel, ModelConfig,
                         TrainConfig, cross_entropy, evaluate, finetune,
-                        freeze_layers, run_ablation, topk_accuracy)
-from vslr.video import (PipelineConfig, derive_rng, load_manifest,
-                        make_synthetic_dataset, merge_train_val)
+                        freeze_layers, load_batch, run_ablation, topk_accuracy,
+                        train_step)
+from vslr.video import (Manifest, PipelineConfig, derive_rng, load_instance_video,
+                        load_manifest, make_synthetic_dataset, merge_train_val,
+                        prepare_clip, to_model_tensor)
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +271,6 @@ def test_finetune_is_bit_deterministic(dataset, tmp_path):
     assert (tmp_path / "a" / "model.ckpt").exists()
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered")
 def test_finetune_divergence_guard(dataset):
     manifest, videos = dataset
     merged = merge_train_val(manifest)
@@ -280,7 +282,6 @@ def test_finetune_divergence_guard(dataset):
     assert e.value.cls == "divergence"
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
 def test_finetune_stops_on_non_finite_gradient(dataset, tmp_path):
     """A huge MLP weight leaves the loss finite but overflows the backward
     pass; the run stops before Adam writes NaN into the weights."""
@@ -298,6 +299,67 @@ def test_finetune_stops_on_non_finite_gradient(dataset, tmp_path):
     assert not (tmp_path / "model.ckpt").exists()
     for name, p in model.named().items():
         assert np.array_equal(p.data, before[name]), name
+
+
+def test_finetune_checks_the_test_split_before_preparing_a_clip(dataset, monkeypatch):
+    manifest, videos = dataset
+    merged = merge_train_val(manifest)
+    no_test = Manifest(merged.glosses, merged.by_split("train"))
+    prepared = []
+    monkeypatch.setattr(TR, "prepare_clip", lambda *a, **k: prepared.append(a))
+    cfg = TrainConfig(batch=2, epochs=1, lr=1e-3, frames=4, layers="all", seed=0)
+    with pytest.raises(VslrError, match="no instances in split 'test'") as e:
+        finetune(_tiny_model(num_classes=2), no_test, videos, cfg, crop=16)
+    assert e.value.cls == "manifest"
+    assert prepared == []
+
+
+def test_train_step_stops_on_non_finite_weight():
+    """At lr 1e300 Adam's float32 update overflows while the loss and the
+    gradients stay finite: the weight check after the step names the first
+    stepped parameter and passes over the frozen one."""
+    w = Tensor(np.ones((3, 2), dtype=np.float32), requires_grad=True)
+    b = Tensor(np.zeros(2, dtype=np.float32), requires_grad=True)
+    frozen = Tensor(np.ones(2, dtype=np.float32))
+    x = Tensor(np.arange(6, dtype=np.float32).reshape(2, 3))
+    opt = Adam([w, b], lr=1e300)
+    with pytest.raises(VslrError, match="^run diverged: non-finite weight of w at step 3$") as e:
+        train_step(lambda: cross_entropy(T.linear(x, w, b), np.array([0, 1])),
+                   {"frozen": frozen, "w": w, "b": b}, opt, 3, "run")
+    assert e.value.cls == "divergence"
+
+
+def test_train_step_returns_the_loss_and_clears_gradients():
+    w = Tensor(np.ones((3, 2), dtype=np.float32), requires_grad=True)
+    x = Tensor(np.arange(6, dtype=np.float32).reshape(2, 3))
+    y = np.array([0, 1])
+    expected = float(cross_entropy(T.matmul(x, w), y).data)
+    opt = Adam([w], lr=1e-2)
+    loss = train_step(lambda: cross_entropy(T.matmul(x, w), y), {"w": w}, opt, 0, "run")
+    assert loss == expected
+    assert w.grad is None and opt.t == 1
+    assert not np.array_equal(w.data, np.ones((3, 2), dtype=np.float32))
+
+
+def test_load_batch_matches_per_clip_preparation(dataset):
+    """One fresh array per call, equal to the per-clip tensors stacked."""
+    manifest, videos = dataset
+    insts = manifest.by_split("train")[:3]
+    pipe = PipelineConfig(frames=4, sampling="consecutive", crop=16)
+
+    def rngs():
+        return [derive_rng(9, inst.video_id) for inst in insts]
+
+    for train in (True, False):
+        batch = load_batch(videos, insts, rngs(), pipe, train, np.float64)
+        expected = np.stack([
+            to_model_tensor(prepare_clip(load_instance_video(videos, inst), pipe, train, rng),
+                            np.float64)
+            for inst, rng in zip(insts, rngs())])
+        assert batch.dtype == np.float64 and batch.shape == (3, 4, 3, 16, 16)
+        assert np.array_equal(batch, expected)
+        again = load_batch(videos, insts, rngs(), pipe, train, np.float64)
+        assert np.array_equal(again, batch) and not np.shares_memory(again, batch)
 
 
 def test_train_config_validation():
