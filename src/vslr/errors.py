@@ -36,10 +36,17 @@ def at_least(low: int, **values) -> None:
 
 def first_non_finite(arrays: dict):
     """Name of the first array, in order, holding a NaN or an infinity, or
-    None.  One float64 sum per array finds both; no finite float32 array can
-    overflow it, so only a float64 array whose sum overflows is also checked
+    None.  One float64 sum over all the arrays clears the common case at
+    the cost of one reduction; only when it is not finite is each array
+    summed on its own.  No finite float32 array can overflow a float64
+    sum, so only a float64 array whose sum overflows is also checked
     element by element."""
+    if not arrays:
+        return None
     with np.errstate(over="ignore", invalid="ignore"):
+        every = np.concatenate([a.ravel() for a in arrays.values()])
+        if np.isfinite(every.sum(dtype=np.float64)):
+            return None
         for name, a in arrays.items():
             if not np.isfinite(a.sum(dtype=np.float64)) and not np.isfinite(a).all():
                 return name

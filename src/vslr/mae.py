@@ -245,8 +245,6 @@ def pretrain(model: MaeModel, manifest: Manifest, video_dir,
     named = model.named()
     opt = Adam(list(named.values()), cfg.lr)
     curve: list[tuple] = []
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
     for step in range(cfg.steps):
         order = derive_rng(cfg.seed, "batch", step)
         picks = order.choice(len(insts), size=cfg.batch,
@@ -264,8 +262,10 @@ def pretrain(model: MaeModel, manifest: Manifest, video_dir,
         curve.append((step, loss))
         if out_dir is not None and cfg.checkpoint_interval and \
                 (step + 1) % cfg.checkpoint_interval == 0:
+            os.makedirs(out_dir, exist_ok=True)     # with the first checkpoint, not before
             save_checkpoint(os.path.join(out_dir, f"mae_{step + 1:05d}.ckpt"), model.named())
     if out_dir is not None:
+        os.makedirs(out_dir, exist_ok=True)
         save_checkpoint(os.path.join(out_dir, "mae_final.ckpt"), model.named())
         with open(os.path.join(out_dir, "loss.csv"), "w", newline="") as fh:
             wr = csv.writer(fh)

@@ -269,7 +269,8 @@ def evaluate(model: ClassifierModel, manifest: Manifest, video_dir,
              pipe: PipelineConfig, seed: int = 0, ks=(1, 5, 10),
              split: str = "test") -> EvalReport:
     """Deterministic eval pass: even/center preprocessing, top-K metrics,
-    per-class accuracy, argmax confusion counts."""
+    per-class accuracy, argmax confusion counts.  Non-finite logits stop
+    it with error[divergence] rather than rank as a prediction."""
     if model.num_classes != manifest.num_classes:
         raise VslrError("head/class mismatch",
                         f"head/class mismatch: model head has {model.num_classes} outputs, "
@@ -280,7 +281,10 @@ def evaluate(model: ClassifierModel, manifest: Manifest, video_dir,
     if not insts:
         raise VslrError("manifest", f"no instances in split {split!r}")
     t0 = time.perf_counter()
-    logits = _batched_logits(model, insts, video_dir, pipe, seed)
+    with np.errstate(all="ignore"):       # the logits are checked instead
+        logits = _batched_logits(model, insts, video_dir, pipe, seed)
+    if first_non_finite({"logits": logits}) is not None:
+        raise VslrError("divergence", f"evaluation diverged: non-finite logits on split {split!r}")
     labels = np.array([i.label for i in insts])
     topk = topk_accuracy(logits, labels, ks)
     c = manifest.num_classes

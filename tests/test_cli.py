@@ -376,6 +376,15 @@ def _nan_checkpoint(name, entries):
     return setup
 
 
+def _overflowing_head(tmp, data, run):
+    """This row's copy of the shared run, with every head weight set to the
+    largest finite value of its dtype, so the forward overflows."""
+    shutil.copytree(run, tmp / "run")
+    params = load_checkpoint(run / "model.ckpt")
+    params["head.w"][:] = np.finfo(params["head.w"].dtype).max
+    save_checkpoint(tmp / "run" / "model.ckpt", params)
+
+
 def _write(name, content):
     def setup(tmp, data, run):
         (tmp / name).write_bytes(content)
@@ -450,6 +459,9 @@ FAILURES = {
     "evaluate-nan-in-model-checkpoint": (_nan_checkpoint("run/model.ckpt", ["head.w"]),
                                          ["evaluate", "--data", "{data}", "--run", "{tmp}/run"],
                                          "checkpoint", "entry 'head.w' holds a NaN"),
+    "evaluate-head-overflows-logits": (_overflowing_head,
+                                       ["evaluate", "--data", "{data}", "--run", "{tmp}/run"],
+                                       "divergence", "non-finite logits on split 'test'"),
     "finetune-init-from-nan-checkpoint": (_nan_checkpoint("nan.ckpt", None),
                                           [*FINETUNE, "--init-from", "{tmp}/nan.ckpt"],
                                           "checkpoint", "entry 'embed.proj.w' holds a NaN"),

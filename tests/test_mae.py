@@ -361,6 +361,21 @@ def test_pretrain_stops_on_non_finite_gradient(tmp_path):
     assert not (tmp_path / "run" / "mae_final.ckpt").exists()
 
 
+def test_pretrain_that_diverges_leaves_no_run_directory(tmp_path):
+    """The run directory appears with the first checkpoint: at lr 1e300
+    the first step diverges, and no empty directory is left behind."""
+    manifest = make_synthetic_dataset(tmp_path / "data", num_classes=2, per_class=3,
+                                      nominal_frames=6, size=16, seed=3)
+    pipe = PipelineConfig(frames=4, sampling="even", crop=16)
+    model = _desk_model(rng=derive_rng(5, "init"))
+    pcfg = PretrainConfig(ratio=0.75, steps=1, batch=2, lr=1e300, seed=5)
+    with pytest.raises(VslrError, match="diverged") as e:
+        pretrain(model, manifest, tmp_path / "data" / "videos", pcfg, pipe,
+                 out_dir=tmp_path / "pre")
+    assert e.value.cls == "divergence"
+    assert not (tmp_path / "pre").exists()
+
+
 def test_load_encoder_copies_encoder():
     model = _desk_model(rng=np.random.default_rng(42))
     cfg = ModelConfig("joint", 16, 2, 2, 16, 4, 4, 2)

@@ -271,6 +271,19 @@ def test_finetune_is_bit_deterministic(dataset, tmp_path):
     assert (tmp_path / "a" / "model.ckpt").exists()
 
 
+def test_evaluate_refuses_non_finite_logits(dataset):
+    """A finite head whose forward overflows: evaluate stops with
+    error[divergence] instead of ranking infinite or NaN logits."""
+    manifest, videos = dataset
+    model = _tiny_model(num_classes=2)
+    model.head.w.data[:] = np.finfo(np.float32).max
+    assert np.isfinite(model.head.w.data).all()
+    pipe = PipelineConfig(frames=4, sampling="even", crop=16)
+    with pytest.raises(VslrError, match="^evaluation diverged: non-finite logits on split 'test'$") as e:
+        evaluate(model, manifest, videos, pipe, seed=1)
+    assert e.value.cls == "divergence"
+
+
 def test_finetune_divergence_guard(dataset):
     manifest, videos = dataset
     merged = merge_train_val(manifest)

@@ -96,16 +96,18 @@ def test_resize_plan_goldens():
 
 
 def bilinear_oracle(px, oh, ow):
-    """Per-pixel loop: half-pixel centers, clamped, round half up."""
+    """Per-pixel loop: half-pixel centers, clamped, round half up.  Each
+    scale is one float64 ratio, as in the kernel: ``(i + 0.5) * h / oh``
+    rounds differently at some shapes and moves pixels by one."""
     h, w = px.shape[:2]
     out = np.zeros((oh, ow, 3), dtype=np.uint8)
     for i in range(oh):
-        sy = min(max((i + 0.5) * h / oh - 0.5, 0.0), h - 1.0)
+        sy = min(max((i + 0.5) * (h / oh) - 0.5, 0.0), h - 1.0)
         y0 = int(np.floor(sy))
         y1 = min(y0 + 1, h - 1)
         fy = sy - y0
         for j in range(ow):
-            sx = min(max((j + 0.5) * w / ow - 0.5, 0.0), w - 1.0)
+            sx = min(max((j + 0.5) * (w / ow) - 0.5, 0.0), w - 1.0)
             x0 = int(np.floor(sx))
             x1 = min(x0 + 1, w - 1)
             fx = sx - x0
@@ -168,6 +170,88 @@ def test_prepare_clip_accepts_4x3_and_16x9_at_224(h, w, out_w, train):
         assert 0 <= dx <= out_w - 224
     else:
         assert dx == (out_w - 224) // 2 and clip.flipped is False
+
+
+# sources of every shape class the kernel meets: (h, w, out_h, out_w)
+WINDOW_SOURCES = [
+    (12, 16, 18, 24),       # 4:3 upscale
+    (18, 24, 9, 12),        # 4:3 downscale
+    (9, 16, 14, 25),        # 16:9 upscale
+    (27, 48, 10, 18),       # 16:9 downscale
+    (16, 9, 25, 14),        # 9:16 upscale
+    (32, 18, 12, 7),        # 9:16 downscale
+    (10, 6, 7, 11),         # down in h, up in w
+    (1, 7, 3, 5),           # h of 1
+    (6, 1, 4, 3),           # w of 1
+    (1, 1, 2, 3),
+]
+
+
+@pytest.mark.parametrize("h, w, out_h, out_w", WINDOW_SOURCES)
+def test_resample_window_equals_oracle_slice(h, w, out_h, out_w):
+    """The window kernel against the loop oracle's whole resample, sliced:
+    offsets 0, the largest, and random ones, on non-square windows."""
+    rng = np.random.default_rng(100 * h + w)
+    frames = rng.integers(0, 256, size=(2, h, w, 3), dtype=np.uint8)
+    full = np.stack([bilinear_oracle(f, out_h, out_w) for f in frames])
+    for size_h, size_w in [(out_h, out_w), (max(1, out_h - 2), max(1, out_w // 2))]:
+        offsets = [(0, 0), (out_h - size_h, out_w - size_w)]
+        offsets += [(int(rng.integers(0, out_h - size_h + 1)),
+                     int(rng.integers(0, out_w - size_w + 1))) for _ in range(4)]
+        for dy, dx in offsets:
+            got = V._resample(frames, out_h, out_w, dy, dx, size_h, size_w)
+            assert np.array_equal(got, full[:, dy:dy + size_h, dx:dx + size_w]), (dy, dx)
+
+
+@pytest.mark.parametrize("h, w, out_h, out_w", WINDOW_SOURCES[:6])
+def test_crop_of_resampled_clip_with_and_without_flip(h, w, out_h, out_w):
+    """A drawn crop, flipped or not, is the oracle's resample sliced at the
+    recorded offset and mirrored when the recorded flip says so."""
+    size = min(out_h, out_w) - 1
+    frames = np.random.default_rng(h + w).integers(0, 256, size=(2, h, w, 3), dtype=np.uint8)
+    full = np.stack([bilinear_oracle(f, out_h, out_w) for f in frames])
+    clip = V.VideoClip(frames, "v", [0, 1])
+    seen = set()
+    for seed in range(12):
+        out = V._crop(clip, out_h, out_w, size, np.random.default_rng(seed))
+        dy, dx = out.crop_offset
+        want = full[:, dy:dy + size, dx:dx + size]
+        assert np.array_equal(out.frames, want[:, :, ::-1] if out.flipped else want)
+        seen.add(out.flipped)
+    assert seen == {False, True}
+
+
+@pytest.mark.parametrize("h, w", [(200, 200), (240, 320), (180, 320), (320, 180)])
+def test_prepare_clip_at_224_keeps_the_draw_order(h, w):
+    """Sampling draws, then dy, dx and flip from the resized dims; the
+    resample draws nothing, so the rng's next draw (the tube mask in
+    pretraining) is the same as when the whole frame was resampled."""
+    frames = np.random.default_rng(h * w).integers(0, 256, size=(6, h, w, 3), dtype=np.uint8)
+    video = V.RawVideo(frames, "v")
+    clip_rng, replay, again = (np.random.default_rng(7) for _ in range(3))
+    clip = V.prepare_clip(video, V.PipelineConfig(4, "consecutive", 224), True, clip_rng)
+    start = int(replay.integers(0, 6 - 4 + 1))
+    nh, nw = V.resize_dims(h, w, 224)
+    dy = int(replay.integers(0, nh - 224 + 1))
+    dx = int(replay.integers(0, nw - 224 + 1))
+    flip = bool(replay.random() < 0.5)
+    assert clip.sampled_indices == list(range(start, start + 4))
+    assert (*clip.crop_offset, clip.flipped) == (dy, dx, flip)
+    again.integers(0, 6 - 4 + 1)
+    assert (dy, dx, flip) == V.crop_offsets(nh, nw, 224, again)
+    assert clip_rng.random() == replay.random()
+    want = V.resize_rule(frames[start:start + 4], 224)[:, dy:dy + 224, dx:dx + 224, ::-1]
+    assert np.array_equal(clip.frames, want[:, :, ::-1] if flip else want)
+
+
+def test_prepare_clip_at_224_in_eval_takes_the_center_and_draws_nothing():
+    frames = np.random.default_rng(3).integers(0, 256, size=(6, 180, 320, 3), dtype=np.uint8)
+    rng = np.random.default_rng(7)
+    clip = V.prepare_clip(V.RawVideo(frames, "v"), V.PipelineConfig(4, "even", 224), False, rng)
+    nh, nw = V.resize_dims(180, 320, 224)
+    assert (nh, nw) == (224, 398)
+    assert (*clip.crop_offset, clip.flipped) == V.crop_offsets(nh, nw, 224) == (0, 87, False)
+    assert rng.random() == np.random.default_rng(7).random()
 
 
 # ---------------------------------------------------------------------------
