@@ -154,7 +154,6 @@ def joint_block(tb: TokenBatch, w: BlockWeights, heads: int,
 class AttentionTrace:
     """Detached per-block attention weights captured during a forward."""
 
-    variant: str
     grid: tuple
     has_cls: bool
     blocks: list
@@ -168,55 +167,41 @@ def encoder_forward(tb: TokenBatch, blocks: list, heads: int,
         tb, tr = step(tb, w, heads, want_trace)
         traces.append(tr)
     out = TokenBatch(T.layer_norm(tb.tokens, final_ln.g, final_ln.b), tb.grid, tb.has_cls)
-    variant = blocks[0].variant if blocks else "joint"
-    return out, AttentionTrace(variant, tb.grid, tb.has_cls, traces) if want_trace else None
+    return out, AttentionTrace(tb.grid, tb.has_cls, traces) if want_trace else None
 
 
 # ---------------------------------------------------------------------------
 # attention rollout
 
 
-def _pass_matrix(block_trace: dict, kind: str, grid: tuple, has_cls: bool,
-                 batch_index: int) -> np.ndarray:
-    """One pass's head-averaged group weights as a token-level matrix A,
-    mixed as 0.5 * A + 0.5 * I with rows renormalized to sum 1.  A token in
-    several groups (the CLS) gets the mean of its rows, as in the forward
-    pass."""
-    ids = pass_groups(grid, has_cls, kind)
-    a = np.zeros((ids.max() + 1,) * 2, dtype=np.float64)
-    np.add.at(a, (ids[:, :, None], ids[:, None, :]), block_trace[kind][batch_index].mean(axis=1))
-    mixed = 0.5 * a / np.bincount(ids.ravel())[:, None] + 0.5 * np.eye(len(a))
-    return mixed / mixed.sum(axis=-1, keepdims=True)
-
-
-def _full_matrix_divided(block_trace: dict, grid: tuple, has_cls: bool,
-                         batch_index: int) -> np.ndarray:
-    """The temporal pass's matrix, then the spatial pass's."""
-    return (_pass_matrix(block_trace, "spatial", grid, has_cls, batch_index)
-            @ _pass_matrix(block_trace, "temporal", grid, has_cls, batch_index))
-
-
 def attention_rollout(trace: AttentionTrace, batch_index: int = 0) -> np.ndarray:
     """Roll head-averaged, identity-mixed attention across depth and map
     token mass back onto the (t, h, w) grid, normalized per frame by its
-    max (a flat frame maps to all ones)."""
+    max (a flat frame maps to all ones).
+
+    Each pass mixes as 0.5 * A / count + 0.5 * I with rows renormalized to
+    sum 1, where A holds the pass's group weights at token level and a
+    token in several groups (the CLS) gets the mean of its rows, as in the
+    forward pass.  Only one row of the product is read: the CLS row, or
+    the mean row without a CLS.  So that row is carried back through every
+    pass, last first, at O(G * L^2) per pass."""
     t, hs, ws = trace.grid
-    n = t * hs * ws
     off = 1 if trace.has_cls else 0
-    rolled = np.eye(n + off, dtype=np.float64)
-    for block_trace in trace.blocks:
-        if trace.variant == "divided":
-            mat = _full_matrix_divided(block_trace, trace.grid, trace.has_cls, batch_index)
-        else:
-            mat = _pass_matrix(block_trace, "joint", trace.grid, trace.has_cls, batch_index)
-        rolled = mat @ rolled
-    if trace.has_cls:
-        mass = rolled[0, off:]
-    else:
-        mass = rolled.mean(axis=0)
-    heat = mass.reshape(t, hs, ws)
-    peaks = heat.max(axis=(1, 2), keepdims=True)
-    return heat / peaks
+    m = t * hs * ws + off
+    v = np.eye(1, m)[0] if trace.has_cls else np.full(m, 1.0 / m)
+    for block_trace in reversed(trace.blocks):
+        for kind in reversed(list(block_trace)):
+            ids = pass_groups(trace.grid, trace.has_cls, kind)
+            flat = ids.ravel()
+            count = np.bincount(flat, minlength=m)
+            w = block_trace[kind][batch_index].mean(axis=1)          # [G, L, L]
+            # v @ (mixed / row sums): divide by the row sums, spread, mix
+            v = v / (0.5 * np.bincount(flat, weights=w.sum(-1, dtype=np.float64).ravel(),
+                                       minlength=m) / count + 0.5)
+            spread = np.einsum("gl,glk->gk", (v / count)[ids], w)
+            v = 0.5 * np.bincount(flat, weights=spread.ravel(), minlength=m) + 0.5 * v
+    heat = v[off:].reshape(t, hs, ws)
+    return heat / heat.max(axis=(1, 2), keepdims=True)
 
 
 def write_pgm(path, image: np.ndarray) -> None:

@@ -25,7 +25,7 @@ from . import mae as M
 from . import train as TR
 from . import video as V
 from .attention import attention_rollout, export_heatmap
-from .errors import VslrError
+from .errors import VslrError, first_non_finite
 from .tensor import Tensor
 
 _DTYPES = {"32": np.float32, "64": np.float64}
@@ -308,7 +308,7 @@ def cmd_ablate(args) -> int:
             raise VslrError("config", f"grid row {i}: {e}")
     os.makedirs(out, exist_ok=True)
     csv_path = os.path.join(out, "ablation.csv")
-    rows = TR.run_ablation(grid, manifest, video_dir, mcfg, mcfg.image_size, csv_path)
+    rows = TR.run_ablation(grid, manifest, video_dir, mcfg, csv_path)
     _write_echo(out, {"command": "ablate", "seed": seed, "model": asdict(mcfg),
                       "rows": len(rows), "resolved": resolved})
     print(f"wrote {len(rows)} ablation rows to {csv_path}")
@@ -342,8 +342,13 @@ def cmd_attn_map(args) -> int:
         inst = replace(inst, frame_start=first, frame_end=first + pipe.frames - 1)
     x = Tensor(TR.load_batch(video_dir, [inst], [V.derive_rng(seed, "attn", video_id)],
                              pipe, False, dtype))
-    logits, trace = model.forward(x, want_trace=True)
-    heat = attention_rollout(trace)
+    with np.errstate(all="ignore"):       # the logits and the map are checked instead
+        logits, trace = model.forward(x, want_trace=True)
+        heat = attention_rollout(trace)
+    bad = first_non_finite({"logits": logits.data, "heat map": heat})
+    if bad is not None:
+        raise VslrError("divergence", f"attention map diverged: non-finite {bad} for video "
+                                      f"{video_id!r}")
     paths = export_heatmap(heat, out)
     _write_echo(out, {"command": "attn-map", "seed": seed, "run": run_dir,
                       "video": video_id, "resolved": resolved})

@@ -392,22 +392,21 @@ ABLATION_COLUMNS = ["Batch", "Epochs", "Frames", "Init. LR", "Model",
 
 
 def run_ablation(grid: list, manifest: Manifest, video_dir,
-                 model_cfg: ModelConfig, crop: int, out_csv=None,
-                 num_classes: int | None = None) -> list:
-    """Run each TrainConfig row with its own derived seed; a row that
-    raises VslrError becomes an error[<class>] entry instead of aborting
-    the sweep, and any other exception propagates."""
+                 model_cfg: ModelConfig, out_csv=None) -> list:
+    """Run each TrainConfig row with its own derived seed, at the model's
+    crop and the manifest's class count; a row that raises VslrError
+    becomes an error[<class>] entry instead of aborting the sweep, and any
+    other exception propagates."""
     merged = merge_train_val(manifest)
-    classes = num_classes or manifest.num_classes
     rows = []
     for idx, tc in enumerate(grid):
         run_seed = derive_seed(tc.seed, "ablate", idx) % (2 ** 31)
         cell: object
         try:
             mdl_cfg = replace(model_cfg, variant=tc.variant, frames=tc.frames)
-            model = ClassifierModel(mdl_cfg, classes, np.random.default_rng(run_seed))
+            model = ClassifierModel(mdl_cfg, manifest.num_classes, np.random.default_rng(run_seed))
             run_cfg = replace(tc, seed=run_seed)
-            reports, _ = finetune(model, merged, video_dir, run_cfg, crop)
+            reports, _ = finetune(model, merged, video_dir, run_cfg, model_cfg.image_size)
             best = max(r.topk.get(1, 0.0) for r in reports)
             cell = f"{100.0 * best:.2f}"
         except VslrError as e:          # record and continue the sweep

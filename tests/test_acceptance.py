@@ -497,7 +497,7 @@ def test_ablation_harness_structure(synth, tmp_path):
                     sampling="even", layers="all", seed=0),
     ]
     out = tmp_path / "ablation.csv"
-    rows = run_ablation(grid, manifest, videos, mcfg, crop=32, out_csv=out)
+    rows = run_ablation(grid, manifest, videos, mcfg, out_csv=out)
     import csv as _csv
 
     with open(out, newline="") as fh:

@@ -2,13 +2,13 @@
 properties, divided/joint equivalences, MAC cost claims, rollout maps."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from vslr import tensor as T
-from vslr.attention import (AttentionTrace, BlockWeights, PassWeights,
-                            _full_matrix_divided, attention_rollout,
+from vslr.attention import (AttentionTrace, BlockWeights, PassWeights, attention_rollout,
                             divided_block, encoder_forward, joint_block,
                             multi_head_attention, pass_groups, write_pgm)
 from vslr.embedding import TokenBatch
@@ -356,14 +356,71 @@ def test_rollout_on_random_weights(variant, cls):
         assert np.allclose(heat.max(axis=(1, 2)), 1.0)
 
 
-def test_divided_full_matrix_is_row_stochastic():
+def rollout_oracle(trace, batch_index):
+    """Dense rollout: each pass's [M, M] matrix 0.5 * A / count + 0.5 * I,
+    whose rows must already sum to 1 up to the softmax's rounding, is
+    renormalized and applied in block order, so a divided block is
+    spatial @ temporal.  The map is the CLS row, or the mean row without
+    a CLS, normalized per frame by its max."""
+    t, hs, ws = trace.grid
+    off = 1 if trace.has_cls else 0
+    rolled = np.eye(t * hs * ws + off)
+    for block_trace in trace.blocks:
+        for kind, weights in block_trace.items():
+            ids = pass_groups(trace.grid, trace.has_cls, kind)
+            a = np.zeros(rolled.shape)
+            np.add.at(a, (ids[:, :, None], ids[:, None, :]), weights[batch_index].mean(axis=1))
+            mixed = 0.5 * a / np.bincount(ids.ravel())[:, None] + 0.5 * np.eye(len(a))
+            assert np.allclose(mixed.sum(axis=-1), 1.0, atol=1e-6)
+            rolled = mixed / mixed.sum(axis=-1, keepdims=True) @ rolled
+    mass = rolled[0, off:] if trace.has_cls else rolled.mean(axis=0)
+    heat = mass.reshape(t, hs, ws)
+    return heat / heat.max(axis=(1, 2), keepdims=True)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("variant,cls,grid", [("divided", True, (3, 2, 3)),
+                                              ("joint", False, (2, 3, 2))])
+def test_rollout_matches_dense_oracle(variant, cls, grid, dtype):
     rng = np.random.default_rng(12)
-    w = BlockWeights(rng, "divided", 8, dtype=np.float64)
-    tb = _tb(rng, 1, 3, 2, 2, 8, cls=True)
-    _, tr = divided_block(tb, w, 2, want_trace=True)
-    mat = _full_matrix_divided(tr, (3, 2, 2), True, 0)
-    assert mat.shape == (13, 13)
-    assert np.allclose(mat.sum(axis=-1), 1.0, atol=1e-10)
+    d, depth = 8, 3
+    blocks = [BlockWeights(rng, variant, d, dtype=dtype) for _ in range(depth)]
+    for w in blocks:                          # sharpen the maps away from flat
+        for pw in (w.temporal, w.spatial) if variant == "divided" else (w.joint,):
+            pw.q.w.data *= 30
+            pw.k.w.data *= 30
+    ln = LayerNormParams(d, dtype=dtype)
+    n = int(np.prod(grid)) + (1 if cls else 0)
+    tb = TokenBatch(Tensor(rng.standard_normal((2, n, d)), dtype=dtype), grid, has_cls=cls)
+    _, trace = encoder_forward(tb, blocks, 2, ln, want_trace=True)
+    for bi in range(2):
+        heat = attention_rollout(trace, batch_index=bi)
+        assert heat.shape == grid
+        assert np.abs(heat - rollout_oracle(trace, bi)).max() < 1e-12
+        assert heat.min() < 0.9               # far from the flat all-ones map
+
+
+def test_divided_rollout_memory_at_paper_grid():
+    # 16 frames of 14 x 14 patches: the dense path held 3137^2 float64
+    # matrices (450 MiB peak); the carried row holds one pass's weights
+    rng = np.random.default_rng(14)
+    grid, heads, depth = (16, 14, 14), 4, 2
+
+    def softmax_rows(g, n):
+        w = rng.random((1, g, heads, n, n), dtype=np.float32)
+        return w / w.sum(axis=-1, keepdims=True)
+
+    blocks = [{"temporal": softmax_rows(196, 17), "spatial": softmax_rows(16, 197)}
+              for _ in range(depth)]
+    trace = AttentionTrace(grid, True, blocks)
+    tracemalloc.start()
+    try:
+        heat = attention_rollout(trace)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert heat.shape == grid and np.isfinite(heat).all()
+    assert peak < 32 * 2 ** 20, peak / 2 ** 20
 
 
 def test_write_pgm_golden_bytes(tmp_path):

@@ -3,6 +3,7 @@ subcommand, the flag > config file > default precedence rules, run-dir
 self-containment, and the one-line error[<class>] contract with exit 2."""
 
 import csv
+import hashlib
 import json
 import os
 import pathlib
@@ -136,6 +137,27 @@ def test_evaluate_rejects_bare_directory(env, tmp_path, capsys):
 # attention maps
 
 
+def _scaled_queries_and_keys(factor):
+    """This row's copy of the shared run with every query and key weight
+    scaled by factor, saved as {tmp}/run: a moderate factor sharpens the
+    attention maps, a large finite one overflows the attention logits."""
+    def setup(tmp, data, run):
+        shutil.copytree(run, tmp / "run")
+        params = load_checkpoint(run / "model.ckpt")
+        for name in params:
+            if name.endswith((".q.w", ".k.w")):
+                params[name] = params[name] * factor
+        save_checkpoint(tmp / "run" / "model.ckpt", params)
+    return setup
+
+
+def _pgm_digest(out):
+    h = hashlib.sha256()
+    for path in sorted(out.glob("*.pgm")):
+        h.update(path.read_bytes())
+    return h.hexdigest()
+
+
 def test_attn_map_exports_frames(env, tmp_path, capsys):
     data, run = env
     manifest = json.loads((data / "manifest.json").read_text())
@@ -150,6 +172,14 @@ def test_attn_map_exports_frames(env, tmp_path, capsys):
     assert index["grid"] == [4, 2, 2]
     assert index["frames"] == [p.name for p in pgms]
     assert pgms[0].read_bytes().startswith(b"P5\n2 2\n255\n")
+    # the frames' bytes as the dense [M, M] rollout wrote them; this run's
+    # maps are nearly flat (every pixel 255), the sharpened run's are not
+    assert _pgm_digest(out) == "f2d79b2a3520d47960ab43db74d0cc8d5eea5410a043be165715ecc125c6c746"
+    _scaled_queries_and_keys(30.0)(tmp_path, data, run)
+    sharp = tmp_path / "sharp"
+    assert dispatch(["attn-map", "--data", str(data), "--run", str(tmp_path / "run"),
+                     "--video", vid, "--out", str(sharp)]) == 0
+    assert _pgm_digest(sharp) == "26ad4ef12f19c5fc8de57089f797ea9d4053208f392a282856469ea2fc25a627"
 
 
 def test_attn_map_start_frame_conflicts_with_even(env, tmp_path, capsys):
@@ -462,6 +492,10 @@ FAILURES = {
     "evaluate-head-overflows-logits": (_overflowing_head,
                                        ["evaluate", "--data", "{data}", "--run", "{tmp}/run"],
                                        "divergence", "non-finite logits on split 'test'"),
+    "attn-map-queries-overflow-logits": (_scaled_queries_and_keys(1e30),
+                                         ["attn-map", "--data", "{data}", "--run", "{tmp}/run",
+                                          "--video", "c00_v00", "--out", "{tmp}/heat"],
+                                         "divergence", "non-finite logits for video 'c00_v00'"),
     "finetune-init-from-nan-checkpoint": (_nan_checkpoint("nan.ckpt", None),
                                           [*FINETUNE, "--init-from", "{tmp}/nan.ckpt"],
                                           "checkpoint", "entry 'embed.proj.w' holds a NaN"),
@@ -481,6 +515,7 @@ def test_bad_input_prints_one_error_line(env, tmp_path, capsys, case):
     assert len(lines) == 1, lines
     assert lines[0].startswith(f"error[{cls}]: ") and text in lines[0], lines[0]
     assert not list(tmp_path.glob("ft/*.ckpt")) and not list(tmp_path.glob("pre/*.ckpt"))
+    assert not (tmp_path / "heat").exists()
 
 
 def test_error_classes_are_the_documented_set():

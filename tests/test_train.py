@@ -399,8 +399,7 @@ def test_ablation_csv_structure_and_error_rows(dataset, tmp_path):
                     layers=5, seed=1),               # exceeds depth: error row
     ]
     out = tmp_path / "ablation.csv"
-    rows = run_ablation(grid, manifest, videos, mcfg, crop=16, out_csv=out,
-                        num_classes=2)
+    rows = run_ablation(grid, manifest, videos, mcfg, out_csv=out)
     assert len(rows) == 3
     with open(out, newline="") as fh:
         parsed = list(csv.reader(fh))
@@ -428,6 +427,5 @@ def test_ablation_lets_a_non_vslr_error_propagate(dataset, tmp_path, monkeypatch
     grid = [TrainConfig(batch=4, epochs=1, lr=1e-3, frames=4, sampling="even",
                         layers="all", seed=1, variant="divided")]
     with pytest.raises(RuntimeError, match="bug inside a row"):
-        run_ablation(grid, manifest, videos, mcfg, crop=16,
-                     out_csv=tmp_path / "ablation.csv", num_classes=2)
+        run_ablation(grid, manifest, videos, mcfg, out_csv=tmp_path / "ablation.csv")
     assert not (tmp_path / "ablation.csv").exists()
