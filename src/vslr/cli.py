@@ -342,7 +342,8 @@ def cmd_attn_map(args) -> int:
         inst = replace(inst, frame_start=first, frame_end=first + pipe.frames - 1)
     x = Tensor(TR.load_batch(video_dir, [inst], [V.derive_rng(seed, "attn", video_id)],
                              pipe, False, dtype))
-    with np.errstate(all="ignore"):       # the logits and the map are checked instead
+    # numpy's warnings are silenced: the logits and the map are checked instead
+    with np.errstate(all="ignore"), TR.no_grad(model.params()):
         logits, trace = model.forward(x, want_trace=True)
         heat = attention_rollout(trace)
     bad = first_non_finite({"logits": logits.data, "heat map": heat})

@@ -96,10 +96,10 @@ class Embedding:
         return add_positional(tb, self)
 
 
-def _check_video_shape(x: Tensor, cfg: EmbeddingConfig) -> None:
-    if x.data.ndim != 5:
-        raise ValueError(f"video tensor must be [B, F, 3, H, W], got shape {x.data.shape}")
-    b, f, c, h, w = x.data.shape
+def _check_video_shape(x: np.ndarray, cfg: EmbeddingConfig) -> None:
+    if x.ndim != 5:
+        raise ValueError(f"video tensor must be [B, F, 3, H, W], got shape {x.shape}")
+    b, f, c, h, w = x.shape
     if f != cfg.frames:
         raise ValueError(f"frame count {f} does not match configured {cfg.frames}")
     if c != 3:
@@ -113,7 +113,7 @@ def patch_embed_2d(x: Tensor, emb: Embedding) -> TokenBatch:
     cfg = emb.cfg
     if cfg.tube_depth != 1:
         raise ValueError("patch embedding requires tube depth 1")
-    _check_video_shape(x, cfg)
+    _check_video_shape(x.data, cfg)
     b, f, _, h, w = x.data.shape
     p = cfg.patch
     hs, ws = h // p, w // p
@@ -127,7 +127,7 @@ def patch_embed_2d(x: Tensor, emb: Embedding) -> TokenBatch:
 def cube_pixels(x: Tensor, cfg: EmbeddingConfig) -> Tensor:
     """[B, F, 3, H, W] -> [B, N, cube_dim] with cube flatten order
     (c, t, ph, pw); tokens run time-major then row-major over the grid."""
-    _check_video_shape(x, cfg)
+    _check_video_shape(x.data, cfg)
     b = x.data.shape[0]
     td, p = cfg.tube_depth, cfg.patch
     t, hs, ws = cfg.grid

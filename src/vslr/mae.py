@@ -25,7 +25,7 @@ import numpy as np
 from . import tensor as T
 from .attention import BlockWeights, encoder_forward
 from .checkpoint import load_into, save_checkpoint
-from .embedding import Embedding, EmbeddingConfig, TokenBatch, cube_pixels
+from .embedding import Embedding, EmbeddingConfig, TokenBatch, _check_video_shape
 from .errors import VslrError, at_least
 from .nn import LayerNormParams, LinearParams, trunc_normal
 from .tensor import Tensor
@@ -142,13 +142,20 @@ def _flat_rows(ids: np.ndarray, n: int) -> np.ndarray:
 
 def normalized_cube_targets(x: np.ndarray, cfg: EmbeddingConfig, ids: np.ndarray) -> np.ndarray:
     """Per-cube normalized targets [B, K, cube_dim] of the cubes ids [B, K]
-    names, and of no other: (pix - mean) / std, variance floored by 1e-6."""
-    cubes = cube_pixels(Tensor(x, dtype=x.dtype), cfg).data
-    b, n, d = cubes.shape
-    cubes = cubes.reshape(b * n, d)[_flat_rows(ids, n)].reshape(b, -1, d)
-    mean = cubes.mean(axis=-1, keepdims=True)
-    var = cubes.var(axis=-1, keepdims=True)
-    return (cubes - mean) / np.sqrt(var + x.dtype.type(1e-6))
+    names, and of no other: (pix - mean) / std, variance floored by 1e-6.
+
+    The cubes are gathered straight from the clip, flattened (c, t, ph, pw)
+    as `cube_pixels` does, and normalized in place with numpy's own `var`
+    arithmetic term for term."""
+    _check_video_shape(x, cfg)
+    b, (td, p), (t, hs, ws) = x.shape[0], (cfg.tube_depth, cfg.patch), cfg.grid
+    cubes = x.reshape(b, t, td, 3, hs, p, ws, p).transpose(0, 1, 4, 6, 3, 2, 5, 7)
+    ti, hi, wi = np.unravel_index(ids, cfg.grid)
+    c = cubes[np.arange(b)[:, None], ti, hi, wi].reshape(b, ids.shape[1], cfg.cube_dim)
+    c -= c.mean(axis=-1, keepdims=True)
+    var = (c * c).sum(axis=-1, keepdims=True) / cfg.cube_dim
+    c /= np.sqrt(var + x.dtype.type(1e-6))
+    return c
 
 
 def reconstruction_loss(pred: Tensor, targets: np.ndarray) -> Tensor:
@@ -157,14 +164,13 @@ def reconstruction_loss(pred: Tensor, targets: np.ndarray) -> Tensor:
     if pred.data.shape != targets.shape:
         raise ValueError(
             f"prediction shape {pred.data.shape} does not match target shape {targets.shape}")
-    diff = T.sub(pred, Tensor(targets.astype(pred.data.dtype)))
-    return T.mean(T.mul(diff, diff))
+    return T.mse(pred, targets.astype(pred.data.dtype, copy=False))
 
 
 def _gather_rows(x: Tensor, ids: np.ndarray) -> Tensor:
     """out[b, k] = x[b, ids[b, k]] for x [B, N, D] and ids [B, K]."""
     b, n, d = x.data.shape
-    rows = T.take(T.reshape(x, (b * n, d)), _flat_rows(ids, n), axis=0)
+    rows = T.take(T.reshape(x, (b * n, d)), _flat_rows(ids, n), axis=0, unique=True)
     return T.reshape(rows, (b, ids.shape[1], d))
 
 

@@ -214,9 +214,11 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         raise ValueError(f"linear: input {x.data.shape} does not match weight {w.data.shape}")
     data = np.matmul(x.data, w.data) + b.data
     _record_macs(data.size * w.data.shape[0], None)
+    # an input that is a constant (the video at the embedding) needs no gradient
+    wants_gx = x.requires_grad or x._vjp is not None
 
     def vjp(g):
-        gx = np.matmul(g, w.data.T)
+        gx = np.matmul(g, w.data.T) if wants_gx else None
         g2 = g.reshape(-1, g.shape[-1])
         x2 = x.data.reshape(-1, x.data.shape[-1])
         gw = x2.T @ g2
@@ -487,9 +489,11 @@ def slice_along(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
     return _make_node(data, (x,), vjp)
 
 
-def take(x: Tensor, indices, axis: int) -> Tensor:
+def take(x: Tensor, indices, axis: int, unique: bool = False) -> Tensor:
     """Gather rows along an axis; backward scatter-adds, so repeated
-    indices accumulate."""
+    indices accumulate.  A caller whose indices hold no repeat passes
+    ``unique=True``, and backward assigns instead, the same result at a
+    fraction of np.add.at's cost; it is not checked."""
     idx = np.asarray(indices)
     if idx.ndim != 1 or not np.issubdtype(idx.dtype, np.integer):
         raise ValueError("take: indices must be a 1-D integer array")
@@ -501,7 +505,10 @@ def take(x: Tensor, indices, axis: int) -> Tensor:
     def vjp(g):
         gx = np.zeros_like(x.data)
         gm = np.moveaxis(gx, axis, 0)
-        np.add.at(gm, idx, np.moveaxis(g, axis, 0))
+        if unique:
+            gm[idx] = np.moveaxis(g, axis, 0)
+        else:
+            np.add.at(gm, idx, np.moveaxis(g, axis, 0))
         return (gx,)
 
     return _make_node(data, (x,), vjp)
@@ -552,6 +559,25 @@ def mean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
         return (np.broadcast_to(g / x.data.dtype.type(count), x.data.shape).copy(),)
 
     return _make_node(data, (x,), vjp)
+
+
+def mse(pred: Tensor, target: np.ndarray) -> Tensor:
+    """Mean squared error of ``pred`` against a constant ``target`` array of
+    its shape and dtype, as one node: the same bits as
+    ``mean(mul(d, d))`` with ``d = sub(pred, target)``, from one saved
+    difference instead of that chain's graph arrays."""
+    if target.shape != pred.data.shape or target.dtype != pred.data.dtype:
+        raise ValueError(f"mse: target {target.dtype} {target.shape} does not match "
+                         f"prediction {pred.data.dtype} {pred.data.shape}")
+    d = pred.data - target
+    data = (d * d).mean()
+
+    def vjp(g):
+        gx = d * (g / d.dtype.type(d.size))
+        gx *= 2                           # exact: the two product terms were equal
+        return (gx,)
+
+    return _make_node(data, (pred,), vjp)
 
 
 # ---------------------------------------------------------------------------

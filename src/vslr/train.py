@@ -3,6 +3,7 @@ freezing, top-K metrics, the fine-tuning loop, and the ablation sweep."""
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import os
@@ -245,23 +246,31 @@ class EvalReport:
         }, indent=1)
 
 
-def _batched_logits(model: ClassifierModel, insts: list, video_dir,
-                    pipe: PipelineConfig, seed: int, chunk: int = 8) -> np.ndarray:
-    # forward only: while no parameter asks for a gradient, no op keeps its
-    # inputs for a backward pass, so a batch never holds its whole graph
-    live = [p for p in model.params() if p.requires_grad]
+@contextlib.contextmanager
+def no_grad(params):
+    """Forward only: clear ``requires_grad`` on ``params`` inside the block
+    and restore it on those that had it.  While no parameter asks for a
+    gradient, no op keeps its inputs for a backward pass, so a forward
+    never holds its whole graph."""
+    live = [p for p in params if p.requires_grad]
     for p in live:
         p.requires_grad = False
-    rows = []
     try:
+        yield
+    finally:
+        for p in live:
+            p.requires_grad = True
+
+
+def _batched_logits(model: ClassifierModel, insts: list, video_dir,
+                    pipe: PipelineConfig, seed: int, chunk: int = 8) -> np.ndarray:
+    rows = []
+    with no_grad(model.params()):
         for lo in range(0, len(insts), chunk):
             part = insts[lo:lo + chunk]
             rngs = [derive_rng(seed, "eval", inst.video_id) for inst in part]
             x = load_batch(video_dir, part, rngs, pipe, False, model.head.w.data.dtype)
             rows.append(model.forward(Tensor(x)).data)
-    finally:
-        for p in live:
-            p.requires_grad = True
     return np.concatenate(rows, axis=0)
 
 

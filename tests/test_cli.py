@@ -182,6 +182,29 @@ def test_attn_map_exports_frames(env, tmp_path, capsys):
     assert _pgm_digest(sharp) == "26ad4ef12f19c5fc8de57089f797ea9d4053208f392a282856469ea2fc25a627"
 
 
+def test_attn_map_builds_no_autodiff_graph(env, tmp_path, monkeypatch):
+    # nothing backpropagates through the traced forward, so it keeps no graph;
+    # the parameters ask for gradients again once the map is written
+    from vslr import train as TR
+
+    seen = []
+    forward = TR.ClassifierModel.forward
+
+    def recording(model, x, want_trace=False):
+        logits, trace = forward(model, x, want_trace)
+        seen.append((logits, model))
+        return logits, trace
+
+    monkeypatch.setattr(TR.ClassifierModel, "forward", recording)
+    data, run = env
+    vid = json.loads((data / "manifest.json").read_text())[0]["instances"][0]["video_id"]
+    assert dispatch(["attn-map", "--data", str(data), "--run", str(run),
+                     "--video", vid, "--out", str(tmp_path / "heat")]) == 0
+    (logits, model), = seen
+    assert logits._parents == () and logits._vjp is None
+    assert all(p.requires_grad for p in model.params())
+
+
 def test_attn_map_start_frame_conflicts_with_even(env, tmp_path, capsys):
     data, run = env
     manifest = json.loads((data / "manifest.json").read_text())

@@ -3,6 +3,7 @@ property, no-leakage and zero-visible-contribution checks, loss oracle,
 encoder cost at high masking, and pretraining determinism."""
 
 import csv
+import hashlib
 
 import numpy as np
 import pytest
@@ -21,6 +22,13 @@ from vslr.video import PipelineConfig, derive_rng, make_synthetic_dataset
 
 def _masks(grid, ratio, rng, n):
     return np.stack([make_tube_mask(grid, ratio, rng) for _ in range(n)])
+
+
+def _sha256(arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
 
 
 def _desk_model(rng=None, dtype=np.float32, **kw):
@@ -107,6 +115,17 @@ def test_normalized_targets_match_oracle():
     _, ids = tube_token_ids(_masks(cfg.grid, 0.5, rng, 2), cfg.grid[0])
     got = normalized_cube_targets(x, cfg, ids)
     assert np.allclose(got, np.take_along_axis(want, ids[:, :, None], axis=1), atol=1e-10)
+
+
+def test_normalized_targets_reject_a_wrong_shaped_clip():
+    cfg = EmbeddingConfig("joint", 8, 8, 4, 4, tube_depth=2)
+    ids = np.zeros((1, 2), dtype=np.intp)
+    with pytest.raises(ValueError, match="must be \\[B, F, 3, H, W\\]"):
+        normalized_cube_targets(np.zeros((4, 3, 8, 8)), cfg, ids)
+    with pytest.raises(ValueError, match="frame count 2"):
+        normalized_cube_targets(np.zeros((1, 2, 3, 8, 8)), cfg, ids)
+    with pytest.raises(ValueError, match="spatial size 8x12"):
+        normalized_cube_targets(np.zeros((1, 4, 3, 8, 12)), cfg, ids)
 
 
 def test_reconstruction_loss_matches_loop_oracle():
@@ -270,6 +289,26 @@ def test_mae_gradcheck_mask_token_and_head():
     assert T.grad_check(loss_fn, model.recon.b) < 1e-6
 
 
+def test_mae_step_digest_at_paper_geometry():
+    """One MAE step at paper geometry (224 px, 16 px patches, 16 frames,
+    tube depth 2, ratio 0.9, batch 2): the loss and every parameter
+    gradient, pinned bit for bit, so a faster loss, target or gather
+    cannot drift the numerics unseen."""
+    rng = np.random.default_rng(1414)
+    cfg = MaeConfig(dim=64, depth=2, heads=4, decoder_dim=32, decoder_depth=1,
+                    decoder_heads=2, image_size=224, patch=16, frames=16, tube_depth=2)
+    model = MaeModel(cfg, rng)
+    masks = _masks(cfg.embedding_config().grid, 0.9, rng, 2)
+    x = rng.random((2, 16, 3, 224, 224), dtype=np.float32)
+    _, loss = mae_forward(Tensor(x), masks, model)
+    T.backward(loss)
+    assert float(loss.data) == 1.009480357170105
+    assert _sha256([loss.data]) == \
+        "34d432da4228565be2531b40f25407e8da89e041e904bb32f7642dbc3c1a7082"
+    assert _sha256(p.grad for p in model.named().values()) == \
+        "2ee5a126e8000e555a8749adb8104e89a0ee81ce283faa9dc141b191df76f72a"
+
+
 def test_encoder_cost_shrinks_quadratically_at_high_ratio():
     # 14x14 spatial grid; ratio 0.9 leaves 20 of 196 tubes visible, and
     # joint attention cost scales with the square of the token count
@@ -308,15 +347,18 @@ def test_pretrain_runs_and_is_deterministic(tmp_path):
     pipe = PipelineConfig(frames=4, sampling="even", crop=16)
     pcfg = PretrainConfig(ratio=0.75, steps=4, batch=2, lr=1e-3, seed=5)
 
-    curves = []
+    curves, weights = [], []
     for run in range(2):
         model = _desk_model(rng=derive_rng(5, "init"))
         curve = pretrain(model, manifest, tmp_path / "data" / "videos", pcfg, pipe,
                          out_dir=tmp_path / f"run{run}")
         curves.append(curve)
-    assert len(curves[0]) == 4
-    assert all(np.isfinite(l) for _, l in curves[0])
-    assert curves[0] == curves[1]
+        weights.append(_sha256(p.data for p in model.named().values()))
+    assert curves[0] == curves[1] and weights[0] == weights[1]
+    # pinned bit for bit: a change to the MAE step must not drift them
+    assert curves[0] == [(0, 0.9967448115348816), (1, 0.9829869866371155),
+                         (2, 0.964471161365509), (3, 0.9571921229362488)]
+    assert weights[0] == "6419b51249a592df7529558c3becf4695e2f64f2ff36fb7b41c708acddeb88b8"
     assert (tmp_path / "run0" / "loss.csv").exists()
     assert (tmp_path / "run0" / "mae_final.ckpt").exists()
 

@@ -152,6 +152,52 @@ def test_structural_ops_roundtrip():
     assert np.allclose(T.sum_(t).data, x.sum())
 
 
+def test_mse_matches_sub_mul_mean_chain_bit_for_bit():
+    rng = np.random.default_rng(7)
+    pred = rng.standard_normal((2, 5, 6)).astype(np.float32)
+    target = rng.standard_normal((2, 5, 6)).astype(np.float32)
+    fused, chain = Tensor(pred, requires_grad=True), Tensor(pred, requires_grad=True)
+    loss = T.mse(fused, target)
+    diff = T.sub(chain, Tensor(target))
+    want = T.mean(T.mul(diff, diff))
+    T.backward(loss)
+    T.backward(want)
+    assert loss.data.tobytes() == want.data.tobytes()
+    assert fused.grad.tobytes() == chain.grad.tobytes()
+    with pytest.raises(ValueError, match="does not match prediction"):
+        T.mse(fused, target[:, 1:])
+    with pytest.raises(ValueError, match="does not match prediction"):
+        T.mse(fused, target.astype(np.float64))
+
+
+@pytest.mark.parametrize("ids", [[3, 0, 4, 1, 2], [4, 1, 2]], ids=["permutation", "subset"])
+def test_take_unique_matches_scatter_add(ids):
+    rng = np.random.default_rng(8)
+    x = rng.standard_normal((5, 3))
+    idx = np.array(ids)
+    red = _weighted(rng, (len(ids), 3))
+    outs, grads = [], []
+    for unique in (False, True):
+        t = Tensor(x, requires_grad=True, dtype=np.float64)
+        out = T.take(t, idx, axis=0, unique=unique)
+        T.backward(red(out))
+        outs.append(out.data)
+        grads.append(t.grad)
+    assert np.array_equal(outs[0], outs[1])
+    assert np.array_equal(grads[0], grads[1])
+
+
+def test_linear_makes_no_gradient_for_a_constant_input():
+    rng = np.random.default_rng(9)
+    w = Tensor(rng.standard_normal((4, 2)), requires_grad=True)
+    b = Tensor(rng.standard_normal(2), requires_grad=True)
+    g = np.ones((3, 2), dtype=np.float32)
+    const = T.linear(Tensor(rng.standard_normal((3, 4))), w, b)
+    leaf = T.linear(Tensor(rng.standard_normal((3, 4)), requires_grad=True), w, b)
+    assert const._vjp(g)[0] is None
+    assert leaf._vjp(g)[0].shape == (3, 4)
+
+
 # ---------------------------------------------------------------------------
 # shape/dtype discipline
 
@@ -295,6 +341,8 @@ def test_grad_check_structural_ops():
     red6 = _weighted(rng, (5, 4))
     assert T.grad_check(lambda t: red6(T.concat([t, other], axis=0)), rand(3, 4)) < 1e-6
     assert T.grad_check(lambda t: T.mean(T.mul(t, t)), rand(3, 4)) < 1e-6
+    target = rng.standard_normal((3, 4))
+    assert T.grad_check(lambda t: T.mse(t, target), rand(3, 4)) < 1e-6
     assert T.grad_check(lambda t: T.mean(T.sum_(T.mul(t, t), axis=1, keepdims=True)),
                         rand(3, 4)) < 1e-6
     assert T.grad_check(lambda t: T.sum_(T.scale(t, -2.5)), rand(2, 3)) < 1e-6
