@@ -5,8 +5,11 @@ ablate, attn-map.  Every run takes an optional key = value config file;
 explicit flags override file values.  Each run writes a resolved
 config.json echo into its output directory, and training run directories
 are self-contained (config + checkpoint), so evaluate and attn-map need
-only the run directory.  Failures print one line, error[<class>]: message,
-and exit 2; the README's CLI section lists the classes (errors.ERROR_CLASSES)
+only the run directory.  Each hyperparameter is defined once, as a field
+of its config dataclass: Resolver.build reads every field as its flag or
+file key, and the flags, their types and their (default …) help come from
+the same fields.  Failures print one line, error[<class>]: message, and
+exit 2; the README's CLI section lists the classes (errors.ERROR_CLASSES)
 with one example each.
 """
 
@@ -16,7 +19,8 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
+from functools import partial
 
 import numpy as np
 
@@ -31,15 +35,45 @@ from .tensor import Tensor
 _DTYPES = {"32": np.float32, "64": np.float64}
 
 
-class Resolver:
-    """Flag > config file > default, tracking which file keys were used."""
+# a config field's key is its name with _ as -, but for these renames
+_FLAG_NAMES = {"image_size": "crop"}
+_ROW_NAMES = {"variant": "model"}       # a grid row names it as ABLATION_COLUMNS does
 
-    def __init__(self, args):
+
+def _key(name: str, names=_FLAG_NAMES) -> str:
+    return names.get(name, name).replace("_", "-")
+
+
+def _cast(kind, v):
+    """v as an int or a float.  A boolean, or a non-integral number for an
+    int, is refused rather than truncated."""
+    if isinstance(v, bool) or kind is int and isinstance(v, float) and not v.is_integer():
+        raise ValueError(v)
+    return kind(v)
+
+
+def _parse_layers(v):
+    if v == "all":
+        return v
+    try:
+        return _cast(int, v)
+    except (TypeError, ValueError):
+        raise VslrError("config", f"layers must be a positive integer or 'all', got {v!r}")
+
+
+class Resolver:
+    """Flag > config file > default, tracking which file keys were used.
+
+    A grid row is resolved as a config file with no flags: Resolver(None,
+    row, _ROW_NAMES)."""
+
+    def __init__(self, args, file=None, names=_FLAG_NAMES):
         self.args = args
-        self.file: dict[str, str] = {}
-        path = getattr(args, "config", None)
-        if path:
-            self.file = V.parse_kv_config(path)
+        self.names = names
+        if file is None:
+            path = getattr(args, "config", None)
+            file = V.parse_kv_config(path) if path else {}
+        self.file = file
         self.used: set[str] = set()
         self.resolved: dict = {}
 
@@ -50,12 +84,25 @@ class Resolver:
             raw = self.file[key]
             try:
                 v = cast(raw) if cast is not None else raw
-            except ValueError:
+            except (TypeError, ValueError, OverflowError):
                 raise VslrError("config", f"invalid value {raw!r} for key {key}")
         if v is None:
             v = default
         self.resolved[key] = v
         return v
+
+    def build(self, cls, **defaults):
+        """A cls with every field read under its key, defaulting to
+        ``defaults`` or else to the field's own default, and cast to that
+        default's type; ``layers`` is also 'all'."""
+        values = {}
+        for f in fields(cls):
+            kind = type(f.default)
+            values[f.name] = self.get(_key(f.name, self.names), defaults.get(f.name, f.default),
+                                      None if kind is str else partial(_cast, kind))
+        if "layers" in values:
+            values["layers"] = _parse_layers(values["layers"])
+        return cls(**values)
 
     def require(self, key: str, cast=None):
         v = self.get(key, None, cast)
@@ -90,35 +137,11 @@ def _write_echo(out_dir, payload: dict) -> None:
         fh.write("\n")
 
 
-def _parse_layers(v):
-    if isinstance(v, int):
-        return v
-    if v == "all":
-        return "all"
-    try:
-        return int(v)
-    except (TypeError, ValueError):
-        raise VslrError("config", f"layers must be a positive integer or 'all', got {v!r}")
-
-
 def _dtype(r: Resolver):
     precision = r.get("precision", "32")
     if precision not in _DTYPES:
         raise VslrError("config", f"precision must be 32 or 64, got {precision!r}")
     return _DTYPES[precision]
-
-
-def _model_cfg(r: Resolver) -> TR.ModelConfig:
-    return TR.ModelConfig(
-        variant=r.get("variant", "divided"),
-        dim=r.get("dim", 32, int),
-        depth=r.get("depth", 2, int),
-        heads=r.get("heads", 4, int),
-        image_size=r.get("crop", 32, int),
-        patch=r.get("patch", 8, int),
-        frames=r.get("frames", 8, int),
-        tube_depth=r.get("tube-depth", 2, int),
-    )
 
 
 def _load_dataset(r: Resolver):
@@ -185,35 +208,15 @@ def cmd_pretrain(args) -> int:
     out = r.require("out")
     seed = r.get("seed", 0, int)
     dtype = _dtype(r)
-    mcfg = M.MaeConfig(
-        dim=r.get("dim", 32, int),
-        depth=r.get("depth", 3, int),
-        heads=r.get("heads", 4, int),
-        decoder_dim=r.get("decoder-dim", 16, int),
-        decoder_depth=r.get("decoder-depth", 2, int),
-        decoder_heads=r.get("decoder-heads", 2, int),
-        image_size=r.get("crop", 32, int),
-        patch=r.get("patch", 8, int),
-        frames=r.get("frames", 8, int),
-        tube_depth=r.get("tube-depth", 2, int),
-    )
-    pcfg = M.PretrainConfig(
-        ratio=r.get("ratio", 0.9, float),
-        steps=r.get("steps", 200, int),
-        batch=r.get("batch", 2, int),
-        lr=r.get("lr", 1e-3, float),
-        seed=seed,
-        checkpoint_interval=r.get("checkpoint-interval", 0, int),
-    )
-    pipe = V.PipelineConfig(mcfg.frames, r.get("sampling", "even"), mcfg.image_size)
+    mcfg = r.build(M.MaeConfig)
+    pcfg = r.build(M.PretrainConfig, seed=seed)
+    pipe = r.build(V.PipelineConfig, frames=mcfg.frames, crop=mcfg.image_size)
     manifest, video_dir = _load_dataset(r)
     resolved = r.done()
     model = M.MaeModel(mcfg, V.derive_rng(seed, "init"), dtype)
     curve = M.pretrain(model, manifest, video_dir, pcfg, pipe, out_dir=out)
     _write_echo(out, {"command": "pretrain", "seed": seed, "model": asdict(mcfg),
-                      "pipeline": {"frames": pipe.frames, "sampling": pipe.sampling,
-                                   "crop": pipe.crop},
-                      "resolved": resolved})
+                      "pipeline": asdict(pipe), "resolved": resolved})
     first = float(np.mean([l for _, l in curve[:10]]))
     last = float(np.mean([l for _, l in curve[-10:]]))
     print(f"pretrained {pcfg.steps} steps: mean loss {first:.4f} (first 10) -> {last:.4f} (last 10)")
@@ -225,17 +228,8 @@ def cmd_finetune(args) -> int:
     out = r.require("out")
     seed = r.get("seed", 0, int)
     dtype = _dtype(r)
-    mcfg = _model_cfg(r)
-    tc = TR.TrainConfig(
-        batch=r.get("batch", 4, int),
-        epochs=r.get("epochs", 2, int),
-        lr=r.get("lr", 1e-3, float),
-        frames=mcfg.frames,
-        sampling=r.get("sampling", "consecutive"),
-        layers=_parse_layers(r.get("layers", "all")),
-        seed=seed,
-        variant=mcfg.variant,
-    )
+    mcfg = r.build(TR.ModelConfig)
+    tc = r.build(TR.TrainConfig, frames=mcfg.frames, variant=mcfg.variant, seed=seed)
     init_from = r.get("init-from", None)
     manifest, video_dir = _load_dataset(r)
     resolved = r.done()
@@ -244,10 +238,9 @@ def cmd_finetune(args) -> int:
     if init_from:
         M.load_encoder(model.named(), C.load_checkpoint(init_from))
     reports, _ = TR.finetune(model, merged, video_dir, tc, crop=mcfg.image_size, out_dir=out)
+    pipe = V.PipelineConfig(tc.frames, tc.sampling, mcfg.image_size)
     _write_echo(out, {"command": "finetune", "seed": seed, "model": asdict(mcfg),
-                      "num_classes": manifest.num_classes,
-                      "pipeline": {"frames": tc.frames, "sampling": tc.sampling,
-                                   "crop": mcfg.image_size},
+                      "num_classes": manifest.num_classes, "pipeline": asdict(pipe),
                       "resolved": resolved})
     with open(os.path.join(out, "reports.json"), "w", encoding="utf-8") as fh:
         fh.write("[" + ",\n".join(rep.to_json() for rep in reports) + "]\n")
@@ -283,7 +276,7 @@ def cmd_ablate(args) -> int:
     out = r.require("out")
     grid_path = r.require("grid")
     seed = r.get("seed", 0, int)
-    mcfg = _model_cfg(r)
+    mcfg = r.build(TR.ModelConfig)
     manifest, video_dir = _load_dataset(r)
     resolved = r.done()
     raw = _read_json(grid_path, "grid file")
@@ -293,18 +286,12 @@ def cmd_ablate(args) -> int:
     for i, row in enumerate(raw):
         if not isinstance(row, dict):
             raise VslrError("config", f"grid row {i} must be an object")
+        rr = Resolver(None, row, _ROW_NAMES)
         try:
-            grid.append(TR.TrainConfig(
-                batch=int(row.get("batch", 4)),
-                epochs=int(row.get("epochs", 2)),
-                lr=float(row.get("lr", 1e-3)),
-                frames=int(row.get("frames", mcfg.frames)),
-                sampling=row.get("sampling", "consecutive"),
-                layers=_parse_layers(row.get("layers", "all")),
-                seed=int(row.get("seed", seed)),
-                variant=row.get("model", mcfg.variant),
-            ))
-        except (TypeError, ValueError, OverflowError) as e:
+            grid.append(rr.build(TR.TrainConfig, frames=mcfg.frames, variant=mcfg.variant,
+                                 seed=seed))
+            rr.done()
+        except VslrError as e:
             raise VslrError("config", f"grid row {i}: {e}")
     os.makedirs(out, exist_ok=True)
     csv_path = os.path.join(out, "ablation.csv")
@@ -367,28 +354,45 @@ def cmd_attn_map(args) -> int:
 # parser and dispatch
 
 
-def _common(p: argparse.ArgumentParser) -> None:
+# what each config field's flag sets; its type and (default …) come from the field
+_HELP = {
+    "variant": "attention layout", "dim": "model width", "depth": "encoder blocks",
+    "heads": "attention heads", "image_size": "square crop size; 224 enables the resize rule",
+    "patch": "patch/cube edge", "frames": "frames per clip",
+    "tube_depth": "cube temporal depth (the divided variant uses 1)",
+    "decoder_dim": "decoder width", "decoder_depth": "decoder blocks",
+    "decoder_heads": "decoder heads", "ratio": "tube masking ratio", "steps": "optimizer steps",
+    "batch": "clips per step", "lr": "learning rate", "epochs": "training epochs",
+    "checkpoint_interval": "checkpoint every N steps, 0 for the final one only",
+    "sampling": "frame sampling strategy", "layers": "fine-tuned blocks from the top, or 'all'",
+}
+_CHOICES = {"variant": ("divided", "joint"), "sampling": ("consecutive", "even")}
+
+
+def _common(p: argparse.ArgumentParser, reads_precision: bool = True) -> None:
     p.add_argument("--config", help="key = value config file; flags override file values")
     p.add_argument("--seed", type=int, help="global seed (default 0)")
     p.add_argument("--out", help="output directory")
-    p.add_argument("--precision", choices=("32", "64"), help="float width (default 32)")
+    p.add_argument("--precision", choices=tuple(_DTYPES),
+                   help="float width (default 32)" if reads_precision else "not read")
     p.add_argument("--threads", type=int,
                    help="BLAS thread cap applied before numpy loads (default 1)")
 
 
-def _model_flags(p: argparse.ArgumentParser, with_variant: bool = True) -> None:
-    if with_variant:
-        p.add_argument("--variant", choices=("divided", "joint"),
-                       help="attention layout (default divided)")
-    p.add_argument("--dim", type=int, help="model width (default 32)")
-    p.add_argument("--depth", type=int, help="encoder blocks (default 2)")
-    p.add_argument("--heads", type=int, help="attention heads (default 4)")
-    p.add_argument("--patch", type=int, help="patch/cube edge (default 8)")
-    p.add_argument("--tube-depth", type=int, help="cube temporal depth, joint only (default 2)")
-    p.add_argument("--frames", type=int, help="frames per clip (default 8)")
-    p.add_argument("--crop", type=int,
-                   help="square crop size; 224 enables the resize rule (default 32)")
-    p.add_argument("--sampling", choices=("consecutive", "even"), help="frame sampling strategy")
+def _config_flags(p: argparse.ArgumentParser, *classes) -> None:
+    """One flag per field of ``classes``, the first class's field taking a
+    shared key, as the command passes it on to the later configs; seed is
+    the global --seed."""
+    seen = {"seed"}
+    for cls in classes:
+        for f in fields(cls):
+            key = _key(f.name)
+            if key not in seen:
+                seen.add(key)
+                kind = type(f.default)
+                p.add_argument(f"--{key}", type=None if kind is str else kind,
+                               choices=_CHOICES.get(f.name),
+                               help=f"{_HELP[f.name]} (default {f.default})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -398,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = root.add_subparsers(dest="command", required=True, metavar="command")
 
     p = sub.add_parser("gen-data", help="write a synthetic raw-video dataset")
-    _common(p)
+    _common(p, reads_precision=False)
     p.add_argument("--classes", type=int, help="number of classes (default 4)")
     p.add_argument("--per-class", type=int, help="videos per class (default 6)")
     p.add_argument("--frames", type=int, help="nominal frames per video (default 12)")
@@ -406,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("validate-manifest", help="check a dataset manifest")
-    _common(p)
+    _common(p, reads_precision=False)
     p.add_argument("--manifest", help="manifest JSON path")
     p.add_argument("--wlasl100", action="store_true",
                    help="also enforce the 100-gloss corpus bounds")
@@ -415,26 +419,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pretrain", help="tube-masked autoencoder pretraining")
     _common(p)
     p.add_argument("--data", help="dataset directory (manifest.json + videos/)")
-    _model_flags(p, with_variant=False)
-    p.add_argument("--ratio", type=float, help="tube masking ratio (default 0.9)")
-    p.add_argument("--decoder-dim", type=int, help="decoder width (default 16)")
-    p.add_argument("--decoder-depth", type=int, help="decoder blocks (default 2)")
-    p.add_argument("--decoder-heads", type=int, help="decoder heads (default 2)")
-    p.add_argument("--steps", type=int, help="optimizer steps (default 200)")
-    p.add_argument("--batch", type=int, help="clips per step (default 2)")
-    p.add_argument("--lr", type=float, help="learning rate (default 1e-3)")
-    p.add_argument("--checkpoint-interval", type=int,
-                   help="checkpoint every N steps (default: final only)")
+    _config_flags(p, M.MaeConfig, M.PretrainConfig, V.PipelineConfig)
     p.set_defaults(func=cmd_pretrain)
 
     p = sub.add_parser("finetune", help="train a classifier")
     _common(p)
     p.add_argument("--data", help="dataset directory (manifest.json + videos/)")
-    _model_flags(p)
-    p.add_argument("--batch", type=int, help="clips per step (default 4)")
-    p.add_argument("--epochs", type=int, help="training epochs (default 2)")
-    p.add_argument("--lr", type=float, help="learning rate (default 1e-3)")
-    p.add_argument("--layers", help="fine-tuned blocks from the top, or 'all' (default all)")
+    _config_flags(p, TR.ModelConfig, TR.TrainConfig)
     p.add_argument("--init-from", help="initialize encoder from a pretraining checkpoint")
     p.set_defaults(func=cmd_finetune)
 
@@ -443,15 +434,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", help="dataset directory (manifest.json + videos/)")
     p.add_argument("--run", help="training run directory (config.json + model.ckpt)")
     p.add_argument("--split", choices=("train", "val", "test"), help="split to score (default test)")
-    p.add_argument("--sampling", choices=("consecutive", "even"),
+    p.add_argument("--sampling", choices=_CHOICES["sampling"],
                    help="override the stored sampling strategy")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("ablate", help="run a grid of fine-tuning rows")
-    _common(p)
+    _common(p, reads_precision=False)
     p.add_argument("--data", help="dataset directory (manifest.json + videos/)")
     p.add_argument("--grid", help="JSON list of row configs")
-    _model_flags(p)
+    _config_flags(p, TR.ModelConfig)
+    p.add_argument("--sampling", choices=_CHOICES["sampling"],
+                   help="not read; each grid row sets its own")
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("attn-map", help="export attention rollout heatmaps")
@@ -461,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--video", help="video id from the manifest")
     p.add_argument("--start-frame", type=int,
                    help="1-based clip start (consecutive sampling only)")
-    p.add_argument("--sampling", choices=("consecutive", "even"),
+    p.add_argument("--sampling", choices=_CHOICES["sampling"],
                    help="override the stored sampling strategy")
     p.set_defaults(func=cmd_attn_map)
     return root

@@ -317,11 +317,11 @@ class TrainConfig:
     ('all' additionally unfreezes the embedding)."""
 
     batch: int = 4
-    epochs: int = 15
-    lr: float = 1e-5
+    epochs: int = 2
+    lr: float = 1e-3
     frames: int = 16
     sampling: str = "consecutive"
-    layers: object = 3
+    layers: object = "all"
     seed: int = 0
     variant: str = "divided"
 
@@ -357,11 +357,6 @@ def finetune(model: ClassifierModel, manifest: Manifest, video_dir,
     dtype = model.head.w.data.dtype
     reports: list[EvalReport] = []
     log: list[tuple] = []
-
-    if cfg.epochs == 0:
-        reports.append(evaluate(model, manifest, video_dir, pipe, cfg.seed))
-        return reports, log
-
     trainable = freeze_layers(model, cfg.layers)
     opt = Adam(trainable, cfg.lr)
     named = model.named()
@@ -384,6 +379,8 @@ def finetune(model: ClassifierModel, manifest: Manifest, video_dir,
         if report.topk.get(1, 0.0) > best_top1:
             best_top1 = report.topk.get(1, 0.0)
             best_params = {k: v.data.copy() for k, v in model.named().items()}
+    if not reports:                     # zero epochs: the run scores its initial weights
+        reports.append(evaluate(model, manifest, video_dir, pipe, cfg.seed))
     if best_params is not None:
         load_into(model.named(), best_params)
     if out_dir is not None:

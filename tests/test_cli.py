@@ -2,11 +2,13 @@
 subcommand, the flag > config file > default precedence rules, run-dir
 self-containment, and the one-line error[<class>] contract with exit 2."""
 
+import argparse
 import csv
 import hashlib
 import json
 import os
 import pathlib
+import re
 import shutil
 import struct
 
@@ -15,7 +17,7 @@ import pytest
 
 from vslr.__main__ import _THREAD_VARS, main
 from vslr.checkpoint import load_checkpoint, save_checkpoint
-from vslr.cli import dispatch
+from vslr.cli import build_parser, dispatch
 from vslr.errors import ERROR_CLASSES, VslrError
 from vslr.train import ABLATION_COLUMNS
 
@@ -96,6 +98,22 @@ def test_finetune_run_is_self_contained(env):
     assert stored["pipeline"] == {"frames": 4, "sampling": "consecutive", "crop": 16}
     reports = json.loads((run / "reports.json").read_text())
     assert len(reports) == 1 and "1" in reports[0]["topk"]
+
+
+def test_finetune_zero_epochs_leaves_a_readable_run(env, tmp_path, capsys):
+    data, _ = env
+    pre, ft = tmp_path / "pre", tmp_path / "ft"
+    assert dispatch([*(a.format(data=data, tmp=tmp_path) for a in PRETRAIN), "--ratio", "0.5"]) == 0
+    assert dispatch(["finetune", "--data", str(data), "--out", str(ft), "--epochs", "0",
+                     "--variant", "joint", "--init-from", str(pre / "mae_final.ckpt"),
+                     *MODEL_FLAGS]) == 0
+    assert (ft / "train_log.csv").read_bytes() == b"step,loss,lr,wall_ms\r\n"
+    assert len(json.loads((ft / "reports.json").read_text())) == 1
+    capsys.readouterr()
+    assert dispatch(["evaluate", "--data", str(data), "--run", str(ft)]) == 0
+    assert json.loads(capsys.readouterr().out)["num_instances"] == 2
+    assert dispatch(["attn-map", "--data", str(data), "--run", str(ft), "--video", "c00_v00",
+                     "--out", str(tmp_path / "heat")]) == 0
 
 
 def test_evaluate_from_run_dir(env, capsys):
@@ -246,7 +264,8 @@ def test_ablate_writes_csv(env, tmp_path, capsys):
     grid = tmp_path / "grid.json"
     grid.write_text(json.dumps([
         {"epochs": 1, "lr": 1e-3, "sampling": "consecutive", "layers": "all"},
-        {"epochs": 1, "lr": 1e-4, "sampling": "even", "layers": 1},
+        {"epochs": 1, "lr": 1e-4, "sampling": "even", "layers": 1, "model": "joint",
+         "seed": 2},
     ]))
     out = tmp_path / "abl"
     assert dispatch(["ablate", "--data", str(data), "--grid", str(grid),
@@ -256,6 +275,7 @@ def test_ablate_writes_csv(env, tmp_path, capsys):
     assert rows[0] == ABLATION_COLUMNS
     assert len(rows) == 3
     assert rows[1][6] == "Consec." and rows[2][6] == "Even"
+    assert rows[1][4] == "divided" and rows[2][4] == "joint"
     assert "wrote 2 ablation rows" in capsys.readouterr().out
 
 
@@ -449,6 +469,8 @@ PRETRAIN = ["pretrain", "--data", "{data}", "--out", "{tmp}/pre", "--steps", "1"
             "--depth", "2", "--heads", "2", "--decoder-dim", "8", "--decoder-depth", "1",
             "--patch", "8", "--crop", "16", "--frames", "4"]
 GEN = ["gen-data", "--out", "{tmp}/ds", "--classes", "2", "--per-class", "3", "--size", "16"]
+ABLATE = ["ablate", "--data", "{data}", "--grid", "{tmp}/grid.json", "--out", "{tmp}/abl",
+          *MODEL_FLAGS]
 
 # (setup, argv, class, text the one line must hold); {data}, {run} and {tmp}
 # are the shared dataset, the shared run and this row's own directory
@@ -488,10 +510,8 @@ FAILURES = {
     "validate-manifest-deeply-nested": (_write("deep.json", b"[" * 100_000 + b"]" * 100_000),
                                         ["validate-manifest", "--manifest", "{tmp}/deep.json"],
                                         "manifest", "nested too deeply"),
-    "ablate-grid-deeply-nested": (_write("grid.json", b"[" * 100_000 + b"]" * 100_000),
-                                  ["ablate", "--data", "{data}", "--grid", "{tmp}/grid.json",
-                                   "--out", "{tmp}/abl", *MODEL_FLAGS], "config",
-                                  "nested too deeply"),
+    "ablate-grid-deeply-nested": (_write("grid.json", b"[" * 100_000 + b"]" * 100_000), ABLATE,
+                                  "config", "nested too deeply"),
     "finetune-corrupt-raw-video": (_corrupt_raw_videos, [*FINETUNE, "--data", "{tmp}/data"],
                                    "video", "raw video: payload"),
     "finetune-frame-end-past-stored": (_frame_end_past_stored, [*FINETUNE, "--data", "{tmp}/data"],
@@ -502,9 +522,16 @@ FAILURES = {
     "evaluate-run-config-pipeline-mismatch": (_run_config(_pipeline_frames_8),
                                               ["evaluate", "--data", "{data}", "--run", "{tmp}/run"],
                                               "config", "differ from the model"),
-    "ablate-grid-infinite-batch": (_write("grid.json", b'[{"batch": Infinity}]'),
-                                   ["ablate", "--data", "{data}", "--grid", "{tmp}/grid.json",
-                                    "--out", "{tmp}/abl", *MODEL_FLAGS], "config", "grid row 0"),
+    "ablate-grid-infinite-batch": (_write("grid.json", b'[{"batch": Infinity}]'), ABLATE,
+                                   "config", "grid row 0"),
+    "ablate-grid-unknown-key": (_write("grid.json", b'[{"epochs": 1}, {"epoch": 9}]'), ABLATE,
+                                "config", "grid row 1: unknown config keys: epoch"),
+    "ablate-grid-non-integral-epochs": (_write("grid.json", b'[{"epochs": 1.9}]'), ABLATE,
+                                        "config", "grid row 0: invalid value 1.9 for key epochs"),
+    "ablate-grid-lr-overflows-float": (_write("grid.json", b'[{"lr": 1' + b"0" * 400 + b'}]'),
+                                       ABLATE, "config", "grid row 0: invalid value 1000"),
+    "ablate-grid-boolean-batch": (_write("grid.json", b'[{"epochs": 1, "batch": true}]'), ABLATE,
+                                  "config", "grid row 0: invalid value True for key batch"),
     "finetune-lr-overflows-adam": (None, [*FINETUNE, "--lr", "1e300", "--batch", "64"],
                                    "divergence", "non-finite weight of embed.proj.w at step 0"),
     "pretrain-lr-overflows-adam": (None, [*PRETRAIN, "--lr", "1e300", "--patch", "4"],
@@ -572,9 +599,107 @@ def test_threads_pins_every_blas_variable(monkeypatch, tmp_path, capsys):
     assert all(os.environ[var] == "2" for var in _THREAD_VARS)
 
 
+def _subcommands():
+    (action,) = [a for a in build_parser()._actions
+                 if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
 def test_parser_exit_codes(capsys):
     assert dispatch([]) == 2                     # a subcommand is required
     assert dispatch(["no-such-command"]) == 2
     assert dispatch(["--help"]) == 0
-    assert dispatch(["finetune", "--help"]) == 0
+    assert len(_subcommands()) == 7
+    for name in _subcommands():
+        assert dispatch([name, "--help"]) == 0, name
     capsys.readouterr()
+
+
+def _stub_training(monkeypatch):
+    """Replace the training calls with instant ones; the run still resolves
+    and echoes its whole config."""
+    from vslr import mae as M
+    from vslr import train as TR
+
+    monkeypatch.setattr(M, "pretrain", lambda *a, **k: [(0, 1.0)])
+    report = TR.EvalReport({1: 0.5}, [], [], 0, 0.0, 0)
+    monkeypatch.setattr(TR, "finetune", lambda *a, **k: ([report], []))
+    monkeypatch.setattr(TR, "run_ablation", lambda *a, **k: [])
+
+
+@pytest.mark.parametrize("command", ["pretrain", "finetune", "ablate"])
+def test_help_defaults_are_what_a_run_resolves(env, tmp_path, monkeypatch, command):
+    # every "(default X)" that --help shows is what a run resolves with that
+    # flag omitted; --threads is consumed by the entry point, before any run
+    data, _ = env
+    _stub_training(monkeypatch)
+    grid = tmp_path / "grid.json"
+    grid.write_text("[{}]")
+    out = tmp_path / "out"
+    argv = [command, "--data", str(data), "--out", str(out)]
+    assert dispatch(argv + (["--grid", str(grid)] if command == "ablate" else [])) == 0
+    resolved = json.loads((out / "config.json").read_text())["resolved"]
+    shown = {}
+    for action in _subcommands()[command]._actions:
+        m = re.search(r"\(default (.*)\)$", action.help or "")
+        if m and action.dest != "threads":
+            shown[action.option_strings[0][2:]] = m.group(1)
+    assert {"seed", "dim", "depth", "frames", "crop"} <= set(shown)
+
+    def same(text, value):
+        return text == str(value) or isinstance(value, float) and float(text) == value
+
+    assert {k: (v, resolved.get(k)) for k, v in shown.items() if not same(v, resolved.get(k))} == {}
+
+
+# each subcommand's option strings, then the config-file keys it accepts
+INTERFACE = {
+    "gen-data": ("classes config frames out per-class precision seed size threads",
+                 "classes frames out per-class seed size"),
+    "validate-manifest": ("config manifest out precision seed threads wlasl100", "manifest"),
+    "pretrain": ("batch checkpoint-interval config crop data decoder-depth decoder-dim "
+                 "decoder-heads depth dim frames heads lr out patch precision ratio sampling "
+                 "seed steps threads tube-depth",
+                 "batch checkpoint-interval crop data decoder-depth decoder-dim decoder-heads "
+                 "depth dim frames heads lr out patch precision ratio sampling seed steps "
+                 "tube-depth"),
+    "finetune": ("batch config crop data depth dim epochs frames heads init-from layers lr out "
+                 "patch precision sampling seed threads tube-depth variant",
+                 "batch crop data depth dim epochs frames heads init-from layers lr out patch "
+                 "precision sampling seed tube-depth variant"),
+    "evaluate": ("config data out precision run sampling seed split threads",
+                 "data out precision run sampling seed split"),
+    "ablate": ("config crop data depth dim frames grid heads out patch precision sampling seed "
+               "threads tube-depth variant",
+               "crop data depth dim frames grid heads out patch seed tube-depth variant"),
+    "attn-map": ("config data out precision run sampling seed start-frame threads video",
+                 "data out precision run sampling seed start-frame video"),
+}
+
+
+def test_interface_is_pinned(env, monkeypatch):
+    # the config-file keys a command accepts are those it has read when it
+    # checks the file for unknown keys; the run is stopped there
+    from vslr import cli
+
+    data, run = env
+    used = []
+
+    def stop(resolver):
+        used.append(" ".join(sorted(resolver.used)))
+        raise VslrError("config", "stopped")
+
+    monkeypatch.setattr(cli.Resolver, "done", stop)
+    needs = {"gen-data": ["--out", "x"], "validate-manifest": ["--manifest", "x"],
+             "pretrain": ["--data", data, "--out", "x"],
+             "finetune": ["--data", data, "--out", "x"],
+             "evaluate": ["--data", data, "--run", run],
+             "ablate": ["--data", data, "--out", "x", "--grid", "x"],
+             "attn-map": ["--data", data, "--run", run, "--out", "x", "--video", "c00_v00"]}
+    seen = {}
+    for name, parser in _subcommands().items():
+        options = sorted(s[2:] for a in parser._actions for s in a.option_strings
+                         if s not in ("-h", "--help"))
+        assert dispatch([name, *map(str, needs[name])]) == 2
+        seen[name] = (" ".join(options), used.pop())
+    assert seen == INTERFACE

@@ -9,6 +9,7 @@ import pytest
 
 from vslr import tensor as T
 from vslr import train as TR
+from vslr.checkpoint import load_checkpoint
 from vslr.errors import VslrError
 from vslr.tensor import Tensor
 from vslr.train import (ABLATION_COLUMNS, Adam, ClassifierModel, ModelConfig,
@@ -229,17 +230,30 @@ def test_evaluate_rejects_head_mismatch(dataset):
         evaluate(model, manifest, videos, pipe)
 
 
-def test_finetune_zero_epochs_is_initial_eval(dataset):
+def test_finetune_zero_epochs_is_initial_eval(dataset, tmp_path):
     manifest, videos = dataset
     merged = merge_train_val(manifest)
     model = _tiny_model(num_classes=2)
     cfg = TrainConfig(batch=4, epochs=0, lr=1e-3, frames=4, sampling="even",
                       layers="all", seed=7)
-    reports, log = finetune(model, merged, videos, cfg, crop=16)
+    reports, log = finetune(model, merged, videos, cfg, crop=16, out_dir=tmp_path)
     assert len(reports) == 1 and log == []
     direct = evaluate(_tiny_model(num_classes=2), manifest, videos,
                       PipelineConfig(4, "even", 16), seed=7)
     assert reports[0].topk == direct.topk
+    # the run leaves through the one exit that saves: initial weights, header-only log
+    saved = load_checkpoint(tmp_path / "model.ckpt")
+    initial = _tiny_model(num_classes=2).named()
+    assert all(np.array_equal(saved[n], p.data) for n, p in initial.items())
+    assert (tmp_path / "train_log.csv").read_bytes() == b"step,loss,lr,wall_ms\r\n"
+
+
+def test_train_config_defaults_fit_the_default_model():
+    # the CLI's fine-tuning defaults are TrainConfig's, and they train ModelConfig()
+    model = ClassifierModel(ModelConfig(), 2, np.random.default_rng(0))
+    cfg = TrainConfig()
+    assert (cfg.batch, cfg.epochs, cfg.lr, cfg.layers) == (4, 2, 1e-3, "all")
+    assert len(freeze_layers(model, cfg.layers)) == len(model.params())
 
 
 def test_finetune_requires_merged_manifest(dataset):
