@@ -17,6 +17,7 @@ cost claim can be asserted exactly.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,19 +80,24 @@ class BlockWeights:
         return out
 
 
+@functools.lru_cache(maxsize=64)
 def pass_groups(grid: tuple, has_cls: bool, kind: str) -> np.ndarray:
     """Token ids [G, L] of each attention group of one pass, over the token
     layout [CLS, frame 0's positions, frame 1's positions, ...].
 
     temporal: one group per spatial position, across frames.  spatial: one
     group per frame, across its positions.  joint: one group of every
-    token.  The CLS (id 0), when present, leads every group.
+    token.  The CLS (id 0), when present, leads every group.  Each pass
+    meets the same ids every step, so they are built once per
+    (grid, has_cls, kind) and shared read-only.
     """
     f, hs, ws = grid
     off = 1 if has_cls else 0
     patches = off + np.arange(f * hs * ws).reshape(f, hs * ws)
     ids = {"temporal": patches.T, "spatial": patches, "joint": patches.reshape(1, -1)}[kind]
-    return np.pad(ids, ((0, 0), (off, 0)))
+    ids = np.pad(ids, ((0, 0), (off, 0)))
+    ids.setflags(write=False)
+    return ids
 
 
 def multi_head_attention(x: Tensor, w: PassWeights, heads: int, groups: np.ndarray,

@@ -118,7 +118,8 @@ def load_checkpoint(path) -> dict:
 
 
 def load_into(params: dict, loaded: dict) -> None:
-    """Copy loaded arrays into model tensors; names and shapes must match."""
+    """Copy loaded arrays into model tensors, in place, so each stays a
+    view into its model's buffer; names and shapes must match."""
     missing = sorted(set(params) - set(loaded))
     extra = sorted(set(loaded) - set(params))
     if missing or extra:
@@ -128,4 +129,4 @@ def load_into(params: dict, loaded: dict) -> None:
         if tuple(arr.shape) != tuple(tensor.data.shape):
             raise _checkpoint_error(
                 f"shape mismatch for {name!r}: file {arr.shape}, model {tensor.data.shape}")
-        tensor.data = arr.astype(tensor.data.dtype, copy=True)
+        tensor.data[...] = arr

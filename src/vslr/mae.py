@@ -27,7 +27,7 @@ from .attention import BlockWeights, encoder_forward
 from .checkpoint import load_into, save_checkpoint
 from .embedding import Embedding, EmbeddingConfig, TokenBatch, _check_video_shape
 from .errors import VslrError, at_least
-from .nn import LayerNormParams, LinearParams, trunc_normal
+from .nn import LayerNormParams, LinearParams, param_buffer, trunc_normal
 from .tensor import Tensor
 from .train import Adam, train_step
 from .video import (Manifest, PipelineConfig, derive_rng, load_instance_video,
@@ -116,6 +116,7 @@ class MaeModel:
                            for _ in range(cfg.decoder_depth)]
         self.dec_norm = LayerNormParams(cfg.decoder_dim, dtype)
         self.recon = LinearParams(rng, cfg.decoder_dim, ecfg.cube_dim, dtype)
+        self.buffer = param_buffer(self.params())
 
     def named(self) -> dict:
         out = self.embed.named("embed")

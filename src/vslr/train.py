@@ -14,10 +14,10 @@ import numpy as np
 
 from . import tensor as T
 from .attention import BlockWeights, encoder_forward
-from .checkpoint import load_into, save_checkpoint
+from .checkpoint import save_checkpoint
 from .embedding import Embedding, EmbeddingConfig
 from .errors import VslrError, at_least, first_non_finite
-from .nn import LayerNormParams, LinearParams
+from .nn import LayerNormParams, LinearParams, param_buffer
 from .tensor import Tensor, zero_grads
 from .video import (SPLITS, Manifest, PipelineConfig, derive_rng, derive_seed,
                     load_instance_video, merge_train_val, prepare_clip, to_model_tensor)
@@ -55,7 +55,12 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
 
 
 class Adam:
-    """Adam with bias correction; constant learning rate, no weight decay."""
+    """Adam with bias correction; constant learning rate, no weight decay.
+
+    The parameters must be one run of a model's buffer in order, such as
+    ``freeze_layers``' suffix, or tensors of their own, which are packed
+    into a buffer here (see ``nn.param_buffer``).  The moments are flat
+    arrays over that run, and a step updates it in place."""
 
     def __init__(self, params: list, lr: float, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
@@ -63,21 +68,55 @@ class Adam:
         self.lr = lr
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
-        self.m = [np.zeros_like(p.data) for p in self.params]
-        self.v = [np.zeros_like(p.data) for p in self.params]
+        self.flat = param_buffer(self.params)
+        self.offsets = np.cumsum([0] + [p.data.size for p in self.params])
+        self.m = np.zeros_like(self.flat)
+        self.v = np.zeros_like(self.flat)
+        self.grad = np.zeros_like(self.flat)
+        self.work = np.empty_like(self.flat)
 
-    def step(self) -> None:
+    def gather(self) -> list:
+        """Copy each parameter's gradient into ``self.grad``; returns the
+        maximal runs (lo, hi) of consecutive parameters that have one, as
+        element bounds into the flat arrays."""
+        runs, start = [], None
+        for i, p in enumerate(self.params + [None]):
+            if p is not None and p.grad is not None:
+                start = i if start is None else start
+            elif start is not None:
+                lo, hi = self.offsets[start], self.offsets[i]
+                np.concatenate([q.grad.ravel() for q in self.params[start:i]],
+                               out=self.grad[lo:hi])
+                runs.append((lo, hi))
+                start = None
+        return runs
+
+    def step(self, runs=None) -> None:
+        """One update over each run ``gather`` returns (it is called here
+        when ``runs`` is None).  A parameter without a gradient keeps its
+        weight and moments.  Each array op is the textbook formula's,
+        term for term, written in place:
+        m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*(g*g);
+        w = w - lr * (m / (1-b1^t)) / (sqrt(v / (1-b2^t)) + eps)."""
+        if runs is None:
+            runs = self.gather()
         self.t += 1
         b1, b2 = self.beta1, self.beta2
-        for i, p in enumerate(self.params):
-            if p.grad is None:
-                continue
-            g = p.grad
-            self.m[i] = b1 * self.m[i] + (1 - b1) * g
-            self.v[i] = b2 * self.v[i] + (1 - b2) * (g * g)
-            mhat = self.m[i] / (1 - b1 ** self.t)
-            vhat = self.v[i] / (1 - b2 ** self.t)
-            p.data = p.data - self.lr * mhat / (np.sqrt(vhat) + self.eps)
+        for lo, hi in runs:
+            w, g, m, v, a = (x[lo:hi] for x in (self.flat, self.grad, self.m, self.v, self.work))
+            m *= b1
+            m += np.multiply(g, 1 - b1, out=a)
+            v *= b2
+            a = np.multiply(g, g, out=a)
+            a *= 1 - b2
+            v += a
+            mhat = np.divide(m, 1 - b1 ** self.t, out=a)
+            denom = np.divide(v, 1 - b2 ** self.t, out=g)      # the gradient is spent
+            np.sqrt(denom, out=denom)
+            denom += self.eps
+            mhat *= self.lr
+            mhat /= denom
+            w -= mhat
 
     def zero_grad(self) -> None:
         zero_grads(self.params)
@@ -88,21 +127,28 @@ def train_step(loss_fn, named: dict, opt: Adam, step: int, run: str) -> float:
 
     Stops the run with error[divergence] at a non-finite loss, or at the
     first parameter in ``named`` order whose gradient before the step or
-    weight after it is non-finite.  Those checks catch every non-finite
+    weight after it is non-finite.  Each of the last two is one float64
+    sum over the optimizer's flat arrays; only when it is not finite are
+    the parameters searched by name.  Those checks catch every non-finite
     value numpy can make here, so its warnings are silenced."""
     def check(what: str, arrays: dict) -> None:
         bad = first_non_finite(arrays)
         if bad is not None:
             raise VslrError("divergence", f"{run} diverged: non-finite {what}{bad} at step {step}")
 
+    def finite(flat: np.ndarray, runs: list) -> bool:
+        return bool(np.isfinite(sum(flat[lo:hi].sum(dtype=np.float64) for lo, hi in runs)))
+
     with np.errstate(all="ignore"):
         loss = loss_fn()
         check("", {"loss": loss.data})
         T.backward(loss)
-        stepped = {n: p for n, p in named.items() if p.grad is not None}
-        check("gradient of ", {n: p.grad for n, p in stepped.items()})
-        opt.step()
-        check("weight of ", {n: p.data for n, p in stepped.items()})
+        runs = opt.gather()
+        if not finite(opt.grad, runs):
+            check("gradient of ", {n: p.grad for n, p in named.items() if p.grad is not None})
+        opt.step(runs)
+        if not finite(opt.flat, runs):
+            check("weight of ", {n: p.data for n, p in named.items() if p.grad is not None})
         opt.zero_grad()
     return float(loss.data)
 
@@ -161,6 +207,7 @@ class ClassifierModel:
                        for _ in range(cfg.depth)]
         self.norm = LayerNormParams(cfg.dim, dtype)
         self.head = LinearParams(rng, cfg.dim, num_classes, dtype)
+        self.buffer = param_buffer(self.params())
 
     def forward(self, x: Tensor, want_trace: bool = False):
         tb = self.embed.embed(x)
@@ -378,11 +425,11 @@ def finetune(model: ClassifierModel, manifest: Manifest, video_dir,
         reports.append(report)
         if report.topk.get(1, 0.0) > best_top1:
             best_top1 = report.topk.get(1, 0.0)
-            best_params = {k: v.data.copy() for k, v in model.named().items()}
+            best_params = model.buffer.copy()
     if not reports:                     # zero epochs: the run scores its initial weights
         reports.append(evaluate(model, manifest, video_dir, pipe, cfg.seed))
     if best_params is not None:
-        load_into(model.named(), best_params)
+        model.buffer[...] = best_params
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         save_checkpoint(os.path.join(out_dir, "model.ckpt"), model.named())

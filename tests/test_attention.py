@@ -252,6 +252,11 @@ def test_pass_groups_layout():
     assert pass_groups((2, 1, 3), True, "temporal").tolist() == [[0, 1, 4], [0, 2, 5], [0, 3, 6]]
     assert pass_groups((2, 1, 3), True, "spatial").tolist() == [[0, 1, 2, 3], [0, 4, 5, 6]]
     assert pass_groups((2, 1, 2), True, "joint").tolist() == [[0, 1, 2, 3, 4]]
+    # built once per (grid, has_cls, kind) and shared, so no caller may write it
+    ids = pass_groups((2, 1, 3), True, "temporal")
+    assert ids is pass_groups((2, 1, 3), True, "temporal") and not ids.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        ids[0, 0] = 1
 
 
 def test_divided_block_builds_one_joint_pass_more(monkeypatch):

@@ -3,19 +3,23 @@ vs a scalar reference, top-K ranking with deterministic tie-breaks, layer
 freezing, evaluation reports, fine-tune determinism, and the ablation CSV."""
 
 import csv
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from vslr import tensor as T
 from vslr import train as TR
-from vslr.checkpoint import load_checkpoint
+from vslr.checkpoint import load_checkpoint, load_into, save_checkpoint
 from vslr.errors import VslrError
+from vslr.mae import MaeConfig, MaeModel, PretrainConfig, load_encoder, pretrain
 from vslr.tensor import Tensor
 from vslr.train import (ABLATION_COLUMNS, Adam, ClassifierModel, ModelConfig,
                         TrainConfig, cross_entropy, evaluate, finetune,
-                        freeze_layers, load_batch, run_ablation, topk_accuracy,
-                        train_step)
+                        freeze_layers, load_batch, no_grad, run_ablation,
+                        topk_accuracy, train_step)
 from vslr.video import (Manifest, PipelineConfig, derive_rng, load_instance_video,
                         load_manifest, make_synthetic_dataset, merge_train_val,
                         prepare_clip, to_model_tensor)
@@ -112,6 +116,70 @@ def test_adam_skips_missing_grads():
     opt.step()
     assert not np.array_equal(p.data, np.ones(3))
     assert np.array_equal(q.data, np.ones(3))
+
+
+class PerTensorAdam:
+    """The per-tensor Adam step the flat one replaced: one new array per
+    term, skipping a weight without a gradient."""
+
+    def __init__(self, weights, lr, b1=0.9, b2=0.999, eps=1e-8):
+        self.w = [w.copy() for w in weights]
+        self.m = [np.zeros_like(w) for w in weights]
+        self.v = [np.zeros_like(w) for w in weights]
+        self.lr, self.b1, self.b2, self.eps, self.t = lr, b1, b2, eps, 0
+
+    def step(self, grads):
+        self.t += 1
+        b1, b2 = self.b1, self.b2
+        for i, g in enumerate(grads):
+            if g is None:
+                continue
+            self.m[i] = b1 * self.m[i] + (1 - b1) * g
+            self.v[i] = b2 * self.v[i] + (1 - b2) * (g * g)
+            mhat = self.m[i] / (1 - b1 ** self.t)
+            vhat = self.v[i] / (1 - b2 ** self.t)
+            self.w[i] = self.w[i] - self.lr * mhat / (np.sqrt(vhat) + self.eps)
+
+
+def _desk_trainables(which):
+    if which == "mae":
+        return MaeModel(MaeConfig(), np.random.default_rng(5)).params()
+    return freeze_layers(ClassifierModel(ModelConfig(), 10, np.random.default_rng(5)), 1)
+
+
+@pytest.mark.parametrize("which", ["mae", "classifier_top_block"])
+def test_flat_adam_matches_per_tensor_step_bit_for_bit(which):
+    """Five steps on a desk model's trainables.  In step 3 one parameter
+    that had gradients in steps 1-2 gets none: its weight and moments keep
+    their bits, and the parameters on either side still step."""
+    params = _desk_trainables(which)
+    opt = Adam(params, lr=1e-3)
+    ref = PerTensorAdam([p.data for p in params], lr=1e-3)
+    skip = len(params) // 2
+    rng = np.random.default_rng(6)
+    for step in range(1, 6):
+        grads = [(rng.standard_normal(p.data.shape) * rng.choice([1e-4, 1.0, 30.0]))
+                 .astype(np.float32) for p in params]
+        before = [p.data.copy() for p in params]
+        if step == 3:
+            grads[skip] = None
+            held = [a[skip].copy() for a in (ref.w, ref.m, ref.v)]
+        for p, g in zip(params, grads):
+            p.grad = g
+        opt.step()
+        opt.zero_grad()
+        ref.step(grads)
+        for i, p in enumerate(params):
+            lo, hi = opt.offsets[i], opt.offsets[i + 1]
+            assert np.array_equal(p.data, ref.w[i]), (step, i)
+            assert np.array_equal(opt.m[lo:hi], ref.m[i].ravel()), (step, i)
+            assert np.array_equal(opt.v[lo:hi], ref.v[i].ravel()), (step, i)
+        if step == 3:
+            assert all(np.array_equal(a, b) for a, b in
+                       zip(held, (ref.w[skip], ref.m[skip], ref.v[skip])))
+            assert np.array_equal(params[skip].data, before[skip])
+            for i in (skip - 1, skip + 1):
+                assert not np.array_equal(params[i].data, before[i]), i
 
 
 # ---------------------------------------------------------------------------
@@ -326,6 +394,76 @@ def test_finetune_stops_on_non_finite_gradient(dataset, tmp_path):
     assert not (tmp_path / "model.ckpt").exists()
     for name, p in model.named().items():
         assert np.array_equal(p.data, before[name]), name
+
+
+def _cut_off(model) -> list:
+    return [n for n, p in model.named().items() if not np.shares_memory(p.data, model.buffer)]
+
+
+def test_parameters_stay_views_into_the_model_buffer(dataset, tmp_path):
+    """Every path that writes a parameter writes through its view into the
+    model's buffer: a parameter rebound to a new array would silently drop
+    out of the optimizer's flat step."""
+    manifest, videos = dataset
+    mae_cfg = MaeConfig(dim=16, depth=3, heads=2, decoder_dim=8, decoder_depth=1,
+                        decoder_heads=2, image_size=16, patch=8, frames=4, tube_depth=2)
+    clf, mae = _tiny_model("joint", num_classes=2), MaeModel(mae_cfg, np.random.default_rng(1))
+    assert _cut_off(clf) == [] and _cut_off(mae) == []
+    for model, other in ((clf, _tiny_model("joint", rng_seed=3, num_classes=2)),
+                         (mae, MaeModel(mae_cfg, np.random.default_rng(4)))):
+        save_checkpoint(tmp_path / "other.ckpt", other.named())
+        load_into(model.named(), load_checkpoint(tmp_path / "other.ckpt"))
+        assert np.array_equal(model.buffer, other.buffer)
+        assert _cut_off(model) == [], "load_into"
+    load_encoder(clf.named(), {n: p.data for n, p in mae.named().items()})
+    assert np.array_equal(clf.named()["enc.1.joint.q.w"].data, mae.enc_blocks[1].joint.q.w.data)
+    assert _cut_off(clf) == [], "load_encoder"
+    freeze_layers(clf, 1)
+    assert _cut_off(clf) == [], "freeze_layers"
+    for model in (clf, mae):
+        with no_grad(model.params()):
+            assert _cut_off(model) == [], "no_grad"
+        assert _cut_off(model) == [], "after no_grad"
+    before = clf.buffer.copy()
+    cfg = TrainConfig(batch=4, epochs=1, lr=1e-3, frames=4, layers="all", seed=0,
+                      variant="joint")
+    finetune(clf, merge_train_val(manifest), videos, cfg, crop=16)
+    assert not np.array_equal(clf.buffer, before)
+    assert _cut_off(clf) == [], "finetune"
+    pretrain(mae, manifest, videos, PretrainConfig(ratio=0.5, steps=1, batch=2),
+             PipelineConfig(frames=4, sampling="consecutive", crop=16))
+    assert _cut_off(mae) == [], "pretrain"
+
+
+_FAULT_PROBE = """
+import resource
+import numpy as np
+from vslr import train as TR
+from vslr.tensor import Tensor
+model = TR.ClassifierModel(TR.ModelConfig(), 10, np.random.default_rng(0))
+opt = TR.Adam(TR.freeze_layers(model, "all"), 1e-3)
+x = np.random.default_rng(1).random((4, 8, 3, 32, 32), dtype=np.float32)
+y = np.arange(4)
+for step in range(2):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    TR.train_step(lambda: TR.cross_entropy(model.forward(Tensor(x)), y),
+                  model.named(), opt, step, "run")
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not T._HEAP_PAGES_KEPT, reason="no glibc mallopt, so no allocator policy")
+def test_second_desk_step_faults_in_no_new_pages():
+    """After one warm step, an identical desk fine-tune step (divided, batch
+    4) reuses the heap pages the first one freed and writes the weights in
+    place, so it takes almost no minor page faults (hundreds without the
+    allocator policy and the in-place step)."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(TR.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    out = subprocess.run([sys.executable, "-c", _FAULT_PROBE], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert int(out.stdout) < 50, out.stdout
 
 
 def test_finetune_checks_the_test_split_before_preparing_a_clip(dataset, monkeypatch):
