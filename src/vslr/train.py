@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import itertools
 import json
 import os
 import time
@@ -79,16 +80,14 @@ class Adam:
         """Copy each parameter's gradient into ``self.grad``; returns the
         maximal runs (lo, hi) of consecutive parameters that have one, as
         element bounds into the flat arrays."""
-        runs, start = [], None
-        for i, p in enumerate(self.params + [None]):
-            if p is not None and p.grad is not None:
-                start = i if start is None else start
-            elif start is not None:
-                lo, hi = self.offsets[start], self.offsets[i]
-                np.concatenate([q.grad.ravel() for q in self.params[start:i]],
-                               out=self.grad[lo:hi])
+        runs, i = [], 0
+        for stepped, group in itertools.groupby(self.params, lambda p: p.grad is not None):
+            group = list(group)
+            lo, hi = self.offsets[i], self.offsets[i + len(group)]
+            if stepped:
+                np.concatenate([p.grad.ravel() for p in group], out=self.grad[lo:hi])
                 runs.append((lo, hi))
-                start = None
+            i += len(group)
         return runs
 
     def step(self, runs=None) -> None:

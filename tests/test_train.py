@@ -182,6 +182,18 @@ def test_flat_adam_matches_per_tensor_step_bit_for_bit(which):
                 assert not np.array_equal(params[i].data, before[i]), i
 
 
+def test_adam_steps_a_model_buffer_in_place_and_refuses_a_scattered_subset():
+    model = _tiny_model()
+    trainable = freeze_layers(model, 1)
+    opt = Adam(trainable, lr=1e-3)
+    assert np.shares_memory(opt.flat, model.buffer)
+    assert opt.flat.size == sum(p.data.size for p in trainable) < model.buffer.size
+    params = model.params()
+    with pytest.raises(ValueError, match="tile one buffer in order"):
+        Adam(params[::2], lr=1e-3)      # packing them would detach them from the model
+    assert all(np.shares_memory(p.data, model.buffer) for p in params)
+
+
 # ---------------------------------------------------------------------------
 # top-K
 
