@@ -106,7 +106,7 @@ class Adam:
             m *= b1
             m += np.multiply(g, 1 - b1, out=a)
             v *= b2
-            a = np.multiply(g, g, out=a)
+            np.multiply(g, g, out=a)
             a *= 1 - b2
             v += a
             mhat = np.divide(m, 1 - b1 ** self.t, out=a)
