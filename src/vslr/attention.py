@@ -105,8 +105,8 @@ def multi_head_attention(x: Tensor, w: PassWeights, heads: int, groups: np.ndarr
     """Scaled dot-product attention within each group of [G, L] token ids
     over [batch, tokens, dim] (see ``T.attention``).
 
-    Returns (output, weights) where weights is a detached
-    [batch, groups, heads, length, length] array or None.
+    Returns (output, weights) where weights is the detached head mean
+    [batch, groups, length, length] of the attention weights, or None.
     """
     q = T.linear(x, w.q.w, w.q.b)
     k = T.linear(x, w.k.w, w.k.b)
@@ -114,10 +114,10 @@ def multi_head_attention(x: Tensor, w: PassWeights, heads: int, groups: np.ndarr
     out = T.linear(T.attention(q, k, v, heads, groups), w.o.w, w.o.b)
     if not want_trace:
         return out, None
-    # the fused op never holds the full weights; only rollout needs them
+    # the fused op never holds the full weights; only rollout needs their head mean
     g, n = groups.shape
     weights = T._attn_weights(*T._attn_split(q.data, k.data, heads, groups)[:2])[0]
-    return out, weights.reshape(x.data.shape[0], g, heads, n, n)
+    return out, weights.reshape(x.data.shape[0], g, heads, n, n).mean(axis=2)
 
 
 def _block(tb: TokenBatch, w: BlockWeights, heads: int, want_trace: bool,
@@ -200,7 +200,7 @@ def attention_rollout(trace: AttentionTrace, batch_index: int = 0) -> np.ndarray
             ids = pass_groups(trace.grid, trace.has_cls, kind)
             flat = ids.ravel()
             count = np.bincount(flat, minlength=m)
-            w = block_trace[kind][batch_index].mean(axis=1)          # [G, L, L]
+            w = block_trace[kind][batch_index]                       # [G, L, L]
             # v @ (mixed / row sums): divide by the row sums, spread, mix
             v = v / (0.5 * np.bincount(flat, weights=w.sum(-1, dtype=np.float64).ravel(),
                                        minlength=m) / count + 0.5)

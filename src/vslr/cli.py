@@ -369,14 +369,23 @@ _HELP = {
 _CHOICES = {"variant": ("divided", "joint"), "sampling": ("consecutive", "even")}
 
 
-def _common(p: argparse.ArgumentParser, reads_precision: bool = True) -> None:
+# flags that several commands read, each added only where it is read
+_SHARED = {
+    "seed": {"type": int, "help": "global seed (default 0)"},
+    "out": {"help": "output directory"},
+    "precision": {"choices": tuple(_DTYPES), "help": "float width (default 32)"},
+    "data": {"help": "dataset directory (manifest.json + videos/)"},
+    "run": {"help": "training run directory (config.json + model.ckpt)"},
+}
+
+
+def _common(p: argparse.ArgumentParser, *shared: str) -> None:
+    """--config, --threads, and the named _SHARED flags."""
     p.add_argument("--config", help="key = value config file; flags override file values")
-    p.add_argument("--seed", type=int, help="global seed (default 0)")
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--precision", choices=tuple(_DTYPES),
-                   help="float width (default 32)" if reads_precision else "not read")
     p.add_argument("--threads", type=int,
                    help="BLAS thread cap applied before numpy loads (default 1)")
+    for key in shared:
+        p.add_argument(f"--{key}", **_SHARED[key])
 
 
 def _config_flags(p: argparse.ArgumentParser, *classes) -> None:
@@ -402,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = root.add_subparsers(dest="command", required=True, metavar="command")
 
     p = sub.add_parser("gen-data", help="write a synthetic raw-video dataset")
-    _common(p, reads_precision=False)
+    _common(p, "seed", "out")
     p.add_argument("--classes", type=int, help="number of classes (default 4)")
     p.add_argument("--per-class", type=int, help="videos per class (default 6)")
     p.add_argument("--frames", type=int, help="nominal frames per video (default 12)")
@@ -410,47 +419,38 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("validate-manifest", help="check a dataset manifest")
-    _common(p, reads_precision=False)
+    _common(p)
     p.add_argument("--manifest", help="manifest JSON path")
     p.add_argument("--wlasl100", action="store_true",
                    help="also enforce the 100-gloss corpus bounds")
     p.set_defaults(func=cmd_validate_manifest)
 
     p = sub.add_parser("pretrain", help="tube-masked autoencoder pretraining")
-    _common(p)
-    p.add_argument("--data", help="dataset directory (manifest.json + videos/)")
+    _common(p, "seed", "out", "precision", "data")
     _config_flags(p, M.MaeConfig, M.PretrainConfig, V.PipelineConfig)
     p.set_defaults(func=cmd_pretrain)
 
     p = sub.add_parser("finetune", help="train a classifier")
-    _common(p)
-    p.add_argument("--data", help="dataset directory (manifest.json + videos/)")
+    _common(p, "seed", "out", "precision", "data")
     _config_flags(p, TR.ModelConfig, TR.TrainConfig)
     p.add_argument("--init-from", help="initialize encoder from a pretraining checkpoint")
     p.set_defaults(func=cmd_finetune)
 
     p = sub.add_parser("evaluate", help="evaluate a finished training run")
-    _common(p)
-    p.add_argument("--data", help="dataset directory (manifest.json + videos/)")
-    p.add_argument("--run", help="training run directory (config.json + model.ckpt)")
+    _common(p, "seed", "out", "precision", "data", "run")
     p.add_argument("--split", choices=("train", "val", "test"), help="split to score (default test)")
     p.add_argument("--sampling", choices=_CHOICES["sampling"],
                    help="override the stored sampling strategy")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("ablate", help="run a grid of fine-tuning rows")
-    _common(p, reads_precision=False)
-    p.add_argument("--data", help="dataset directory (manifest.json + videos/)")
+    _common(p, "seed", "out", "data")
     p.add_argument("--grid", help="JSON list of row configs")
     _config_flags(p, TR.ModelConfig)
-    p.add_argument("--sampling", choices=_CHOICES["sampling"],
-                   help="not read; each grid row sets its own")
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("attn-map", help="export attention rollout heatmaps")
-    _common(p)
-    p.add_argument("--data", help="dataset directory (manifest.json + videos/)")
-    p.add_argument("--run", help="training run directory (config.json + model.ckpt)")
+    _common(p, "seed", "out", "precision", "data", "run")
     p.add_argument("--video", help="video id from the manifest")
     p.add_argument("--start-frame", type=int,
                    help="1-based clip start (consecutive sampling only)")

@@ -1,11 +1,6 @@
-"""Token embeddings for video: 2-D patch and 3-D cube projection, learned
-positional tables, and the classification token.
-
-patch_embed_2d and cube_embed_3d are deliberately independent reshape
-chains; cube embedding at tube depth 1 must reproduce patch embedding
-with matched weights, and keeping the routes separate keeps that check
-meaningful.
-"""
+"""Token embeddings for video: cube projection (a per-frame 2-D patch is a
+cube of tube depth 1), learned positional tables, and the classification
+token."""
 
 from __future__ import annotations
 
@@ -87,16 +82,20 @@ class Embedding:
         return out
 
     def embed(self, x: Tensor) -> TokenBatch:
-        """Full embedding path for this variant, positional add included."""
-        if self.cfg.variant == "divided":
-            tb = patch_embed_2d(x, self)
-            tb = prepend_cls(tb, self)
-        else:
-            tb = cube_embed_3d(x, self)
-        return add_positional(tb, self)
+        """[B, F, 3, H, W] clip -> tokens: one projection of its cubes (the
+        divided variant's per-frame patches are cubes of tube depth 1),
+        the CLS row first (divided only), plus the positional table."""
+        tokens = T.linear(Tensor(cube_pixels(x.data, self.cfg)), self.proj.w, self.proj.b)
+        if self.cls is not None:
+            cls = T.repeat(self.cls, tokens.data.shape[0], axis=0)     # [B, 1, D]
+            tokens = T.concat([cls, tokens], axis=1)
+        return TokenBatch(T.add(tokens, self.pos), self.cfg.grid, has_cls=self.cls is not None)
 
 
-def _check_video_shape(x: np.ndarray, cfg: EmbeddingConfig) -> None:
+def cube_view(x: np.ndarray, cfg: EmbeddingConfig) -> np.ndarray:
+    """The [B, T, Hs, Ws, c, td, ph, pw] view of a [B, F, 3, H, W] clip
+    whose shape matches cfg: cube (t, h, w) of the grid, its pixels in
+    flatten order (c, t, ph, pw)."""
     if x.ndim != 5:
         raise ValueError(f"video tensor must be [B, F, 3, H, W], got shape {x.shape}")
     b, f, c, h, w = x.shape
@@ -106,58 +105,12 @@ def _check_video_shape(x: np.ndarray, cfg: EmbeddingConfig) -> None:
         raise ValueError(f"channel count {c} must be 3")
     if h != cfg.image_size or w != cfg.image_size:
         raise ValueError(f"spatial size {h}x{w} does not match configured {cfg.image_size}")
-
-
-def patch_embed_2d(x: Tensor, emb: Embedding) -> TokenBatch:
-    """Per-frame p x p patches, flattened (c, ph, pw), projected to D."""
-    cfg = emb.cfg
-    if cfg.tube_depth != 1:
-        raise ValueError("patch embedding requires tube depth 1")
-    _check_video_shape(x.data, cfg)
-    b, f, _, h, w = x.data.shape
-    p = cfg.patch
-    hs, ws = h // p, w // p
-    t1 = T.reshape(x, (b, f, 3, hs, p, ws, p))
-    t2 = T.transpose(t1, (0, 1, 3, 5, 2, 4, 6))          # [B, F, Hs, Ws, c, ph, pw]
-    flat = T.reshape(t2, (b, f * hs * ws, 3 * p * p))
-    tokens = T.linear(flat, emb.proj.w, emb.proj.b)
-    return TokenBatch(tokens, (f, hs, ws), has_cls=False)
-
-
-def cube_pixels(x: Tensor, cfg: EmbeddingConfig) -> Tensor:
-    """[B, F, 3, H, W] -> [B, N, cube_dim] with cube flatten order
-    (c, t, ph, pw); tokens run time-major then row-major over the grid."""
-    _check_video_shape(x.data, cfg)
-    b = x.data.shape[0]
     td, p = cfg.tube_depth, cfg.patch
     t, hs, ws = cfg.grid
-    t1 = T.reshape(x, (b, t, td, 3, hs, p, ws, p))
-    t2 = T.transpose(t1, (0, 1, 4, 6, 3, 2, 5, 7))       # [B, T, Hs, Ws, c, td, ph, pw]
-    return T.reshape(t2, (b, t * hs * ws, cfg.cube_dim))
+    return x.reshape(b, t, td, 3, hs, p, ws, p).transpose(0, 1, 4, 6, 3, 2, 5, 7)
 
 
-def cube_embed_3d(x: Tensor, emb: Embedding) -> TokenBatch:
-    """Tube cubes (td x p x p) projected to D."""
-    cfg = emb.cfg
-    flat = cube_pixels(x, cfg)
-    tokens = T.linear(flat, emb.proj.w, emb.proj.b)
-    return TokenBatch(tokens, cfg.grid, has_cls=False)
-
-
-def prepend_cls(tb: TokenBatch, emb: Embedding) -> TokenBatch:
-    if tb.has_cls:
-        raise ValueError("token batch already has a CLS token")
-    if emb.cls is None:
-        raise ValueError("embedding has no CLS token (joint variant)")
-    b = tb.tokens.data.shape[0]
-    cls = T.repeat(emb.cls, b, axis=0)                   # [B, 1, D]
-    return TokenBatch(T.concat([cls, tb.tokens], axis=1), tb.grid, has_cls=True)
-
-
-def add_positional(tb: TokenBatch, emb: Embedding) -> TokenBatch:
-    rows = tb.tokens.data.shape[1]
-    if emb.pos.data.shape[0] != rows:
-        raise ValueError(
-            f"positional table has {emb.pos.data.shape[0]} rows, token batch has {rows}"
-        )
-    return TokenBatch(T.add(tb.tokens, emb.pos), tb.grid, tb.has_cls)
+def cube_pixels(x: np.ndarray, cfg: EmbeddingConfig) -> np.ndarray:
+    """[B, F, 3, H, W] -> [B, N, cube_dim]; tokens run time-major then
+    row-major over the grid."""
+    return cube_view(x, cfg).reshape(x.shape[0], cfg.n_tokens, cfg.cube_dim)

@@ -25,7 +25,7 @@ import numpy as np
 from . import tensor as T
 from .attention import BlockWeights, encoder_forward
 from .checkpoint import load_into, save_checkpoint
-from .embedding import Embedding, EmbeddingConfig, TokenBatch, _check_video_shape
+from .embedding import Embedding, EmbeddingConfig, TokenBatch, cube_view
 from .errors import VslrError, at_least
 from .nn import LayerNormParams, LinearParams, param_buffer, trunc_normal
 from .tensor import Tensor
@@ -145,12 +145,10 @@ def normalized_cube_targets(x: np.ndarray, cfg: EmbeddingConfig, ids: np.ndarray
     """Per-cube normalized targets [B, K, cube_dim] of the cubes ids [B, K]
     names, and of no other: (pix - mean) / std, variance floored by 1e-6.
 
-    The cubes are gathered straight from the clip, flattened (c, t, ph, pw)
-    as `cube_pixels` does, and normalized in place with numpy's own `var`
-    arithmetic term for term."""
-    _check_video_shape(x, cfg)
-    b, (td, p), (t, hs, ws) = x.shape[0], (cfg.tube_depth, cfg.patch), cfg.grid
-    cubes = x.reshape(b, t, td, 3, hs, p, ws, p).transpose(0, 1, 4, 6, 3, 2, 5, 7)
+    The cubes are gathered straight from the clip's `cube_view`, and
+    normalized in place with numpy's own `var` arithmetic term for term."""
+    cubes = cube_view(x, cfg)
+    b = x.shape[0]
     ti, hi, wi = np.unravel_index(ids, cfg.grid)
     c = cubes[np.arange(b)[:, None], ti, hi, wi].reshape(b, ids.shape[1], cfg.cube_dim)
     c -= c.mean(axis=-1, keepdims=True)

@@ -152,11 +152,6 @@ def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
-def resize_bilinear(pixels: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Bilinear resample with half-pixel centers, rounded to nearest."""
-    return _resample(pixels[None], out_h, out_w, 0, 0, out_h, out_w)[0]
-
-
 def resize_plan(h: int, w: int) -> tuple[int, int]:
     """Target dims under the two-stage rule: bring the short side up to 226,
     then cap the long side at 256 (the cap wins on conflict)."""
@@ -180,13 +175,6 @@ def resize_dims(h: int, w: int, crop: int) -> tuple[int, int]:
         s = crop / min(nh, nw)
         nh, nw = _round_half_up(nh * s), _round_half_up(nw * s)
     return nh, nw
-
-
-def resize_rule(frames: np.ndarray, crop: int) -> np.ndarray:
-    """Resample a uint8 [n, h, w, 3] clip to resize_dims; returns the input
-    itself when nothing moves."""
-    nh, nw = resize_dims(frames.shape[1], frames.shape[2], crop)
-    return _resample(frames, nh, nw, 0, 0, nh, nw)
 
 
 def _resample(frames: np.ndarray, out_h: int, out_w: int,
@@ -277,16 +265,6 @@ def _crop(clip: VideoClip, out_h: int, out_w: int, size: int,
     out = replace(clip, frames=frames, crop_offset=(dy, dx), flipped=flip)
     out.validate()
     return out
-
-
-def augment_train(clip: VideoClip, rng: np.random.Generator, size: int = 224) -> VideoClip:
-    """One random size x size crop offset and one horizontal-flip draw,
-    applied identically to every frame.  Draw order: dy, dx, flip."""
-    return _crop(clip, *clip.frames.shape[1:3], size, rng)
-
-
-def crop_center(clip: VideoClip, size: int = 224) -> VideoClip:
-    return _crop(clip, *clip.frames.shape[1:3], size, None)
 
 
 def to_model_tensor(clip: VideoClip, dtype=np.float32) -> np.ndarray:

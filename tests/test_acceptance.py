@@ -545,7 +545,8 @@ def test_preprocessing_goldens():
     assert V.resize_plan(200, 400) == (128, 256)
     assert V.resize_plan(240, 250) == (240, 250)
     small = np.full((1, 200, 400, 3), 77, dtype=np.uint8)
-    out = V.resize_rule(small, 128)
+    nh, nw = V.resize_dims(200, 400, 128)
+    out = V._resample(small, nh, nw, 0, 0, nh, nw)
     assert out.shape == (1, 128, 256, 3)
     assert np.all(out == 77)                     # constant image stays constant
 
@@ -556,12 +557,12 @@ def test_preprocessing_goldens():
                      [50, 60, 80, 90],
                      [150, 130, 90, 70],
                      [200, 165, 95, 60]], dtype=np.uint8)
-    got = V.resize_bilinear(src, 4, 4)
+    got = V._resample(src[None], 4, 4, 0, 0, 4, 4)[0]
     assert np.array_equal(got, np.repeat(want[..., None], 3, axis=2))
 
     # center crop of a 6x8 frame to 4: offsets floor((6-4)/2)=1, floor((8-4)/2)=2
     px = np.arange(6 * 8 * 3, dtype=np.uint8).reshape(6, 8, 3)
-    cropped = V.crop_center(V.VideoClip(px[None].copy(), "v", [0], channel_order="RGB"), 4)
+    cropped = V._crop(V.VideoClip(px[None].copy(), "v", [0], channel_order="RGB"), 6, 8, 4, None)
     assert cropped.crop_offset == (1, 2)
     assert np.array_equal(cropped.frames[0], px[1:5, 2:6])
     _line("preprocessing goldens",

@@ -60,7 +60,7 @@ def test_multi_head_attention_matches_loop_oracle():
 
 def test_multi_head_attention_blocked_output_and_trace(monkeypatch):
     """Under 15 ragged query-row blocks the output still matches the loop
-    oracle, and the trace is the full softmax(q k^T / sqrt(dh))."""
+    oracle, and the trace is the head mean of softmax(q k^T / sqrt(dh))."""
     rng = np.random.default_rng(20)
     g, n, d, heads = 3, 9, 8, 2
     dh = d // heads
@@ -78,8 +78,8 @@ def test_multi_head_attention_blocked_output_and_trace(monkeypatch):
     logits = heads_of(w.q) @ heads_of(w.k).swapaxes(-1, -2) / math.sqrt(dh)
     want = np.exp(logits - logits.max(axis=-1, keepdims=True))
     want /= want.sum(axis=-1, keepdims=True)
-    assert tr.shape == (g, 1, heads, n, n)
-    assert np.allclose(tr[:, 0], want, rtol=0, atol=1e-10)
+    assert tr.shape == (g, 1, n, n)
+    assert np.allclose(tr[:, 0], want.mean(axis=1), rtol=0, atol=1e-10)
 
 
 def test_attention_rows_sum_to_one():
@@ -91,7 +91,7 @@ def test_attention_rows_sum_to_one():
         w = _pass(rng, d)
         x = Tensor(rng.standard_normal((g, n, d)) * 3, dtype=np.float64)
         _, tr = multi_head_attention(x, w, heads, np.arange(n)[None], want_trace=True)
-        assert tr.shape == (g, 1, heads, n, n)
+        assert tr.shape == (g, 1, n, n)
         assert np.allclose(tr.sum(axis=-1), 1.0, atol=1e-12)
 
 
@@ -121,7 +121,7 @@ def test_single_frame_temporal_weights_are_exactly_one():
     w = BlockWeights(rng, "divided", 8, dtype=np.float64)
     tb = _tb(rng, 2, 1, 2, 2, 8, cls=False)
     _, tr = divided_block(tb, w, 2, want_trace=True)
-    assert tr["temporal"].shape == (2, 4, 2, 1, 1)
+    assert tr["temporal"].shape == (2, 4, 1, 1)
     assert np.all(tr["temporal"] == 1.0)
 
 
@@ -192,8 +192,8 @@ def test_divided_trace_rows_sum_to_one_with_cls():
     _, tr = divided_block(tb, w, 4, want_trace=True)
     assert np.allclose(tr["temporal"].sum(axis=-1), 1.0, atol=1e-12)
     assert np.allclose(tr["spatial"].sum(axis=-1), 1.0, atol=1e-12)
-    assert tr["temporal"].shape == (2, 4, 4, 4, 4)   # [B, S, heads, 1+F, 1+F]
-    assert tr["spatial"].shape == (2, 3, 4, 5, 5)    # [B, F, heads, 1+S, 1+S]
+    assert tr["temporal"].shape == (2, 4, 4, 4)      # [B, S, 1+F, 1+F]
+    assert tr["spatial"].shape == (2, 3, 5, 5)       # [B, F, 1+S, 1+S]
 
 
 def divided_block_oracle(x, w, heads, grid, cls):
@@ -374,7 +374,7 @@ def rollout_oracle(trace, batch_index):
         for kind, weights in block_trace.items():
             ids = pass_groups(trace.grid, trace.has_cls, kind)
             a = np.zeros(rolled.shape)
-            np.add.at(a, (ids[:, :, None], ids[:, None, :]), weights[batch_index].mean(axis=1))
+            np.add.at(a, (ids[:, :, None], ids[:, None, :]), weights[batch_index])
             mixed = 0.5 * a / np.bincount(ids.ravel())[:, None] + 0.5 * np.eye(len(a))
             assert np.allclose(mixed.sum(axis=-1), 1.0, atol=1e-6)
             rolled = mixed / mixed.sum(axis=-1, keepdims=True) @ rolled
@@ -409,10 +409,10 @@ def test_divided_rollout_memory_at_paper_grid():
     # 16 frames of 14 x 14 patches: the dense path held 3137^2 float64
     # matrices (450 MiB peak); the carried row holds one pass's weights
     rng = np.random.default_rng(14)
-    grid, heads, depth = (16, 14, 14), 4, 2
+    grid, depth = (16, 14, 14), 2
 
     def softmax_rows(g, n):
-        w = rng.random((1, g, heads, n, n), dtype=np.float32)
+        w = rng.random((1, g, n, n), dtype=np.float32)
         return w / w.sum(axis=-1, keepdims=True)
 
     blocks = [{"temporal": softmax_rows(196, 17), "spatial": softmax_rows(16, 197)}

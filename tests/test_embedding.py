@@ -1,13 +1,16 @@
-"""Embeddings: loop oracles for patch and cube projection, the tube-depth-1
-equivalence, pixel round trips, positional rows, and the CLS token."""
+"""Embeddings: loop oracles for patch and cube projection, per-frame
+patches as cubes of tube depth 1, pixel round trips, positional rows, the
+CLS token, and the embedding bits at paper geometry."""
+
+import hashlib
 
 import numpy as np
 import pytest
 
-from vslr.embedding import (Embedding, EmbeddingConfig, add_positional,
-                            cube_embed_3d, cube_pixels, patch_embed_2d,
-                            prepend_cls)
+from vslr.embedding import Embedding, EmbeddingConfig, cube_pixels
+from vslr.mae import normalized_cube_targets
 from vslr.tensor import Tensor
+from vslr.train import ClassifierModel, ModelConfig
 
 
 def uncube_pixels(cubes: np.ndarray, cfg: EmbeddingConfig) -> np.ndarray:
@@ -79,10 +82,12 @@ def test_patch_embedding_matches_loop_oracle():
     cfg = EmbeddingConfig("divided", 6, 16, 8, 3)
     emb = Embedding(cfg, rng, dtype=np.float64)
     x = rng.standard_normal((2, 3, 3, 16, 16))
-    tb = patch_embed_2d(Tensor(x, dtype=np.float64), emb)
-    expect = patch_tokens_oracle(x, 8) @ emb.proj.w.data + emb.proj.b.data
-    assert tb.tokens.shape == (2, 12, 6)
-    assert not tb.has_cls
+    tb = emb.embed(Tensor(x, dtype=np.float64))
+    patches = patch_tokens_oracle(x, 8) @ emb.proj.w.data + emb.proj.b.data
+    cls = np.repeat(emb.cls.data, 2, axis=0)
+    expect = np.concatenate([cls, patches], axis=1) + emb.pos.data
+    assert tb.tokens.shape == (2, 1 + 12, 6)
+    assert tb.has_cls and tb.grid == (3, 2, 2)
     assert np.allclose(tb.tokens.data, expect, atol=1e-12)
 
 
@@ -91,24 +96,32 @@ def test_cube_embedding_matches_loop_oracle():
     cfg = EmbeddingConfig("joint", 5, 16, 4, 4, tube_depth=2)
     emb = Embedding(cfg, rng, dtype=np.float64)
     x = rng.standard_normal((2, 4, 3, 16, 16))
-    tb = cube_embed_3d(Tensor(x, dtype=np.float64), emb)
-    expect = cube_tokens_oracle(x, 4, 2) @ emb.proj.w.data + emb.proj.b.data
+    tb = emb.embed(Tensor(x, dtype=np.float64))
+    expect = cube_tokens_oracle(x, 4, 2) @ emb.proj.w.data + emb.proj.b.data + emb.pos.data
     assert tb.tokens.shape == (2, 2 * 16, 5)
+    assert not tb.has_cls
     assert np.allclose(tb.tokens.data, expect, atol=1e-12)
 
 
 def test_cube_depth_one_equals_patch_embedding():
+    """A per-frame 2-D patch is a cube of tube depth 1, pixel for pixel, so
+    a joint embedding at tube depth 1 with matched weights gives the
+    divided embedding's patch tokens."""
     rng = np.random.default_rng(2)
-    pcfg = EmbeddingConfig("divided", 7, 16, 8, 4, tube_depth=1)
-    ccfg = EmbeddingConfig("joint", 7, 16, 8, 4, tube_depth=1)
-    pe = Embedding(pcfg, np.random.default_rng(5), dtype=np.float64)
-    ce = Embedding(ccfg, np.random.default_rng(6), dtype=np.float64)
-    ce.proj.w.data = pe.proj.w.data.copy()     # matched projection weights
-    ce.proj.b.data = pe.proj.b.data.copy()
-    x = Tensor(rng.standard_normal((2, 4, 3, 16, 16)), dtype=np.float64)
-    a = patch_embed_2d(x, pe)
-    b = cube_embed_3d(x, ce)
-    assert np.allclose(a.tokens.data, b.tokens.data, atol=1e-12)
+    pe = Embedding(EmbeddingConfig("divided", 7, 16, 8, 4), np.random.default_rng(5),
+                   dtype=np.float64)
+    ce = Embedding(EmbeddingConfig("joint", 7, 16, 8, 4, tube_depth=1),
+                   np.random.default_rng(6), dtype=np.float64)
+    ce.proj.w.data[...] = pe.proj.w.data       # matched weights and positional rows
+    ce.proj.b.data[...] = pe.proj.b.data
+    ce.pos.data[...] = pe.pos.data[1:]
+    x = rng.standard_normal((2, 4, 3, 16, 16))
+    for cfg in (pe.cfg, ce.cfg):
+        assert np.array_equal(cube_pixels(x, cfg), patch_tokens_oracle(x, 8))
+    assert np.array_equal(cube_tokens_oracle(x, 8, 1), patch_tokens_oracle(x, 8))
+    a = pe.embed(Tensor(x, dtype=np.float64))
+    b = ce.embed(Tensor(x, dtype=np.float64))
+    assert np.array_equal(a.tokens.data[:, 1:], b.tokens.data)
     assert a.grid == b.grid
 
 
@@ -116,9 +129,9 @@ def test_cube_pixels_round_trip():
     rng = np.random.default_rng(3)
     cfg = EmbeddingConfig("joint", 5, 16, 4, 6, tube_depth=3)
     x = rng.standard_normal((2, 6, 3, 16, 16))
-    cubes = cube_pixels(Tensor(x, dtype=np.float64), cfg)
+    cubes = cube_pixels(x, cfg)
     assert cubes.shape == (2, 2 * 16, 3 * 3 * 16)
-    back = uncube_pixels(cubes.data, cfg)
+    back = uncube_pixels(cubes, cfg)
     assert np.array_equal(back, x)
 
 
@@ -127,21 +140,15 @@ def test_positional_and_cls():
     cfg = EmbeddingConfig("divided", 6, 16, 8, 2)
     emb = Embedding(cfg, rng, dtype=np.float64)
     assert emb.pos.shape == (1 + 2 * 4, 6)
-    x = Tensor(rng.standard_normal((3, 2, 3, 16, 16)), dtype=np.float64)
-    tb = patch_embed_2d(x, emb)
-    with pytest.raises(ValueError, match="positional table"):
-        add_positional(tb, emb)            # missing CLS row
-    tb = prepend_cls(tb, emb)
-    assert tb.has_cls
-    assert np.allclose(tb.tokens.data[:, 0, :], emb.cls.data[0, 0])
-    with pytest.raises(ValueError, match="already has"):
-        prepend_cls(tb, emb)
-    out = add_positional(tb, emb)
-    assert np.allclose(out.tokens.data, tb.tokens.data + emb.pos.data)
-
-    full = emb.embed(x)
+    x = rng.standard_normal((3, 2, 3, 16, 16))
+    full = emb.embed(Tensor(x, dtype=np.float64))
     assert full.tokens.shape == (3, 9, 6)
     assert full.has_cls
+    # the CLS row, then each patch's projection, each plus its positional row
+    assert np.array_equal(full.tokens.data[:, 0], np.broadcast_to(
+        emb.cls.data[0, 0] + emb.pos.data[0], (3, 6)))
+    patches = cube_pixels(x, cfg) @ emb.proj.w.data + emb.proj.b.data
+    assert np.allclose(full.tokens.data[:, 1:], patches + emb.pos.data[1:], atol=1e-12)
 
 
 def test_joint_variant_has_no_cls():
@@ -164,9 +171,13 @@ def test_divisibility_errors_name_dimension():
     cfg = EmbeddingConfig("divided", 8, 32, 8, 4)
     emb = Embedding(cfg, np.random.default_rng(0))
     with pytest.raises(ValueError, match="frame count 3"):
-        patch_embed_2d(Tensor(np.zeros((1, 3, 3, 32, 32), dtype=np.float32)), emb)
+        emb.embed(Tensor(np.zeros((1, 3, 3, 32, 32), dtype=np.float32)))
     with pytest.raises(ValueError, match="spatial size"):
-        patch_embed_2d(Tensor(np.zeros((1, 4, 3, 16, 32), dtype=np.float32)), emb)
+        emb.embed(Tensor(np.zeros((1, 4, 3, 16, 32), dtype=np.float32)))
+    with pytest.raises(ValueError, match="channel count 1"):
+        emb.embed(Tensor(np.zeros((1, 4, 1, 32, 32), dtype=np.float32)))
+    with pytest.raises(ValueError, match=r"\[B, F, 3, H, W\]"):
+        emb.embed(Tensor(np.zeros((4, 3, 32, 32), dtype=np.float32)))
 
 
 def test_embedding_gradients_flow_to_weights():
@@ -183,3 +194,31 @@ def test_embedding_gradients_flow_to_weights():
     assert emb.proj.w.grad is not None
     assert emb.pos.grad is not None
     assert emb.cls.grad is not None
+
+
+def _sha256(arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+def test_embedding_digests_at_paper_geometry():
+    """At paper geometry (224 px, 16 px patches, 16 frames, dim 64) the
+    embed tokens of a seeded divided and a seeded joint classifier, and
+    the normalized targets of one clip's masked cubes, pinned bit for bit."""
+    rng = np.random.default_rng(1717)
+    x = rng.random((2, 16, 3, 224, 224), dtype=np.float32)
+    digests = {}
+    for variant in ("divided", "joint"):
+        cfg = ModelConfig(variant, dim=64, depth=2, heads=4, image_size=224, patch=16, frames=16)
+        model = ClassifierModel(cfg, 10, np.random.default_rng(17))
+        digests[variant] = _sha256([model.embed.embed(Tensor(x)).tokens.data])
+    ecfg = EmbeddingConfig("joint", 64, 224, 16, 16, tube_depth=2)
+    ids = np.sort(rng.choice(ecfg.n_tokens, 1411, replace=False))[None]
+    digests["targets"] = _sha256([normalized_cube_targets(x[:1], ecfg, ids)])
+    assert digests == {
+        "divided": "e3972a95180e03ef713b80552fa53b8ba9b4d33c656846499ed8883e96eb7b8d",
+        "joint": "96b9d3d00183f9ed0fd58389c03d5ba2a350f194b232fc778d0a8b43843abc01",
+        "targets": "f142cdade2f57b58b1a95edca8d7b91183a9eb02363aef431417c22cd2e224c3",
+    }

@@ -96,7 +96,7 @@ def test_per_cell_mask_frequency_tracks_ratio():
 
 def targets_oracle(x, cfg):
     """Loop-level per-cube normalization with eps 1e-6."""
-    cubes = cube_pixels(Tensor(x, dtype=x.dtype), cfg).data
+    cubes = cube_pixels(x, cfg)
     out = np.zeros_like(cubes)
     for b in range(cubes.shape[0]):
         for i in range(cubes.shape[1]):

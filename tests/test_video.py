@@ -122,37 +122,42 @@ def test_bilinear_matches_loop_oracle():
     rng = np.random.default_rng(11)
     for oh, ow in [(3, 4), (8, 8), (5, 2)]:
         px = rng.integers(0, 256, size=(5, 7, 3), dtype=np.uint8)
-        assert np.array_equal(V.resize_bilinear(px, oh, ow), bilinear_oracle(px, oh, ow))
+        got = V._resample(px[None], oh, ow, 0, 0, oh, ow)[0]
+        assert np.array_equal(got, bilinear_oracle(px, oh, ow))
 
 
-def test_resize_rule_conflict_case_dims_and_pixels():
+def test_resize_conflict_case_dims_and_pixels():
     rng = np.random.default_rng(12)
     px = rng.integers(0, 256, size=(200, 400, 3), dtype=np.uint8)
     # a crop of at most 128 leaves the plan's dims to the two-stage rule
-    out = V.resize_rule(px[None], 128)
-    assert out.shape == (1, 128, 256, 3)
+    assert V.resize_dims(200, 400, 128) == (128, 256)
+    full = V._resample(px[None], 128, 256, 0, 0, 128, 256)[0]
+    assert full.shape == (128, 256, 3)
     # spot-check a handful of output pixels against the loop oracle
-    full = V.resize_bilinear(px, 128, 256)
     probe = bilinear_oracle(px, 128, 256)
     for i, j in [(0, 0), (64, 128), (127, 255), (13, 200)]:
         assert np.array_equal(full[i, j], probe[i, j])
-    assert np.array_equal(out[0], full)
 
 
-def test_resize_rule_returns_input_when_conformant():
+def test_resample_returns_input_when_conformant():
     px = np.zeros((2, 240, 250, 3), dtype=np.uint8)
-    assert V.resize_rule(px, 224) is px
+    nh, nw = V.resize_dims(240, 250, 224)
+    assert V._resample(px, nh, nw, 0, 0, nh, nw) is px
 
 
 @pytest.mark.parametrize("h, w, want", [(240, 320, (224, 299)), (180, 320, (224, 398)),
                                         (720, 1280, (224, 398)), (100, 150, (224, 335))])
-def test_resize_rule_brings_short_side_up_to_crop(h, w, want):
+def test_resize_dims_bring_short_side_up_to_crop(h, w, want):
     """4:3 and 16:9 sources: the 256 cap leaves the short side under 224, so
-    both sides scale by 224 / short in the one resample from the source."""
+    both sides scale by 224 / short in the one resample from the source,
+    whose center window the eval clip is."""
     px = np.random.default_rng(h + w).integers(0, 256, size=(h, w, 3), dtype=np.uint8)
-    out = V.resize_rule(px[None], 224)
-    assert out.shape == (1, *want, 3)
-    assert np.array_equal(out[0], V.resize_bilinear(px, *want))
+    assert V.resize_dims(h, w, 224) == want
+    clip = V.prepare_clip(V.RawVideo(px[None], "v", channel_order="RGB"),
+                          V.PipelineConfig(1, "even", 224), False, np.random.default_rng(0))
+    dy, dx = (want[0] - 224) // 2, (want[1] - 224) // 2
+    full = V._resample(px[None], *want, 0, 0, *want)
+    assert np.array_equal(clip.frames, full[:, dy:dy + 224, dx:dx + 224])
 
 
 @pytest.mark.parametrize("train", [True, False])
@@ -240,7 +245,8 @@ def test_prepare_clip_at_224_keeps_the_draw_order(h, w):
     again.integers(0, 6 - 4 + 1)
     assert (dy, dx, flip) == V.crop_offsets(nh, nw, 224, again)
     assert clip_rng.random() == replay.random()
-    want = V.resize_rule(frames[start:start + 4], 224)[:, dy:dy + 224, dx:dx + 224, ::-1]
+    want = V._resample(frames[start:start + 4], nh, nw, 0, 0, nh, nw)
+    want = want[:, dy:dy + 224, dx:dx + 224, ::-1]
     assert np.array_equal(clip.frames, want[:, :, ::-1] if flip else want)
 
 
@@ -274,7 +280,7 @@ def test_augment_applies_one_transform_to_all_frames():
     rng_px = np.random.default_rng(14)
     frames = rng_px.integers(0, 256, size=(5, 10, 12, 3), dtype=np.uint8)
     clip = V.VideoClip(frames, "v", list(range(5)), channel_order="RGB")
-    out = V.augment_train(clip, np.random.default_rng(3), size=6)
+    out = V._crop(clip, 10, 12, 6, np.random.default_rng(3))
     dy, dx = out.crop_offset
     for orig, new in zip(frames, out.frames):
         ref = orig[dy:dy + 6, dx:dx + 6]
@@ -287,7 +293,7 @@ def test_augment_applies_one_transform_to_all_frames():
 def test_center_crop_offsets():
     px = np.arange(6 * 8 * 3, dtype=np.uint8).reshape(6, 8, 3)
     clip = V.VideoClip(px[None], "v", [0], channel_order="RGB")
-    out = V.crop_center(clip, 4)
+    out = V._crop(clip, 6, 8, 4, None)
     assert out.crop_offset == (1, 2)
     assert out.flipped is False
     assert np.array_equal(out.frames[0], px[1:5, 2:6])
@@ -296,7 +302,7 @@ def test_center_crop_offsets():
 def test_crop_larger_than_frame_rejected():
     clip = V.VideoClip(_frames([1]), "v", [0])
     with pytest.raises(ValueError, match="exceeds"):
-        V.crop_center(clip, 64)
+        V._crop(clip, 4, 5, 64, None)
 
 
 def test_to_model_tensor_layout_and_scaling():
@@ -561,7 +567,8 @@ def test_prepare_clip_applies_resize_only_at_224():
                           np.random.default_rng(0))
     assert clip.frames.shape == (4, 224, 224, 3)
     assert clip.crop_offset == (0, 55)
-    full = V.resize_bilinear(small.frames[clip.sampled_indices[1]], 224, 335)
+    frame = small.frames[clip.sampled_indices[1]][None]
+    full = V._resample(frame, 224, 335, 0, 0, 224, 335)[0]
     assert np.array_equal(clip.frames[1], full[:, 55:279, ::-1])
 
 
