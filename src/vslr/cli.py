@@ -16,6 +16,7 @@ with one example each.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -175,13 +176,9 @@ def _load_run(run_dir, dtype):
 def cmd_gen_data(args) -> int:
     r = Resolver(args)
     out = r.require("out")
-    classes = r.get("classes", 4, int)
-    per = r.get("per-class", 6, int)
-    frames = r.get("frames", 12, int)
-    size = r.get("size", 32, int)
-    seed = r.get("seed", 0, int)
+    values = {name: r.get(key, default, int) for name, (key, _, default) in _GEN_DATA.items()}
     resolved = r.done()
-    manifest = V.make_synthetic_dataset(out, classes, per, frames, size, seed)
+    manifest = V.make_synthetic_dataset(out, **values)
     _write_echo(out, {"command": "gen-data", "resolved": resolved})
     counts = manifest.counts()
     print(f"wrote {len(manifest.instances)} videos, {manifest.num_classes} classes "
@@ -368,6 +365,15 @@ _HELP = {
 }
 _CHOICES = {"variant": ("divided", "joint"), "sampling": ("consecutive", "even")}
 
+# gen-data's key and help for each parameter of make_synthetic_dataset, with
+# the default that function's signature gives it; seed is the global --seed
+_GEN_DATA = {name: (key, text, inspect.signature(V.make_synthetic_dataset).parameters[name].default)
+             for name, key, text in (("num_classes", "classes", "number of classes"),
+                                     ("per_class", "per-class", "videos per class"),
+                                     ("nominal_frames", "frames", "nominal frames per video"),
+                                     ("size", "size", "square frame size"),
+                                     ("seed", "seed", "global seed"))}
+
 
 # flags that several commands read, each added only where it is read
 _SHARED = {
@@ -412,10 +418,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-data", help="write a synthetic raw-video dataset")
     _common(p, "seed", "out")
-    p.add_argument("--classes", type=int, help="number of classes (default 4)")
-    p.add_argument("--per-class", type=int, help="videos per class (default 6)")
-    p.add_argument("--frames", type=int, help="nominal frames per video (default 12)")
-    p.add_argument("--size", type=int, help="square frame size (default 32)")
+    for key, text, default in _GEN_DATA.values():
+        if key != "seed":
+            p.add_argument(f"--{key}", type=int, help=f"{text} (default {default})")
     p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("validate-manifest", help="check a dataset manifest")

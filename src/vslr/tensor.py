@@ -15,6 +15,21 @@ A leaf's ``data`` may be a view into its model's parameter buffer (see
 ``nn.param_buffer``); ops only read it, and whatever updates a parameter
 writes ``p.data[...] = x``, never ``p.data = x``.
 
+Kernel rules.  A kernel that writes in place (``out=``, ``+=``) keeps the
+textbook formula's operations in their order, term for term, so its
+outputs and gradients are bit for bit the textbook's; swapping the two
+operands of one product or sum is allowed, as IEEE rounding is symmetric,
+and a reduction keeps numpy's own call on an array of the same layout,
+since numpy sums a row pairwise.  ``layer_norm`` takes the mean once and
+reuses ``x - mean`` for the variance, with np.var's own sum and its true
+divide by the intp row count.  ``gelu`` walks its elements in chunks of
+``_GELU_CHUNK``, the last chunk ragged, so each chunk's temporaries stay
+in cache.  ``_row_max`` takes a row's max by a loop over its columns only
+up to ``_ROW_MAX_COLUMNS``: below it, numpy's per-row reduction overhead
+dominates (the divided temporal pass has F+1 tokens per row), and above
+it the loop's one call per column does.  A max is exact in any order, so
+both paths give the same bits.
+
 Allocator policy.  A training step frees its whole graph, and by default
 glibc hands the freed top of the heap back to the kernel, so the next
 step faults the same pages in again.  At import, where glibc's
@@ -252,7 +267,8 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         raise ValueError(f"linear: weight {w.data.shape} and bias {b.data.shape} are inconsistent")
     if x.data.shape[-1] != w.data.shape[0]:
         raise ValueError(f"linear: input {x.data.shape} does not match weight {w.data.shape}")
-    data = np.matmul(x.data, w.data) + b.data
+    data = np.matmul(x.data, w.data)
+    data += b.data
     _record_macs(data.size * w.data.shape[0], None)
     # an input that is a constant (the video at the embedding) needs no gradient
     wants_gx = x.requires_grad or x._vjp is not None
@@ -285,6 +301,14 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 # to 16 MiB on a 2-core Xeon, 512 KiB-1 MiB were fastest and could not be
 # told apart; larger blocks slowed the spatial and joint shapes.
 _ATTN_BLOCK_BYTES = 1 << 20
+
+# Longest row whose max _row_max takes by columns.  numpy's max over a
+# short last axis pays per row: float32 [G, 4, L, L] on a 2-core Xeon,
+# w.max(-1) -> the column loop, L=9 (64 groups) 110 -> 13 us, L=17 (226
+# groups) 420 -> 106 us, L=29 (80 groups) 593 -> 120 us.  From L=33 the
+# loop's per-column call loses where groups are few (8 groups 31 -> 42 us),
+# and at the paper spatial L=197 it is 44 -> 229 us.
+_ROW_MAX_COLUMNS = 32
 
 
 @functools.lru_cache(maxsize=64)
@@ -330,11 +354,24 @@ def _attn_split(q: np.ndarray, k: np.ndarray, heads: int, groups: np.ndarray) ->
     return qs, np.ascontiguousarray(_attn_gather(k, plan[0], heads, n).swapaxes(-1, -2)), plan
 
 
+def _row_max(w: np.ndarray) -> np.ndarray:
+    """w.max(axis=-1, keepdims=True), by a loop over the columns for rows
+    up to _ROW_MAX_COLUMNS long.  A max is exact in any order, and
+    np.maximum passes a NaN on as max does."""
+    n = w.shape[-1]
+    if n > _ROW_MAX_COLUMNS:
+        return w.max(axis=-1, keepdims=True)
+    m = w[..., :1].copy()
+    for j in range(1, n):
+        np.maximum(m, w[..., j:j + 1], out=m)
+    return m
+
+
 def _attn_weights(qs: np.ndarray, kt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Softmax weights [G, h, rows, N] of scaled queries against transposed
     keys, and each row's log-sum-exp [G, h, rows, 1]."""
     w = np.matmul(qs, kt)
-    m = w.max(axis=-1, keepdims=True)
+    m = _row_max(w)
     w -= m
     np.exp(w, out=w)
     total = w.sum(axis=-1, keepdims=True)
@@ -433,43 +470,94 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     d = x.data.shape[-1]
     if gamma.data.shape != (d,) or beta.data.shape != (d,):
         raise ValueError(f"layer_norm: gain/bias must have shape ({d},)")
-    mean = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + x.data.dtype.type(eps))
-    xhat = (x.data - mean) * inv
-    data = xhat * gamma.data + beta.data
+    # np.mean's and np.var's own steps, with the mean and x - mean made once
+    count = np.intp(d)
+    mean = np.add.reduce(x.data, axis=-1, keepdims=True)
+    np.true_divide(mean, count, out=mean)
+    xhat = x.data - mean
+    data = np.square(xhat)
+    inv = np.add.reduce(data, axis=-1, keepdims=True)
+    np.true_divide(inv, count, out=inv)              # the variance
+    inv += x.data.dtype.type(eps)
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
+    xhat *= inv
+    np.multiply(xhat, gamma.data, out=data)
+    data += beta.data
 
     def vjp(g):
         lead = tuple(range(g.ndim - 1))
         gbeta = g.sum(axis=lead)
-        ggamma = (g * xhat).sum(axis=lead)
+        gx = g * xhat
+        ggamma = gx.sum(axis=lead)
         dxhat = g * gamma.data
         m1 = dxhat.mean(axis=-1, keepdims=True)
-        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-        gx = (dxhat - m1 - xhat * m2) * inv
-        return gx, ggamma, gbeta
+        np.multiply(dxhat, xhat, out=gx)
+        m2 = gx.mean(axis=-1, keepdims=True)
+        np.multiply(xhat, m2, out=gx)
+        dxhat -= m1
+        dxhat -= gx
+        dxhat *= inv
+        return dxhat, ggamma, gbeta
 
     return _make_node(data, (x, gamma, beta), vjp)
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
 
+# Elements per GELU chunk, so a chunk's temporaries stay in cache.  float32
+# [2, 3137, 256] on a 2-core Xeon, fwd/bwd ms: 2^14 2.3/2.8, 2^15 2.1/2.4,
+# 2^16 2.0/2.3, 2^17 2.1/2.7, one chunk 3.3/4.5; the textbook form 4.3/5.8.
+_GELU_CHUNK = 1 << 16
+
 
 def gelu(x: Tensor) -> Tensor:
-    """tanh-approximation GELU."""
-    c = x.data.dtype.type(_GELU_C)
-    k = x.data.dtype.type(0.044715)
-    # products, not **: numpy's float32 power is ~70x slower than x*x*x
-    u = c * (x.data + k * (x.data * x.data * x.data))
-    t = np.tanh(u)
-    data = 0.5 * x.data * (1.0 + t)
+    """tanh-approximation GELU, (0.5*x)*(1 + tanh(c*(x + k*(x*x*x))))."""
+    dt = x.data.dtype.type
+    c, k = dt(_GELU_C), dt(0.044715)
+    flat = np.ascontiguousarray(x.data).reshape(-1)
+    chunks = [slice(i, i + _GELU_CHUNK) for i in range(0, flat.size, _GELU_CHUNK)]
+    data, t = np.empty_like(flat), np.empty_like(flat)
+    n = min(_GELU_CHUNK, flat.size)                  # scratch, allocated per pass, not kept
+    scratch = np.empty(n, flat.dtype)
+    for r in chunks:
+        xr, tr, out = flat[r], t[r], data[r]
+        half_x = scratch[:xr.size]
+        # products, not **: numpy's float32 power is ~70x slower than x*x*x
+        np.multiply(xr, xr, out=out)
+        out *= xr
+        out *= k
+        out += xr
+        out *= c
+        np.tanh(out, out=tr)
+        np.add(tr, 1.0, out=out)
+        np.multiply(xr, 0.5, out=half_x)
+        out *= half_x
 
     def vjp(g):
-        du = c * (1.0 + 3.0 * k * x.data * x.data)
-        dx = 0.5 * (1.0 + t) + 0.5 * x.data * (1.0 - t * t) * du
-        return (g * dx.astype(x.data.dtype),)
+        g1 = np.ascontiguousarray(g).reshape(-1)
+        gx = np.empty_like(flat)
+        s1, s2 = np.empty(n, flat.dtype), np.empty(n, flat.dtype)
+        k3 = 3.0 * k                                 # (3.0*k) first, as the formula groups it
+        for r in chunks:
+            xr, tr, out = flat[r], t[r], gx[r]
+            du, one_minus_tt = s1[:xr.size], s2[:xr.size]
+            np.multiply(xr, k3, out=du)
+            du *= xr
+            du += 1.0
+            du *= c                                  # c*(1 + 3k*x*x)
+            np.multiply(tr, tr, out=one_minus_tt)
+            np.subtract(1.0, one_minus_tt, out=one_minus_tt)
+            np.multiply(xr, 0.5, out=out)
+            out *= one_minus_tt
+            out *= du                                # ((0.5*x)*(1 - t*t))*du
+            np.add(tr, 1.0, out=du)
+            du *= 0.5
+            out += du                                # 0.5*(1 + t) + ...
+            out *= g1[r]
+        return (gx.reshape(x.data.shape),)
 
-    return _make_node(data.astype(x.data.dtype), (x,), vjp)
+    return _make_node(data.reshape(x.data.shape), (x,), vjp)
 
 
 # ---------------------------------------------------------------------------

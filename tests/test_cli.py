@@ -627,7 +627,7 @@ def _stub_training(monkeypatch):
     monkeypatch.setattr(TR, "run_ablation", lambda *a, **k: [])
 
 
-@pytest.mark.parametrize("command", ["pretrain", "finetune", "ablate"])
+@pytest.mark.parametrize("command", ["gen-data", "pretrain", "finetune", "ablate"])
 def test_help_defaults_are_what_a_run_resolves(env, tmp_path, monkeypatch, command):
     # every "(default X)" that --help shows is what a run resolves with that
     # flag omitted; --threads is consumed by the entry point, before any run
@@ -636,7 +636,7 @@ def test_help_defaults_are_what_a_run_resolves(env, tmp_path, monkeypatch, comma
     grid = tmp_path / "grid.json"
     grid.write_text("[{}]")
     out = tmp_path / "out"
-    argv = [command, "--data", str(data), "--out", str(out)]
+    argv = [command, "--out", str(out)] + ([] if command == "gen-data" else ["--data", str(data)])
     assert dispatch(argv + (["--grid", str(grid)] if command == "ablate" else [])) == 0
     resolved = json.loads((out / "config.json").read_text())["resolved"]
     shown = {}
@@ -644,7 +644,8 @@ def test_help_defaults_are_what_a_run_resolves(env, tmp_path, monkeypatch, comma
         m = re.search(r"\(default (.*)\)$", action.help or "")
         if m and action.dest != "threads":
             shown[action.option_strings[0][2:]] = m.group(1)
-    assert {"seed", "dim", "depth", "frames", "crop"} <= set(shown)
+    assert ({"seed", "classes", "per-class", "frames", "size"} if command == "gen-data"
+            else {"seed", "dim", "depth", "frames", "crop"}) <= set(shown)
 
     def same(text, value):
         return text == str(value) or isinstance(value, float) and float(text) == value

@@ -2,8 +2,6 @@
 patches as cubes of tube depth 1, pixel round trips, positional rows, the
 CLS token, and the embedding bits at paper geometry."""
 
-import hashlib
-
 import numpy as np
 import pytest
 
@@ -196,14 +194,7 @@ def test_embedding_gradients_flow_to_weights():
     assert emb.cls.grad is not None
 
 
-def _sha256(arrays) -> str:
-    h = hashlib.sha256()
-    for a in arrays:
-        h.update(np.ascontiguousarray(a).tobytes())
-    return h.hexdigest()
-
-
-def test_embedding_digests_at_paper_geometry():
+def test_embedding_digests_at_paper_geometry(sha256):
     """At paper geometry (224 px, 16 px patches, 16 frames, dim 64) the
     embed tokens of a seeded divided and a seeded joint classifier, and
     the normalized targets of one clip's masked cubes, pinned bit for bit."""
@@ -213,10 +204,10 @@ def test_embedding_digests_at_paper_geometry():
     for variant in ("divided", "joint"):
         cfg = ModelConfig(variant, dim=64, depth=2, heads=4, image_size=224, patch=16, frames=16)
         model = ClassifierModel(cfg, 10, np.random.default_rng(17))
-        digests[variant] = _sha256([model.embed.embed(Tensor(x)).tokens.data])
+        digests[variant] = sha256([model.embed.embed(Tensor(x)).tokens.data])
     ecfg = EmbeddingConfig("joint", 64, 224, 16, 16, tube_depth=2)
     ids = np.sort(rng.choice(ecfg.n_tokens, 1411, replace=False))[None]
-    digests["targets"] = _sha256([normalized_cube_targets(x[:1], ecfg, ids)])
+    digests["targets"] = sha256([normalized_cube_targets(x[:1], ecfg, ids)])
     assert digests == {
         "divided": "e3972a95180e03ef713b80552fa53b8ba9b4d33c656846499ed8883e96eb7b8d",
         "joint": "96b9d3d00183f9ed0fd58389c03d5ba2a350f194b232fc778d0a8b43843abc01",

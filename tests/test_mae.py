@@ -3,7 +3,6 @@ property, no-leakage and zero-visible-contribution checks, loss oracle,
 encoder cost at high masking, and pretraining determinism."""
 
 import csv
-import hashlib
 
 import numpy as np
 import pytest
@@ -22,13 +21,6 @@ from vslr.video import PipelineConfig, derive_rng, make_synthetic_dataset
 
 def _masks(grid, ratio, rng, n):
     return np.stack([make_tube_mask(grid, ratio, rng) for _ in range(n)])
-
-
-def _sha256(arrays) -> str:
-    h = hashlib.sha256()
-    for a in arrays:
-        h.update(np.ascontiguousarray(a).tobytes())
-    return h.hexdigest()
 
 
 def _desk_model(rng=None, dtype=np.float32, **kw):
@@ -289,7 +281,7 @@ def test_mae_gradcheck_mask_token_and_head():
     assert T.grad_check(loss_fn, model.recon.b) < 1e-6
 
 
-def test_mae_step_digest_at_paper_geometry():
+def test_mae_step_digest_at_paper_geometry(sha256):
     """One MAE step at paper geometry (224 px, 16 px patches, 16 frames,
     tube depth 2, ratio 0.9, batch 2): the loss and every parameter
     gradient, pinned bit for bit, so a faster loss, target or gather
@@ -303,9 +295,9 @@ def test_mae_step_digest_at_paper_geometry():
     _, loss = mae_forward(Tensor(x), masks, model)
     T.backward(loss)
     assert float(loss.data) == 1.009480357170105
-    assert _sha256([loss.data]) == \
+    assert sha256([loss.data]) == \
         "34d432da4228565be2531b40f25407e8da89e041e904bb32f7642dbc3c1a7082"
-    assert _sha256(p.grad for p in model.named().values()) == \
+    assert sha256(p.grad for p in model.named().values()) == \
         "2ee5a126e8000e555a8749adb8104e89a0ee81ce283faa9dc141b191df76f72a"
 
 
@@ -341,7 +333,7 @@ def test_encoder_cost_shrinks_quadratically_at_high_ratio():
 # pretraining loop
 
 
-def test_pretrain_runs_and_is_deterministic(tmp_path):
+def test_pretrain_runs_and_is_deterministic(tmp_path, sha256):
     manifest = make_synthetic_dataset(tmp_path / "data", num_classes=2, per_class=3,
                                       nominal_frames=6, size=16, seed=3)
     pipe = PipelineConfig(frames=4, sampling="even", crop=16)
@@ -353,7 +345,7 @@ def test_pretrain_runs_and_is_deterministic(tmp_path):
         curve = pretrain(model, manifest, tmp_path / "data" / "videos", pcfg, pipe,
                          out_dir=tmp_path / f"run{run}")
         curves.append(curve)
-        weights.append(_sha256(p.data for p in model.named().values()))
+        weights.append(sha256(p.data for p in model.named().values()))
     assert curves[0] == curves[1] and weights[0] == weights[1]
     # pinned bit for bit: a change to the MAE step must not drift them
     assert curves[0] == [(0, 0.9967448115348816), (1, 0.9829869866371155),

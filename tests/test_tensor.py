@@ -485,6 +485,151 @@ def test_attention_rejects_mismatched_shapes():
 
 
 # ---------------------------------------------------------------------------
+# in-place kernels against their textbook forms, bit for bit
+
+
+def textbook_linear(x, w, b):
+    """T.linear's textbook form: (data, vjp)."""
+    data = np.matmul(x, w) + b
+
+    def vjp(g):
+        g2, x2 = g.reshape(-1, g.shape[-1]), x.reshape(-1, x.shape[-1])
+        return np.matmul(g, w.T), x2.T @ g2, g2.sum(axis=0)
+
+    return data, vjp
+
+
+def textbook_layer_norm(x, gamma, beta, eps=1e-5):
+    """T.layer_norm's textbook form: (data, vjp)."""
+    mean = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + x.dtype.type(eps))
+    xhat = (x - mean) * inv
+    data = xhat * gamma + beta
+
+    def vjp(g):
+        lead = tuple(range(g.ndim - 1))
+        dxhat = g * gamma
+        m1 = dxhat.mean(axis=-1, keepdims=True)
+        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+        return (dxhat - m1 - xhat * m2) * inv, (g * xhat).sum(axis=lead), g.sum(axis=lead)
+
+    return data, vjp
+
+
+def textbook_gelu(x):
+    """T.gelu's textbook form: (data, vjp)."""
+    c = x.dtype.type(math.sqrt(2.0 / math.pi))
+    k = x.dtype.type(0.044715)
+    t = np.tanh(c * (x + k * (x * x * x)))
+    data = 0.5 * x * (1.0 + t)
+
+    def vjp(g):
+        du = c * (1.0 + 3.0 * k * x * x)
+        dx = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du
+        return (g * dx.astype(x.dtype),)
+
+    return data.astype(x.dtype), vjp
+
+
+def textbook_attn_weights(qs, kt):
+    """T._attn_weights with the row max taken by w.max."""
+    w = np.matmul(qs, kt)
+    m = w.max(axis=-1, keepdims=True)
+    w -= m
+    np.exp(w, out=w)
+    total = w.sum(axis=-1, keepdims=True)
+    w /= total
+    return w, m + np.log(total)
+
+
+def _same_bits(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert np.array_equal(a, b, equal_nan=True)
+
+
+def _kernel_case(rng, dtype, shape, scale=3.0):
+    x = (rng.standard_normal(shape) * scale).astype(dtype)
+    x.reshape(-1)[::7] = 0.0                      # exact zeros, and saturated tanh at x*3
+    return x, rng.standard_normal(shape).astype(dtype)
+
+
+DTYPES = pytest.mark.parametrize("dtype", [np.float32, np.float64])
+
+
+@DTYPES
+@pytest.mark.parametrize("shape", [(3, 7), (2, 5, 33), (2, 65, 32)])
+def test_linear_is_its_textbook_form_bit_for_bit(dtype, shape):
+    rng = np.random.default_rng(180)
+    x, _ = _kernel_case(rng, dtype, shape)
+    w = rng.standard_normal((shape[-1], 6)).astype(dtype)
+    b = rng.standard_normal(6).astype(dtype)
+    g = rng.standard_normal(shape[:-1] + (6,)).astype(dtype)
+    out = T.linear(Tensor(x, requires_grad=True), Tensor(w), Tensor(b))
+    want, vjp = textbook_linear(x, w, b)
+    _same_bits([out.data, *out._vjp(g)], [want, *vjp(g)])
+
+
+@DTYPES
+@pytest.mark.parametrize("shape", [(50, 9), (2, 17, 48), (3, 129, 64)])
+def test_layer_norm_is_its_textbook_form_bit_for_bit(dtype, shape):
+    rng = np.random.default_rng(181)
+    x, g = _kernel_case(rng, dtype, shape)
+    x += dtype(4.0)                               # a mean away from 0
+    gamma, beta = (rng.standard_normal(shape[-1]).astype(dtype) for _ in range(2))
+    out = T.layer_norm(Tensor(x, requires_grad=True), Tensor(gamma), Tensor(beta))
+    want, vjp = textbook_layer_norm(x, gamma, beta)
+    _same_bits([out.data, *out._vjp(g)], [want, *vjp(g)])
+    # an output gradient laid out in another order (a transposed view)
+    gt = np.ascontiguousarray(np.swapaxes(g, 0, -1)).swapaxes(0, -1)
+    _same_bits(out._vjp(gt), vjp(gt))
+
+
+@DTYPES
+@pytest.mark.parametrize("shape", [(4, 7), (2, 129, 128), (2, 300, 256), ()],
+                         ids=["small", "desk", "ragged", "scalar"])
+def test_gelu_is_its_textbook_form_bit_for_bit(dtype, shape):
+    rng = np.random.default_rng(182)
+    x, g = _kernel_case(rng, dtype, shape)
+    if shape == (2, 300, 256):
+        assert x.size > T._GELU_CHUNK and x.size % T._GELU_CHUNK
+    out = T.gelu(Tensor(x, requires_grad=True))
+    want, vjp = textbook_gelu(x)
+    _same_bits([out.data, *out._vjp(g)], [want, *vjp(g)])
+
+
+@DTYPES
+@pytest.mark.parametrize("length", [1, 9, T._ROW_MAX_COLUMNS, T._ROW_MAX_COLUMNS + 1, 65])
+def test_attention_weights_are_the_textbook_form_bit_for_bit(dtype, length):
+    rng = np.random.default_rng(183)
+    qs = (rng.standard_normal((6, 4, length, 8)) * 3).astype(dtype)
+    kt = rng.standard_normal((6, 4, 8, length)).astype(dtype)
+    _same_bits(T._attn_weights(qs, kt), textbook_attn_weights(qs.copy(), kt))
+
+
+@pytest.mark.parametrize("length", [1, 2, 9, T._ROW_MAX_COLUMNS, T._ROW_MAX_COLUMNS + 1, 197])
+def test_row_max_edge_cases(length):
+    rng = np.random.default_rng(184)
+    w = rng.standard_normal((5, 3, length)).astype(np.float32)
+    w[1, 0] = -np.inf                             # a row of -inf
+    w[2, 1, length // 2] = np.nan                 # a NaN in a row
+    w[3, 2, -1] = np.inf
+    w[4, 0] = np.nan
+    want = w.max(axis=-1, keepdims=True)
+    got = T._row_max(w)
+    _same_bits([got], [want])
+    assert got[1, 0, 0] == -np.inf and np.isnan(got[2, 1, 0]) and np.isnan(got[4, 0, 0])
+    # so a NaN logit still reaches the output, where the divergence checks see it
+    q = rng.standard_normal((2, 3, length, 4)).astype(np.float32)
+    q[0, 1, 0, 2] = np.nan
+    w, lse = T._attn_weights(q, np.swapaxes(q, -1, -2).copy())
+    assert np.isnan(w[0, 1, 0]).all() and np.isnan(lse[0, 1, 0, 0])
+    assert np.isfinite(w[1]).all()
+
+
+# ---------------------------------------------------------------------------
 # MAC accounting
 
 

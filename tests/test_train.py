@@ -593,3 +593,28 @@ def test_ablation_lets_a_non_vslr_error_propagate(dataset, tmp_path, monkeypatch
     with pytest.raises(RuntimeError, match="bug inside a row"):
         run_ablation(grid, manifest, videos, mcfg, out_csv=tmp_path / "ablation.csv")
     assert not (tmp_path / "ablation.csv").exists()
+
+
+# The loss curve and model.buffer sha256 of one desk fine-tune epoch (32 px,
+# 8 px patches, 8 frames, dim 32, depth 2, 4 heads, batch 4), recorded before
+# the in-place kernels of tensor.py, which must leave every bit as it was.
+DESK_FINETUNE_PINS = {
+    "divided": ([1.3875842094421387, 1.2755160331726074, 1.570192813873291,
+                 1.6470999717712402, 1.4740803241729736],
+                "b8bd4e092c52701f82e392c4071fe8d0017b2bab6659a0fcc5895b540eaf98bb"),
+    "joint": ([1.458034634590149, 1.3083667755126953, 1.492587685585022,
+               1.6728463172912598, 1.4501091241836548],
+              "44ad259d38fc2603b93608df2e9030ba6e7bf2947e2d5ce8f6436379dd3f11ea"),
+}
+
+
+@pytest.mark.parametrize("variant", sorted(DESK_FINETUNE_PINS))
+def test_desk_finetune_epoch_digest(variant, tmp_path, sha256):
+    manifest = merge_train_val(make_synthetic_dataset(tmp_path, size=32, seed=18))
+    model = ClassifierModel(ModelConfig(variant, dim=32, depth=2, heads=4, image_size=32,
+                                        patch=8, frames=8),
+                            len(manifest.glosses), np.random.default_rng(18))
+    cfg = TrainConfig(batch=4, epochs=1, lr=1e-3, frames=8, seed=18)
+    _, log = finetune(model, manifest, tmp_path / "videos", cfg, crop=32)
+    curve = [loss for _, loss, *_ in log]
+    assert (curve, sha256([model.buffer])) == DESK_FINETUNE_PINS[variant]
