@@ -261,12 +261,9 @@ def topk_accuracy(logits, labels, ks=(1, 5, 10)) -> dict:
     broken toward the lower class index."""
     z = logits.data if isinstance(logits, Tensor) else np.asarray(logits)
     y = np.asarray(labels)
-    b, c = z.shape
-    ranks = np.empty(b, dtype=np.int64)
-    col = np.arange(c)
-    for i in range(b):
-        order = np.lexsort((col, -z[i]))     # primary: score desc; tie: index asc
-        ranks[i] = int(np.nonzero(order == y[i])[0][0])
+    zy = np.take_along_axis(z, y[:, None], axis=1)
+    # rank = classes scoring higher, plus tied classes of lower index
+    ranks = (z > zy).sum(1) + ((z == zy) & (np.arange(z.shape[1]) < y[:, None])).sum(1)
     return {k: float((ranks < k).mean()) for k in ks}
 
 
@@ -343,14 +340,11 @@ def evaluate(model: ClassifierModel, manifest: Manifest, video_dir,
     labels = np.array([i.label for i in insts])
     topk = topk_accuracy(logits, labels, ks)
     c = manifest.num_classes
-    confusion = np.zeros((c, c), dtype=np.int64)
     pred = logits.argmax(axis=1)
-    for yt, yp in zip(labels, pred):
-        confusion[yt, yp] += 1
-    per_class = []
-    for cls in range(c):
-        sel = labels == cls
-        per_class.append(float((pred[sel] == cls).mean()) if sel.any() else 0.0)
+    confusion = np.bincount(labels * c + pred, minlength=c * c).reshape(c, c)
+    support = confusion.sum(1)
+    per_class = np.divide(confusion.diagonal(), support, out=np.zeros(c),
+                          where=support > 0).tolist()
     wall = time.perf_counter() - t0
     cfg = {"split": split, "frames": pipe.frames, "sampling": pipe.sampling,
            "crop": pipe.crop, "ks": list(ks)}

@@ -94,58 +94,35 @@ class VideoClip:
 # sampling and padding
 
 
-def _gather(video: RawVideo, idx: list, sampled: list) -> VideoClip:
-    clip = VideoClip(video.frames[idx], video.source_id, sampled,
-                     channel_order=video.channel_order)
-    clip.validate()
-    return clip
+def sample_indices(n: int, target: int, sampling: str,
+                   rng: np.random.Generator | None) -> tuple[list, list]:
+    """(read, recorded) for a target-frame clip of an n-frame video: read
+    is the source frame each clip frame reads, recorded the same with -1
+    at each padded slot.
 
-
-def pad_clip(video: RawVideo, target: int, rng: np.random.Generator) -> VideoClip:
-    """Pad a short video up to target frames.
-
-    Each missing slot draws Bernoulli(0.5): heads appends a copy of the
-    last frame, tails prepends a copy of the first.  Real frame order is
-    preserved; padded slots carry sampled index -1.
+    A video shorter than target keeps its frames in order, and each missing
+    slot draws Bernoulli(0.5): heads appends a copy of the last frame,
+    tails prepends a copy of the first.  Otherwise consecutive sampling
+    draws a random start, and even sampling takes floor(i * n / target)
+    and draws nothing, so it needs no rng.
     """
-    n = len(video.frames)
-    if not n:
-        raise ValueError("pad_clip: no frames to pad")
-    if n > target:
-        raise ValueError(f"pad_clip: {n} frames already exceed target {target}")
-    back = int(np.count_nonzero(rng.random(target - n) < 0.5))
-    front = target - n - back
-    real = list(range(n))
-    return _gather(video, [0] * front + real + [n - 1] * back, [-1] * front + real + [-1] * back)
-
-
-def sample_consecutive(video: RawVideo, target: int, rng: np.random.Generator) -> VideoClip:
-    """Random-start run of target consecutive frames; pads short videos."""
-    n = len(video.frames)
+    if n < 1:
+        raise ValueError("video has no frames")
     if n < target:
-        return pad_clip(video, target, rng)
-    start = int(rng.integers(0, n - target + 1))
-    idx = list(range(start, start + target))
-    return _gather(video, idx, idx)
-
-
-def sample_even(video: RawVideo, target: int, rng: np.random.Generator | None = None) -> VideoClip:
-    """Evenly spread indices floor(i * len / target); deterministic.
-
-    rng is only consulted when the video is shorter than target and
-    padding draws are needed.
-    """
-    n = len(video.frames)
-    if n < target:
-        if rng is None:
-            raise ValueError("sample_even: rng required to pad a short video")
-        return pad_clip(video, target, rng)
-    idx = [n * i // target for i in range(target)]
-    return _gather(video, idx, idx)
+        back = int(np.count_nonzero(rng.random(target - n) < 0.5))
+        front = target - n - back
+        real = list(range(n))
+        return [0] * front + real + [n - 1] * back, [-1] * front + real + [-1] * back
+    if sampling == "consecutive":
+        start = int(rng.integers(0, n - target + 1))
+        read = list(range(start, start + target))
+    else:
+        read = [n * i // target for i in range(target)]
+    return read, list(read)
 
 
 # ---------------------------------------------------------------------------
-# resize and channel order
+# resize
 
 
 def _round_half_up(x: float) -> int:
@@ -231,12 +208,6 @@ def _resample(frames: np.ndarray, out_h: int, out_w: int,
     return out.reshape(n, size_h, size_w, 3)
 
 
-def bgr_to_rgb(clip: VideoClip) -> VideoClip:
-    """Swap the channel axis and toggle the recorded order; an involution."""
-    order = "RGB" if clip.channel_order == "BGR" else "BGR"
-    return replace(clip, frames=clip.frames[..., ::-1], channel_order=order)
-
-
 # ---------------------------------------------------------------------------
 # augmentation and cropping
 
@@ -254,19 +225,6 @@ def crop_offsets(h: int, w: int, size: int, rng: np.random.Generator | None = No
     return dy, dx, flip
 
 
-def _crop(clip: VideoClip, out_h: int, out_w: int, size: int,
-          rng: np.random.Generator | None) -> VideoClip:
-    """The size x size crop of the clip resampled to out_h x out_w, at
-    crop_offsets of those dims; only the crop window is resampled."""
-    dy, dx, flip = crop_offsets(out_h, out_w, size, rng)
-    frames = _resample(clip.frames, out_h, out_w, dy, dx, size, size)
-    if flip:
-        frames = frames[:, :, ::-1]
-    out = replace(clip, frames=frames, crop_offset=(dy, dx), flipped=flip)
-    out.validate()
-    return out
-
-
 def to_model_tensor(clip: VideoClip, dtype=np.float32) -> np.ndarray:
     """Cast an RGB clip to [frames, 3, h, w] scaled to [0, 1]."""
     clip.validate()
@@ -275,7 +233,7 @@ def to_model_tensor(clip: VideoClip, dtype=np.float32) -> np.ndarray:
     dt = np.dtype(dtype)
     f, h, w, _ = clip.frames.shape
     # one cast straight into C order: casting the channel-reversed view
-    # that bgr_to_rgb leaves, then transposing, is ~3x slower
+    # that prepare_clip leaves, then transposing, is ~3x slower
     return np.divide(np.transpose(clip.frames, (0, 3, 1, 2)), 255,
                      out=np.empty((f, 3, h, w), dtype=dt), dtype=dt)
 
@@ -517,20 +475,26 @@ def prepare_clip(video: RawVideo, pipe: PipelineConfig, train: bool,
     """Sampling, then random crop + flip (train) or center crop (eval) of
     the clip at its resize_dims (224 pipelines only), then RGB conversion.
 
-    The crop is drawn from the resized dims after the sampling draws, and
-    only its window is resampled; the resample draws nothing."""
-    if pipe.sampling == "consecutive":
-        clip = sample_consecutive(video, pipe.frames, rng)
-    else:
-        clip = sample_even(video, pipe.frames, rng)
-    dims = clip.frames.shape[1:3]
+    One gather reads the sampled frames; the crop is drawn from the
+    resized dims after the sampling draws, and only its window is
+    resampled; the resample draws nothing.  The flip and the channel swap
+    are views."""
+    f, order = video.frames, video.channel_order
+    if f.ndim != 4 or f.shape[3] != 3 or f.dtype != np.uint8 or order not in ("BGR", "RGB"):
+        raise ValueError(f"video frames must be uint8 [n, h, w, 3] in BGR or RGB order, "
+                         f"got {f.shape} {f.dtype} {order!r}")
+    read, recorded = sample_indices(len(f), pipe.frames, pipe.sampling, rng)
+    frames = f[read]
+    dims = frames.shape[1:3]
     if pipe.crop == 224:
         dims = resize_dims(*dims, pipe.crop)
-    clip = _crop(clip, *dims, pipe.crop, rng if train else None)
-    if clip.channel_order == "BGR":
-        clip = bgr_to_rgb(clip)
-    clip.label = label
-    return clip
+    dy, dx, flip = crop_offsets(*dims, pipe.crop, rng if train else None)
+    frames = _resample(frames, *dims, dy, dx, pipe.crop, pipe.crop)
+    if flip:
+        frames = frames[:, :, ::-1]
+    if order == "BGR":
+        frames = frames[..., ::-1]
+    return VideoClip(frames, video.source_id, recorded, label, (dy, dx), flip, "RGB")
 
 
 # ---------------------------------------------------------------------------

@@ -293,6 +293,28 @@ def test_evaluate_report_shape(dataset):
     assert parsed["num_instances"] == n_test
 
 
+def test_evaluate_bookkeeping_matches_loops(dataset):
+    """Confusion counts and per-class accuracy against per-instance loops,
+    with a third class that has no test instance and so scores 0.0."""
+    manifest, videos = dataset
+    three = Manifest(manifest.glosses + ["zz_unseen"], manifest.instances)
+    model = _tiny_model(num_classes=3)
+    pipe = PipelineConfig(frames=4, sampling="even", crop=16)
+    report = evaluate(model, three, videos, pipe, seed=2)
+    insts = three.by_split("test")
+    pred = TR._batched_logits(model, insts, videos, pipe, 2).argmax(1)
+    confusion = [[0] * 3 for _ in range(3)]
+    for inst, p in zip(insts, pred):
+        confusion[inst.label][p] += 1
+    per_class = []
+    for cls in range(3):
+        hits = [p == cls for inst, p in zip(insts, pred) if inst.label == cls]
+        per_class.append(sum(hits) / len(hits) if hits else 0.0)
+    assert report.confusion == confusion
+    assert report.per_class == per_class
+    assert per_class[2] == 0.0 and confusion[2] == [0, 0, 0]
+
+
 def test_evaluate_leaves_trainable_flags_as_found(dataset):
     manifest, videos = dataset
     model = _tiny_model(num_classes=2)

@@ -27,25 +27,26 @@ def _frames(values, h=4, w=5):
 
 def test_even_sampling_golden_indices():
     # floor(i * 10 / 4) for i in 0..3 -> 0, 2, 5, 7
+    assert V.sample_indices(10, 4, "even", None) == ([0, 2, 5, 7], [0, 2, 5, 7])
     video = V.RawVideo(_frames(range(10)), "v")
-    clip = V.sample_even(video, 4)
+    clip = V.prepare_clip(video, V.PipelineConfig(4, "even", 4), False, None)
     assert clip.sampled_indices == [0, 2, 5, 7]
     assert clip.frames[:, 0, 0, 0].tolist() == [0, 2, 5, 7]
 
 
 def test_even_sampling_is_pure():
     video = V.RawVideo(_frames(range(13)), "v")
-    a = V.sample_even(video, 5)
-    b = V.sample_even(video, 5)
+    pipe = V.PipelineConfig(5, "even", 4)
+    a = V.prepare_clip(video, pipe, False, None)
+    b = V.prepare_clip(video, pipe, False, None)
     assert a.sampled_indices == b.sampled_indices
     assert np.array_equal(a.frames, b.frames)
 
 
 def test_consecutive_sampling_window():
-    video = V.RawVideo(_frames(range(20)), "v")
     for seed in range(10):
-        clip = V.sample_consecutive(video, 6, np.random.default_rng(seed))
-        idx = clip.sampled_indices
+        idx, recorded = V.sample_indices(20, 6, "consecutive", np.random.default_rng(seed))
+        assert recorded == idx
         assert len(idx) == 6
         assert idx == list(range(idx[0], idx[0] + 6))
         assert 0 <= idx[0] <= 14
@@ -62,7 +63,7 @@ def test_padding_12_to_16_golden():
     expected = [-1] * front + list(range(12)) + [-1] * back
 
     video = V.RawVideo(_frames(range(12)), "v")
-    clip = V.sample_consecutive(video, 16, rng_impl)
+    clip = V.prepare_clip(video, V.PipelineConfig(16, "consecutive", 4), False, rng_impl)
     assert len(clip.frames) == 16
     assert clip.sampled_indices == expected
     values = clip.frames[:, 0, 0, 0].tolist()
@@ -70,17 +71,42 @@ def test_padding_12_to_16_golden():
 
 
 def test_padding_happens_for_even_sampling_too():
-    video = V.RawVideo(_frames(range(3)), "v")
-    clip = V.sample_even(video, 5, np.random.default_rng(0))
-    assert len(clip.frames) == 5
-    assert sum(1 for i in clip.sampled_indices if i == -1) == 2
-    with pytest.raises(ValueError, match="rng"):
-        V.sample_even(video, 5)
+    read, recorded = V.sample_indices(3, 5, "even", np.random.default_rng(0))
+    assert len(read) == 5
+    assert sum(1 for i in recorded if i == -1) == 2
 
 
-def test_pad_clip_rejects_oversized_input():
-    with pytest.raises(ValueError, match="exceed"):
-        V.pad_clip(V.RawVideo(_frames(range(5)), "v"), 3, np.random.default_rng(0))
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 40), target=st.integers(1, 20),
+       sampling=st.sampled_from(["consecutive", "even"]), seed=st.integers(0, 2**32 - 1))
+def test_sample_indices_properties(n, target, sampling, seed):
+    rng = np.random.default_rng(seed)
+    read, recorded = V.sample_indices(n, target, sampling, rng)
+    assert len(read) == len(recorded) == target
+    assert all(0 <= i < n for i in read)
+    assert all(a <= b for a, b in zip(read, read[1:]))
+    assert all(r == i for r, i in zip(recorded, read) if r >= 0)
+    assert recorded.count(-1) == max(0, target - n)
+    if sampling == "even" and n >= target:
+        assert rng.random() == np.random.default_rng(seed).random()
+
+
+def test_prepare_clip_refuses_a_video_with_no_frames():
+    video = V.RawVideo(np.zeros((0, 4, 5, 3), dtype=np.uint8), "v")
+    for sampling in ("consecutive", "even"):
+        with pytest.raises(ValueError, match="video has no frames"):
+            V.prepare_clip(video, V.PipelineConfig(4, sampling, 4), True, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("frames, order", [
+    (_frames(range(3)).astype(np.float32), "BGR"),
+    (_frames(range(3))[..., 0], "BGR"),
+    (_frames(range(3)), "YUV"),
+])
+def test_prepare_clip_refuses_frames_it_cannot_convert(frames, order):
+    video = V.RawVideo(frames, "v", order)
+    with pytest.raises(ValueError, match=r"uint8 \[n, h, w, 3\] in BGR or RGB"):
+        V.prepare_clip(video, V.PipelineConfig(2, "even", 4), False, None)
 
 
 # ---------------------------------------------------------------------------
@@ -210,20 +236,26 @@ def test_resample_window_equals_oracle_slice(h, w, out_h, out_w):
 
 @pytest.mark.parametrize("h, w, out_h, out_w", WINDOW_SOURCES[:6])
 def test_crop_of_resampled_clip_with_and_without_flip(h, w, out_h, out_w):
-    """A drawn crop, flipped or not, is the oracle's resample sliced at the
-    recorded offset and mirrored when the recorded flip says so."""
+    """Each drawn crop, flipped or not, is the oracle's resample sliced at
+    the drawn offset; the draw-order tests below check that prepare_clip
+    mirrors the flipped ones."""
     size = min(out_h, out_w) - 1
     frames = np.random.default_rng(h + w).integers(0, 256, size=(2, h, w, 3), dtype=np.uint8)
     full = np.stack([bilinear_oracle(f, out_h, out_w) for f in frames])
-    clip = V.VideoClip(frames, "v", [0, 1])
     seen = set()
     for seed in range(12):
-        out = V._crop(clip, out_h, out_w, size, np.random.default_rng(seed))
-        dy, dx = out.crop_offset
-        want = full[:, dy:dy + size, dx:dx + size]
-        assert np.array_equal(out.frames, want[:, :, ::-1] if out.flipped else want)
-        seen.add(out.flipped)
+        dy, dx, flip = V.crop_offsets(out_h, out_w, size, np.random.default_rng(seed))
+        out = V._resample(frames, out_h, out_w, dy, dx, size, size)
+        assert np.array_equal(out, full[:, dy:dy + size, dx:dx + size])
+        seen.add(flip)
     assert seen == {False, True}
+
+
+def _replay(n, pipe, dims, rng):
+    """prepare_clip's draws on a twin stream: the sampling, then the crop
+    offsets from the dims the clip is cropped at."""
+    read, recorded = V.sample_indices(n, pipe.frames, pipe.sampling, rng)
+    return read, recorded, V.crop_offsets(*dims, pipe.crop, rng)
 
 
 @pytest.mark.parametrize("h, w", [(200, 200), (240, 320), (180, 320), (320, 180)])
@@ -233,21 +265,45 @@ def test_prepare_clip_at_224_keeps_the_draw_order(h, w):
     pretraining) is the same as when the whole frame was resampled."""
     frames = np.random.default_rng(h * w).integers(0, 256, size=(6, h, w, 3), dtype=np.uint8)
     video = V.RawVideo(frames, "v")
-    clip_rng, replay, again = (np.random.default_rng(7) for _ in range(3))
-    clip = V.prepare_clip(video, V.PipelineConfig(4, "consecutive", 224), True, clip_rng)
-    start = int(replay.integers(0, 6 - 4 + 1))
     nh, nw = V.resize_dims(h, w, 224)
-    dy = int(replay.integers(0, nh - 224 + 1))
-    dx = int(replay.integers(0, nw - 224 + 1))
-    flip = bool(replay.random() < 0.5)
-    assert clip.sampled_indices == list(range(start, start + 4))
-    assert (*clip.crop_offset, clip.flipped) == (dy, dx, flip)
-    again.integers(0, 6 - 4 + 1)
-    assert (dy, dx, flip) == V.crop_offsets(nh, nw, 224, again)
-    assert clip_rng.random() == replay.random()
-    want = V._resample(frames[start:start + 4], nh, nw, 0, 0, nh, nw)
-    want = want[:, dy:dy + 224, dx:dx + 224, ::-1]
-    assert np.array_equal(clip.frames, want[:, :, ::-1] if flip else want)
+    for sampling in ("consecutive", "even"):
+        pipe = V.PipelineConfig(4, sampling, 224)
+        clip_rng, replay = np.random.default_rng(7), np.random.default_rng(7)
+        clip = V.prepare_clip(video, pipe, True, clip_rng)
+        read, recorded, (dy, dx, flip) = _replay(6, pipe, (nh, nw), replay)
+        if sampling == "consecutive":
+            hand = np.random.default_rng(7)     # the draws spelled out
+            start = int(hand.integers(0, 6 - 4 + 1))
+            assert read == list(range(start, start + 4))
+            assert (dy, dx, flip) == (int(hand.integers(0, nh - 224 + 1)),
+                                      int(hand.integers(0, nw - 224 + 1)),
+                                      bool(hand.random() < 0.5))
+        else:
+            assert read == [0, 1, 3, 4]
+        assert clip.sampled_indices == recorded == read
+        assert (*clip.crop_offset, clip.flipped) == (dy, dx, flip)
+        assert clip_rng.random() == replay.random()
+        want = V._resample(frames[read], nh, nw, 0, 0, nh, nw)
+        want = want[:, dy:dy + 224, dx:dx + 224, ::-1]
+        assert np.array_equal(clip.frames, want[:, :, ::-1] if flip else want)
+
+
+@pytest.mark.parametrize("sampling", ["consecutive", "even"])
+def test_prepare_clip_pad_branch_keeps_the_draw_order(sampling):
+    """A 3-frame video padded to 8 at the desk crop: the Bernoulli pad
+    draws, then dy, dx and flip from the frame dims, then nothing more."""
+    frames = np.random.default_rng(9).integers(0, 256, size=(3, 40, 48, 3), dtype=np.uint8)
+    pipe = V.PipelineConfig(8, sampling, 32)
+    for seed in range(8):
+        clip_rng, replay = np.random.default_rng(seed), np.random.default_rng(seed)
+        clip = V.prepare_clip(V.RawVideo(frames, "v"), pipe, True, clip_rng)
+        read, recorded, (dy, dx, flip) = _replay(3, pipe, (40, 48), replay)
+        assert recorded.count(-1) == 5
+        assert clip.sampled_indices == recorded
+        assert (*clip.crop_offset, clip.flipped) == (dy, dx, flip)
+        assert clip_rng.random() == replay.random()
+        want = frames[read, dy:dy + 32, dx:dx + 32, ::-1]
+        assert np.array_equal(clip.frames, want[:, :, ::-1] if flip else want)
 
 
 def test_prepare_clip_at_224_in_eval_takes_the_center_and_draws_nothing():
@@ -261,48 +317,36 @@ def test_prepare_clip_at_224_in_eval_takes_the_center_and_draws_nothing():
 
 
 # ---------------------------------------------------------------------------
-# channel order, augmentation, cropping
-
-
-def test_bgr_to_rgb_is_an_involution():
-    rng = np.random.default_rng(13)
-    px = rng.integers(0, 256, size=(4, 4, 3), dtype=np.uint8)
-    clip = V.VideoClip(px[None], "v", [0], channel_order="BGR")
-    swapped = V.bgr_to_rgb(clip)
-    assert swapped.channel_order == "RGB"
-    assert np.array_equal(swapped.frames[0], px[:, :, ::-1])
-    back = V.bgr_to_rgb(swapped)
-    assert back.channel_order == "BGR"
-    assert np.array_equal(back.frames[0], px)
+# augmentation, cropping, model tensors
 
 
 def test_augment_applies_one_transform_to_all_frames():
     rng_px = np.random.default_rng(14)
     frames = rng_px.integers(0, 256, size=(5, 10, 12, 3), dtype=np.uint8)
-    clip = V.VideoClip(frames, "v", list(range(5)), channel_order="RGB")
-    out = V._crop(clip, 10, 12, 6, np.random.default_rng(3))
+    video = V.RawVideo(frames, "v", channel_order="RGB")
+    out = V.prepare_clip(video, V.PipelineConfig(5, "even", 6), True, np.random.default_rng(3))
     dy, dx = out.crop_offset
     for orig, new in zip(frames, out.frames):
         ref = orig[dy:dy + 6, dx:dx + 6]
         if out.flipped:
             ref = ref[:, ::-1]
         assert np.array_equal(new, ref)
-    assert out.sampled_indices == clip.sampled_indices
+    assert out.sampled_indices == list(range(5))
 
 
 def test_center_crop_offsets():
     px = np.arange(6 * 8 * 3, dtype=np.uint8).reshape(6, 8, 3)
-    clip = V.VideoClip(px[None], "v", [0], channel_order="RGB")
-    out = V._crop(clip, 6, 8, 4, None)
+    video = V.RawVideo(px[None], "v", channel_order="RGB")
+    out = V.prepare_clip(video, V.PipelineConfig(1, "even", 4), False, None)
     assert out.crop_offset == (1, 2)
     assert out.flipped is False
     assert np.array_equal(out.frames[0], px[1:5, 2:6])
 
 
 def test_crop_larger_than_frame_rejected():
-    clip = V.VideoClip(_frames([1]), "v", [0])
+    video = V.RawVideo(_frames([1]), "v")
     with pytest.raises(ValueError, match="exceeds"):
-        V._crop(clip, 4, 5, 64, None)
+        V.prepare_clip(video, V.PipelineConfig(1, "even", 64), False, None)
 
 
 def test_to_model_tensor_layout_and_scaling():
