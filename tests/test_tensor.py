@@ -2,7 +2,12 @@
 bookkeeping, finite-difference gradient checks, MAC accounting."""
 
 import math
+import multiprocessing
+import os
+import sys
+import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -370,15 +375,17 @@ def test_attention_matches_reference_composition(mode, monkeypatch):
         _split_attention(monkeypatch, mode, g, heads, n)
     red = _weighted(rng, (g, n, d))
     leaves = [rng.standard_normal((g, n, d)) * 2 for _ in range(3)]
-    results = []
-    for op in (lambda *qkv: T.attention(*qkv, heads, np.arange(n)[None]),
-               lambda *qkv: attention_reference(*qkv, heads)):
-        qkv = [Tensor(a, requires_grad=True, dtype=np.float64) for a in leaves]
-        out = op(*qkv)
-        T.backward(red(out))
-        results.append([out.data] + [t.grad for t in qkv])
-    for got, want in zip(*results):
-        assert np.allclose(got, want, rtol=0, atol=1e-10)
+    for lanes in (1, 2):
+        monkeypatch.setattr(T, "_LANES", lanes)
+        results = []
+        for op in (lambda *qkv: T.attention(*qkv, heads, np.arange(n)[None]),
+                   lambda *qkv: attention_reference(*qkv, heads)):
+            qkv = [Tensor(a, requires_grad=True, dtype=np.float64) for a in leaves]
+            out = op(*qkv)
+            T.backward(red(out))
+            results.append([out.data] + [t.grad for t in qkv])
+        for got, want in zip(*results):
+            assert np.allclose(got, want, rtol=0, atol=1e-10)
 
 
 @pytest.mark.parametrize("mode", ["groups", "rows"])
@@ -389,12 +396,14 @@ def test_attention_grad_check_blocked(mode, monkeypatch):
     qkv = [Tensor(rng.standard_normal((g, n, d)), requires_grad=True, dtype=np.float64)
            for _ in range(3)]
     red = _weighted(rng, (g, n, d))
-    for i in range(3):
-        def f(t, i=i):
-            args = list(qkv)
-            args[i] = t
-            return red(T.attention(*args, heads, np.arange(n)[None]))
-        assert T.grad_check(f, qkv[i]) < 1e-6
+    for lanes in (1, 2):
+        monkeypatch.setattr(T, "_LANES", lanes)
+        for i in range(3):
+            def f(t, i=i):
+                args = list(qkv)
+                args[i] = t
+                return red(T.attention(*args, heads, np.arange(n)[None]))
+            assert T.grad_check(f, qkv[i]) < 1e-6
 
 
 def test_attention_memory_is_bounded():
@@ -627,6 +636,129 @@ def test_row_max_edge_cases(length):
     w, lse = T._attn_weights(q, np.swapaxes(q, -1, -2).copy())
     assert np.isnan(w[0, 1, 0]).all() and np.isnan(lse[0, 1, 0, 0])
     assert np.isfinite(w[1]).all()
+
+
+# ---------------------------------------------------------------------------
+# attention lanes
+
+
+def _divided_groups(frames, patches):
+    """Spatial [F, 1+P] and temporal [P, 1+F] groups over 1 + F*P tokens;
+    every group holds token 0, the shared CLS."""
+    grid = 1 + np.arange(frames * patches).reshape(frames, patches)
+    cls = np.zeros((max(frames, patches), 1), dtype=int)
+    return (np.concatenate([cls[:frames], grid], axis=1),
+            np.concatenate([cls[:patches], grid.T], axis=1))
+
+
+# name: batch, tokens, groups, whole-group blocks (else row blocks of one group)
+LANE_CASES = {
+    "joint B2": (2, 11, np.arange(11)[None], False),
+    "joint B1": (1, 11, np.arange(11)[None], False),
+    "divided spatial": (2, 16, _divided_groups(3, 5)[0], True),
+    "divided temporal": (2, 16, _divided_groups(3, 5)[1], True),
+}
+
+
+@DTYPES
+@pytest.mark.parametrize("case", sorted(LANE_CASES))
+def test_attention_bits_do_not_depend_on_the_lane_count(case, dtype, monkeypatch):
+    """Many blocks, run on one lane and on two: the output and all three
+    gradients are the same bits.  Backward keeps a group's row blocks on
+    one lane, so joint at batch 1 runs it serially."""
+    b, m, groups, whole = LANE_CASES[case]
+    g, n = groups.shape
+    heads, d, size = 2, 8, np.dtype(dtype).itemsize
+    monkeypatch.setattr(T, "_ATTN_BLOCK_BYTES", 2 * heads * n * size * (n if whole else 1))
+    assert len(T._attn_blocks(b * g, heads, n, size)) >= 3
+    parts, on_lanes = [], T._on_lanes
+
+    def counted(fn, p):
+        parts.append(len(p))
+        on_lanes(fn, p)
+
+    monkeypatch.setattr(T, "_on_lanes", counted)
+    rng = np.random.default_rng(185)
+    leaves = [rng.standard_normal((b, m, d)) * 2 for _ in range(3)]
+    weight = Tensor(rng.standard_normal((b, m, d)), dtype=dtype)
+    results, interval = [], sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)                   # the lanes interleave as finely as they can
+    try:
+        for lanes in (1, 2):
+            monkeypatch.setattr(T, "_LANES", lanes)
+            qkv = [Tensor(a, requires_grad=True, dtype=dtype) for a in leaves]
+            out = T.attention(*qkv, heads, groups)
+            T.backward(T.sum_(T.mul(out, weight)))
+            results.append([out.data] + [t.grad for t in qkv])
+    finally:
+        sys.setswitchinterval(interval)
+    _same_bits(results[1], results[0])
+    assert parts == [1, 1, 2, 1 if case == "joint B1" else 2]     # fwd, bwd per lane count
+
+
+def _last_row_overflows(monkeypatch):
+    """q, k, v of a float32 joint attention in 6 row blocks whose logits
+    overflow only in the last query row, which the worker's part holds."""
+    n, heads = 12, 2
+    monkeypatch.setattr(T, "_LANES", 2)
+    monkeypatch.setattr(T, "_ATTN_BLOCK_BYTES", 2 * heads * n * 4)
+    first, second = T._attn_parts(T._attn_blocks(1, heads, n, 4), whole_groups=False)
+    assert first[-1][1].stop < n - 1 < second[-1][1].stop
+    rng = np.random.default_rng(186)
+    q = rng.standard_normal((1, n, 4)).astype(np.float32)
+    k = np.abs(rng.standard_normal((1, n, 4))).astype(np.float32) + 1
+    q[0, -1] = 3e38                                 # finite, but its logits are not
+    return [Tensor(a, requires_grad=True) for a in (q, k, k)], heads, np.arange(n)[None]
+
+
+def test_attention_lanes_keep_the_callers_errstate(monkeypatch):
+    qkv, heads, groups = _last_row_overflows(monkeypatch)
+    errors = []
+    for lanes in (1, 2):
+        monkeypatch.setattr(T, "_LANES", lanes)
+        with np.errstate(all="raise"), pytest.raises(FloatingPointError) as e:
+            T.attention(*qkv, heads, groups)
+        errors.append(str(e.value))
+    assert errors[1] == errors[0] == "overflow encountered in matmul"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(all="ignore"):
+            out = T.attention(*qkv, heads, groups)
+            T.backward(T.sum_(out))
+    assert np.isnan(out.data[0, -1]).all() and np.isfinite(out.data[0, :-1]).all()
+
+
+def test_lane_errors_reach_the_caller_first_part_first():
+    threads = []
+
+    def fn(part):
+        threads.append(threading.get_ident())
+        if part in failing:
+            raise ValueError(f"part {part}")
+
+    failing = {2}
+    with pytest.raises(ValueError, match="part 2"):
+        T._on_lanes(fn, [1, 2])
+    assert len(set(threads)) == 2 and threading.get_ident() in threads
+    failing = {1, 2}
+    with pytest.raises(ValueError, match="part 1"):
+        T._on_lanes(fn, [1, 2])
+
+
+@pytest.mark.skipif(not hasattr(os, "register_at_fork"), reason="no fork")
+def test_a_forked_child_starts_its_own_lane_worker():
+    """The child of a fork inherits the pool but not its thread; a two-part
+    call there must not wait on a worker that does not exist."""
+    T._on_lanes(lambda part: None, [1, 2])       # this process's worker is up
+    child = multiprocessing.get_context("fork").Process(
+        target=T._on_lanes, args=(lambda part: None, [1, 2]))
+    child.start()
+    child.join(timeout=60)
+    hung = child.is_alive()
+    if hung:
+        child.kill()
+        child.join()
+    assert not hung and child.exitcode == 0
 
 
 # ---------------------------------------------------------------------------

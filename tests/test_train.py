@@ -500,6 +500,37 @@ def test_second_desk_step_faults_in_no_new_pages():
     assert int(out.stdout) < 50, out.stdout
 
 
+_DESK_LANE_PROBE = """
+import sys, threading
+import numpy as np
+from vslr.mae import MaeConfig, MaeModel, PretrainConfig, pretrain
+from vslr.train import ClassifierModel, ModelConfig, TrainConfig, finetune
+from vslr.video import PipelineConfig, make_synthetic_dataset, merge_train_val
+manifest = make_synthetic_dataset(sys.argv[1], size=32, seed=18)
+videos = sys.argv[1] + "/videos"
+for variant in ("divided", "joint"):
+    cfg = ModelConfig(variant, dim=32, depth=2, heads=4, image_size=32, patch=8, frames=8)
+    model = ClassifierModel(cfg, len(manifest.glosses), np.random.default_rng(18))
+    finetune(model, merge_train_val(manifest), videos,
+             TrainConfig(batch=4, epochs=1, lr=1e-3, frames=8, seed=18), crop=32)
+pretrain(MaeModel(MaeConfig(), np.random.default_rng(18)), manifest, videos,
+         PretrainConfig(ratio=0.75, steps=1, batch=4, seed=18), PipelineConfig(frames=8, crop=32))
+print(threading.active_count(), "concurrent.futures" in sys.modules)
+"""
+
+
+def test_desk_runs_start_no_lane_worker(tmp_path):
+    """Every desk attention pass is one block, so a desk fine-tune epoch
+    (both variants) and a desk MAE step run serially: no thread is started
+    and concurrent.futures is never imported."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(TR.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    out = subprocess.run([sys.executable, "-c", _DESK_LANE_PROBE, str(tmp_path)], env=env,
+                         capture_output=True, text=True, timeout=120, check=True)
+    assert out.stdout.split() == ["1", "False"], out.stdout
+
+
 def test_finetune_checks_the_test_split_before_preparing_a_clip(dataset, monkeypatch):
     manifest, videos = dataset
     merged = merge_train_val(manifest)
