@@ -169,7 +169,7 @@ def reconstruction_loss(pred: Tensor, targets: np.ndarray) -> Tensor:
 def _gather_rows(x: Tensor, ids: np.ndarray) -> Tensor:
     """out[b, k] = x[b, ids[b, k]] for x [B, N, D] and ids [B, K]."""
     b, n, d = x.data.shape
-    rows = T.take(T.reshape(x, (b * n, d)), _flat_rows(ids, n), axis=0, unique=True)
+    rows = T.take(T.reshape(x, (b * n, d)), _flat_rows(ids, n), axis=0)
     return T.reshape(rows, (b, ids.shape[1], d))
 
 
@@ -247,8 +247,7 @@ def pretrain(model: MaeModel, manifest: Manifest, video_dir,
         raise VslrError("manifest", "no train instances in manifest")
     grid = model.embed.cfg.grid
     dtype = model.recon.w.data.dtype
-    named = model.named()
-    opt = Adam(list(named.values()), cfg.lr)
+    opt = Adam(model.named(), cfg.lr)
     curve: list[tuple] = []
     for step in range(cfg.steps):
         order = derive_rng(cfg.seed, "batch", step)
@@ -263,7 +262,7 @@ def pretrain(model: MaeModel, manifest: Manifest, video_dir,
             xs.append(to_model_tensor(clip, dtype))
             masks.append(make_tube_mask(grid, cfg.ratio, rng))
         loss = train_step(lambda: mae_forward(Tensor(np.stack(xs)), np.stack(masks), model)[1],
-                          named, opt, step, "pretraining")
+                          opt, step, "pretraining")
         curve.append((step, loss))
         if out_dir is not None and cfg.checkpoint_interval and \
                 (step + 1) % cfg.checkpoint_interval == 0:

@@ -75,7 +75,7 @@ import ctypes
 import functools
 import math
 import os
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -697,11 +697,10 @@ def slice_along(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
     return _make_node(data, (x,), vjp)
 
 
-def take(x: Tensor, indices, axis: int, unique: bool = False) -> Tensor:
+def take(x: Tensor, indices, axis: int) -> Tensor:
     """Gather rows along an axis; backward scatter-adds, so repeated
-    indices accumulate.  A caller whose indices hold no repeat passes
-    ``unique=True``, and backward assigns instead, the same result at a
-    fraction of np.add.at's cost; it is not checked."""
+    indices accumulate.  Where the indices hold no repeat, backward
+    assigns instead: the same result at a fraction of np.add.at's cost."""
     idx = np.asarray(indices)
     if idx.ndim != 1 or not np.issubdtype(idx.dtype, np.integer):
         raise ValueError("take: indices must be a 1-D integer array")
@@ -713,7 +712,7 @@ def take(x: Tensor, indices, axis: int, unique: bool = False) -> Tensor:
     def vjp(g):
         gx = np.zeros_like(x.data)
         gm = np.moveaxis(gx, axis, 0)
-        if unique:
+        if np.bincount(idx, minlength=n).max(initial=0) <= 1:
             gm[idx] = np.moveaxis(g, axis, 0)
         else:
             np.add.at(gm, idx, np.moveaxis(g, axis, 0))
@@ -837,11 +836,6 @@ def backward(loss: Tensor) -> None:
                     grads[key] = pg
         elif node.requires_grad:
             node.grad = g.copy() if node.grad is None else node.grad + g
-
-
-def zero_grads(params: Iterable[Tensor]) -> None:
-    for p in params:
-        p.grad = None
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import itertools
 import json
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from .checkpoint import save_checkpoint
 from .embedding import Embedding, EmbeddingConfig
 from .errors import VslrError, at_least, first_non_finite
 from .nn import LayerNormParams, LinearParams, param_buffer
-from .tensor import Tensor, zero_grads
+from .tensor import Tensor
 from .video import (SPLITS, Manifest, PipelineConfig, derive_rng, derive_seed,
                     load_instance_video, merge_train_val, prepare_clip, to_model_tensor)
 
@@ -58,19 +58,21 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
 class Adam:
     """Adam with bias correction; constant learning rate, no weight decay.
 
-    The parameters must be one run of a model's buffer in order, such as
-    ``freeze_layers``' suffix, or tensors of their own, which are packed
-    into a buffer here (see ``nn.param_buffer``).  The moments are flat
-    arrays over that run, and a step updates it in place."""
+    ``params`` maps each trainable parameter's name to its tensor, and is
+    the one record of what trains.  The tensors must be one run of a
+    model's buffer in order, such as ``freeze_layers``' suffix, or tensors
+    of their own, which are packed into a buffer here (see
+    ``nn.param_buffer``).  The moments are flat arrays over that run, and
+    a step updates it in place."""
 
-    def __init__(self, params: list, lr: float, beta1: float = 0.9,
+    def __init__(self, params: dict, lr: float, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
-        self.params = list(params)
+        self.params = dict(params)
         self.lr = lr
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
-        self.flat = param_buffer(self.params)
-        self.offsets = np.cumsum([0] + [p.data.size for p in self.params])
+        self.flat = param_buffer(self.params.values())
+        self.offsets = np.cumsum([0] + [p.data.size for p in self.params.values()])
         self.m = np.zeros_like(self.flat)
         self.v = np.zeros_like(self.flat)
         self.grad = np.zeros_like(self.flat)
@@ -81,7 +83,7 @@ class Adam:
         maximal runs (lo, hi) of consecutive parameters that have one, as
         element bounds into the flat arrays."""
         runs, i = [], 0
-        for stepped, group in itertools.groupby(self.params, lambda p: p.grad is not None):
+        for stepped, group in itertools.groupby(self.params.values(), lambda p: p.grad is not None):
             group = list(group)
             lo, hi = self.offsets[i], self.offsets[i + len(group)]
             if stepped:
@@ -118,18 +120,19 @@ class Adam:
             w -= mhat
 
     def zero_grad(self) -> None:
-        zero_grads(self.params)
+        for p in self.params.values():
+            p.grad = None
 
 
-def train_step(loss_fn, named: dict, opt: Adam, step: int, run: str) -> float:
+def train_step(loss_fn, opt: Adam, step: int, run: str) -> float:
     """One Adam step on the loss ``loss_fn()`` builds; returns that loss.
 
     Stops the run with error[divergence] at a non-finite loss, or at the
-    first parameter in ``named`` order whose gradient before the step or
-    weight after it is non-finite.  Each of the last two is one float64
-    sum over the optimizer's flat arrays; only when it is not finite are
-    the parameters searched by name.  Those checks catch every non-finite
-    value numpy can make here, so its warnings are silenced."""
+    first stepped parameter of ``opt.params`` whose gradient before the
+    step or weight after it is non-finite.  Each of the last two is one
+    float64 sum over the optimizer's flat arrays; only when it is not
+    finite are the parameters searched by name.  Those checks catch every
+    non-finite value numpy can make here, so its warnings are silenced."""
     def check(what: str, arrays: dict) -> None:
         bad = first_non_finite(arrays)
         if bad is not None:
@@ -144,10 +147,10 @@ def train_step(loss_fn, named: dict, opt: Adam, step: int, run: str) -> float:
         T.backward(loss)
         runs = opt.gather()
         if not finite(opt.grad, runs):
-            check("gradient of ", {n: p.grad for n, p in named.items() if p.grad is not None})
+            check("gradient of ", {n: p.grad for n, p in opt.params.items() if p.grad is not None})
         opt.step(runs)
         if not finite(opt.flat, runs):
-            check("weight of ", {n: p.data for n, p in named.items() if p.grad is not None})
+            check("weight of ", {n: p.data for n, p in opt.params.items() if p.grad is not None})
         opt.zero_grad()
     return float(loss.data)
 
@@ -231,29 +234,23 @@ class ClassifierModel:
         return list(self.named().values())
 
 
-def freeze_layers(model: ClassifierModel, count) -> list:
+def freeze_layers(model: ClassifierModel, count) -> dict:
     """Mark only the top `count` encoder blocks, final norm, and head as
     trainable; count == depth (or "all") unfreezes everything including
-    the embedding."""
+    the embedding.  Returns the trainable parameters by name: the suffix
+    of ``model.named()`` from the first of those blocks on, or all of it."""
     depth = model.cfg.depth
     if count == "all":
         count = depth
     if not isinstance(count, int) or isinstance(count, bool) or not (1 <= count <= depth):
         raise VslrError("config",
                         f"fine-tuned layer count must be in [1, {depth}] or 'all', got {count!r}")
-    named = model.named()
-    for p in named.values():
-        p.requires_grad = False
-    trainable: list[Tensor] = []
-    if count == depth:
-        trainable.extend(model.embed.named().values())
-    for blk in model.blocks[depth - count:]:
-        trainable.extend(blk.named("b").values())
-    trainable.extend(model.norm.named("n").values())
-    trainable.extend(model.head.named("h").values())
-    for p in trainable:
-        p.requires_grad = True
-    return trainable
+    items = list(model.named().items())
+    start = 0 if count == depth else \
+        next(i for i, (n, _) in enumerate(items) if n.startswith(f"enc.{depth - count}."))
+    for i, (_, p) in enumerate(items):
+        p.requires_grad = i >= start
+    return dict(items[start:])
 
 
 def topk_accuracy(logits, labels, ks=(1, 5, 10)) -> dict:
@@ -278,15 +275,7 @@ class EvalReport:
     config: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        return json.dumps({
-            "topk": {str(k): v for k, v in self.topk.items()},
-            "per_class": self.per_class,
-            "confusion": self.confusion,
-            "num_instances": self.num_instances,
-            "wall_seconds": self.wall_seconds,
-            "seed": self.seed,
-            "config": self.config,
-        }, indent=1)
+        return json.dumps(asdict(self), indent=1)      # json writes topk's int keys as strings
 
 
 @contextlib.contextmanager
@@ -397,9 +386,7 @@ def finetune(model: ClassifierModel, manifest: Manifest, video_dir,
     dtype = model.head.w.data.dtype
     reports: list[EvalReport] = []
     log: list[tuple] = []
-    trainable = freeze_layers(model, cfg.layers)
-    opt = Adam(trainable, cfg.lr)
-    named = model.named()
+    opt = Adam(freeze_layers(model, cfg.layers), cfg.lr)
     best_top1, best_params = -1.0, None
     step = 0
     for epoch in range(cfg.epochs):
@@ -411,7 +398,7 @@ def finetune(model: ClassifierModel, manifest: Manifest, video_dir,
             x = load_batch(video_dir, batch, rngs, pipe, True, dtype)
             y = np.array([inst.label for inst in batch])
             loss = train_step(lambda: cross_entropy(model.forward(Tensor(x)), y),
-                              named, opt, step, "training")
+                              opt, step, "training")
             log.append((step, loss, cfg.lr, (time.perf_counter() - t0) * 1000.0))
             step += 1
         report = evaluate(model, manifest, video_dir, pipe, cfg.seed)

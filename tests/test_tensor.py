@@ -175,21 +175,23 @@ def test_mse_matches_sub_mul_mean_chain_bit_for_bit():
         T.mse(fused, target.astype(np.float64))
 
 
-@pytest.mark.parametrize("ids", [[3, 0, 4, 1, 2], [4, 1, 2]], ids=["permutation", "subset"])
-def test_take_unique_matches_scatter_add(ids):
+@pytest.mark.parametrize("ids,axis", [([3, 0, 4, 1, 2], 0), ([4, 1, 2], 0),
+                                      ([1, 4, 1, 0, 1], 0), ([2, 0, 2], 1)],
+                         ids=["permutation", "subset", "repeated", "repeated_axis1"])
+def test_take_matches_scatter_add_oracle(ids, axis):
+    """Output and gradient against np.take and an explicit np.add.at, with
+    and without repeated ids: take finds the repeats itself."""
     rng = np.random.default_rng(8)
     x = rng.standard_normal((5, 3))
     idx = np.array(ids)
-    red = _weighted(rng, (len(ids), 3))
-    outs, grads = [], []
-    for unique in (False, True):
-        t = Tensor(x, requires_grad=True, dtype=np.float64)
-        out = T.take(t, idx, axis=0, unique=unique)
-        T.backward(red(out))
-        outs.append(out.data)
-        grads.append(t.grad)
-    assert np.array_equal(outs[0], outs[1])
-    assert np.array_equal(grads[0], grads[1])
+    w = rng.standard_normal(np.take(x, idx, axis=axis).shape)
+    t = Tensor(x, requires_grad=True, dtype=np.float64)
+    out = T.take(t, idx, axis=axis)
+    T.backward(T.sum_(T.mul(out, Tensor(w))))
+    want = np.zeros_like(x)
+    np.add.at(np.moveaxis(want, axis, 0), idx, np.moveaxis(w, axis, 0))
+    assert np.array_equal(out.data, np.take(x, idx, axis=axis))
+    assert np.array_equal(t.grad, want)
 
 
 def test_linear_makes_no_gradient_for_a_constant_input():

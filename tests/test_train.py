@@ -100,7 +100,7 @@ def test_adam_matches_scalar_reference():
     w0 = rng.standard_normal((3, 4))
     grads = [rng.standard_normal((3, 4)) for _ in range(12)]
     p = Tensor(w0.copy(), requires_grad=True)
-    opt = Adam([p], lr=0.05)
+    opt = Adam({"p": p}, lr=0.05)
     for g in grads:
         p.grad = g.copy()
         opt.step()
@@ -111,7 +111,7 @@ def test_adam_matches_scalar_reference():
 def test_adam_skips_missing_grads():
     p = Tensor(np.ones(3), requires_grad=True)
     q = Tensor(np.ones(3), requires_grad=True)
-    opt = Adam([p, q], lr=0.1)
+    opt = Adam({"p": p, "q": q}, lr=0.1)
     p.grad = np.ones(3)
     opt.step()
     assert not np.array_equal(p.data, np.ones(3))
@@ -143,7 +143,7 @@ class PerTensorAdam:
 
 def _desk_trainables(which):
     if which == "mae":
-        return MaeModel(MaeConfig(), np.random.default_rng(5)).params()
+        return MaeModel(MaeConfig(), np.random.default_rng(5)).named()
     return freeze_layers(ClassifierModel(ModelConfig(), 10, np.random.default_rng(5)), 1)
 
 
@@ -152,8 +152,9 @@ def test_flat_adam_matches_per_tensor_step_bit_for_bit(which):
     """Five steps on a desk model's trainables.  In step 3 one parameter
     that had gradients in steps 1-2 gets none: its weight and moments keep
     their bits, and the parameters on either side still step."""
-    params = _desk_trainables(which)
-    opt = Adam(params, lr=1e-3)
+    named = _desk_trainables(which)
+    opt = Adam(named, lr=1e-3)
+    params = list(named.values())
     ref = PerTensorAdam([p.data for p in params], lr=1e-3)
     skip = len(params) // 2
     rng = np.random.default_rng(6)
@@ -187,11 +188,10 @@ def test_adam_steps_a_model_buffer_in_place_and_refuses_a_scattered_subset():
     trainable = freeze_layers(model, 1)
     opt = Adam(trainable, lr=1e-3)
     assert np.shares_memory(opt.flat, model.buffer)
-    assert opt.flat.size == sum(p.data.size for p in trainable) < model.buffer.size
-    params = model.params()
+    assert opt.flat.size == sum(p.data.size for p in trainable.values()) < model.buffer.size
     with pytest.raises(ValueError, match="tile one buffer in order"):
-        Adam(params[::2], lr=1e-3)      # packing them would detach them from the model
-    assert all(np.shares_memory(p.data, model.buffer) for p in params)
+        Adam(dict(list(model.named().items())[::2]), lr=1e-3)   # packing would detach them
+    assert all(np.shares_memory(p.data, model.buffer) for p in model.params())
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +255,26 @@ def test_freeze_all_unfreezes_embedding():
         model = _tiny_model()
         freeze_layers(model, count)
         assert all(p.requires_grad for p in model.named().values()), count
+
+
+@pytest.mark.parametrize("variant", ["divided", "joint"])
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_freeze_returns_the_trainable_parameters_by_name(variant, depth):
+    """The returned dict is exactly what trains, in ``named()`` order: the
+    top ``count`` blocks, final norm and head, plus the embedding at full
+    depth; its tensors are the model's own."""
+    cfg = ModelConfig(variant=variant, dim=16, depth=depth, heads=2,
+                      image_size=16, patch=8, frames=4, tube_depth=2)
+    model = ClassifierModel(cfg, 3, np.random.default_rng(0))
+    for count in [*range(1, depth + 1), "all"]:
+        top = depth if count == "all" else count
+        kept = tuple(f"enc.{i}." for i in range(depth - top, depth)) + ("enc.norm.", "head.")
+        named = model.named()
+        want = [n for n in named if top == depth or n.startswith(kept)]
+        trainable = freeze_layers(model, count)
+        assert list(trainable) == want, count
+        assert all(trainable[n] is named[n] for n in want)
+        assert [n for n, p in named.items() if p.requires_grad] == want, count
 
 
 def test_freeze_bounds():
@@ -478,26 +498,28 @@ model = TR.ClassifierModel(TR.ModelConfig(), 10, np.random.default_rng(0))
 opt = TR.Adam(TR.freeze_layers(model, "all"), 1e-3)
 x = np.random.default_rng(1).random((4, 8, 3, 32, 32), dtype=np.float32)
 y = np.arange(4)
-for step in range(2):
-    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    TR.train_step(lambda: TR.cross_entropy(model.forward(Tensor(x)), y),
-                  model.named(), opt, step, "run")
-print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+for step in range(6):
+    if step == 1:
+        warm = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    TR.train_step(lambda: TR.cross_entropy(model.forward(Tensor(x)), y), opt, step, "run")
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - warm)
 """
 
 
 @pytest.mark.skipif(not T._HEAP_PAGES_KEPT, reason="no glibc mallopt, so no allocator policy")
 def test_second_desk_step_faults_in_no_new_pages():
-    """After one warm step, an identical desk fine-tune step (divided, batch
-    4) reuses the heap pages the first one freed and writes the weights in
-    place, so it takes almost no minor page faults (hundreds without the
-    allocator policy and the in-place step)."""
+    """After one warm step, identical desk fine-tune steps (divided, batch
+    4) reuse the heap pages the first one freed and write the weights in
+    place, so steps 2-6 together take fewer than 50 minor page faults a
+    step (about 1,800 a step without the allocator policy).  A single
+    step can take a burst of a few dozen, depending on where the heap
+    places a vjp's scratch, so the bound is on the five-step total."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(TR.__file__)))
     env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                MKL_NUM_THREADS="1")
     out = subprocess.run([sys.executable, "-c", _FAULT_PROBE], env=env, capture_output=True,
                          text=True, timeout=120, check=True)
-    assert int(out.stdout) < 50, out.stdout
+    assert int(out.stdout) < 5 * 50, out.stdout
 
 
 _DESK_LANE_PROBE = """
@@ -552,10 +574,9 @@ def test_train_step_stops_on_non_finite_weight():
     b = Tensor(np.zeros(2, dtype=np.float32), requires_grad=True)
     frozen = Tensor(np.ones(2, dtype=np.float32))
     x = Tensor(np.arange(6, dtype=np.float32).reshape(2, 3))
-    opt = Adam([w, b], lr=1e300)
+    opt = Adam({"frozen": frozen, "w": w, "b": b}, lr=1e300)
     with pytest.raises(VslrError, match="^run diverged: non-finite weight of w at step 3$") as e:
-        train_step(lambda: cross_entropy(T.linear(x, w, b), np.array([0, 1])),
-                   {"frozen": frozen, "w": w, "b": b}, opt, 3, "run")
+        train_step(lambda: cross_entropy(T.linear(x, w, b), np.array([0, 1])), opt, 3, "run")
     assert e.value.cls == "divergence"
 
 
@@ -564,8 +585,8 @@ def test_train_step_returns_the_loss_and_clears_gradients():
     x = Tensor(np.arange(6, dtype=np.float32).reshape(2, 3))
     y = np.array([0, 1])
     expected = float(cross_entropy(T.matmul(x, w), y).data)
-    opt = Adam([w], lr=1e-2)
-    loss = train_step(lambda: cross_entropy(T.matmul(x, w), y), {"w": w}, opt, 0, "run")
+    opt = Adam({"w": w}, lr=1e-2)
+    loss = train_step(lambda: cross_entropy(T.matmul(x, w), y), opt, 0, "run")
     assert loss == expected
     assert w.grad is None and opt.t == 1
     assert not np.array_equal(w.data, np.ones((3, 2), dtype=np.float32))
