@@ -18,7 +18,6 @@ cost claim can be asserted exactly.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -101,111 +100,102 @@ def pass_groups(grid: tuple, has_cls: bool, kind: str) -> np.ndarray:
 
 
 def multi_head_attention(x: Tensor, w: PassWeights, heads: int, groups: np.ndarray,
-                         want_trace: bool = False):
+                         trace: list | None = None) -> Tensor:
     """Scaled dot-product attention within each group of [G, L] token ids
     over [batch, tokens, dim] (see ``T.attention``).
 
-    Returns (output, weights) where weights is the detached head mean
-    [batch, groups, length, length] of the attention weights, or None.
+    When ``trace`` is a list, appends (groups, weights), where weights is
+    the detached head mean [batch, groups, length, length] of the
+    attention weights.
     """
     q = T.linear(x, w.q.w, w.q.b)
     k = T.linear(x, w.k.w, w.k.b)
     v = T.linear(x, w.v.w, w.v.b)
     out = T.linear(T.attention(q, k, v, heads, groups), w.o.w, w.o.b)
-    if not want_trace:
-        return out, None
-    # the fused op never holds the full weights; only rollout needs their head mean
-    g, n = groups.shape
-    weights = T._attn_weights(*T._attn_split(q.data, k.data, heads, groups)[:2])[0]
-    return out, weights.reshape(x.data.shape[0], g, heads, n, n).mean(axis=2)
+    if trace is not None:
+        # the fused op never holds the full weights; only rollout needs their head mean
+        g, n = groups.shape
+        weights = T._attn_weights(*T._attn_split(q.data, k.data, heads, groups)[:2])[0]
+        trace.append((groups, weights.reshape(x.data.shape[0], g, heads, n, n).mean(axis=2)))
+    return out
 
 
-def _block(tb: TokenBatch, w: BlockWeights, heads: int, want_trace: bool,
-           passes: list, mlp_ln: LayerNormParams):
+def _block(tb: TokenBatch, w: BlockWeights, heads: int, trace: list | None,
+           passes: list, mlp_ln: LayerNormParams) -> TokenBatch:
     """Each (kind, pass weights, norm) attention pass, then the MLP, each
     with a pre-norm residual.  T.attention rejects a token count that does
     not fit the grid's groups."""
     x = tb.tokens
-    trace = {}
     for kind, pw, ln in passes:
         groups = pass_groups(tb.grid, tb.has_cls, kind)
-        att, trace[kind] = multi_head_attention(T.layer_norm(x, ln.g, ln.b), pw, heads,
-                                                groups, want_trace)
-        x = T.add(x, att)
+        x = T.add(x, multi_head_attention(T.layer_norm(x, ln.g, ln.b), pw, heads, groups, trace))
     hidden = T.gelu(T.linear(T.layer_norm(x, mlp_ln.g, mlp_ln.b), w.mlp0.w, w.mlp0.b))
     x = T.add(x, T.linear(hidden, w.mlp1.w, w.mlp1.b))
-    return TokenBatch(x, tb.grid, tb.has_cls), trace if want_trace else None
+    return TokenBatch(x, tb.grid, tb.has_cls)
 
 
 def divided_block(tb: TokenBatch, w: BlockWeights, heads: int,
-                  want_trace: bool = False):
+                  trace: list | None = None) -> TokenBatch:
     """Temporal pass, spatial pass, MLP.  The CLS token (when present)
     joins every group of both passes; its update is the mean of its
     per-group outputs."""
     if w.variant != "divided":
         raise ValueError("divided_block needs divided weights")
-    return _block(tb, w, heads, want_trace,
+    return _block(tb, w, heads, trace,
                   [("temporal", w.temporal, w.ln1), ("spatial", w.spatial, w.ln2)], w.ln3)
 
 
 def joint_block(tb: TokenBatch, w: BlockWeights, heads: int,
-                want_trace: bool = False):
+                trace: list | None = None) -> TokenBatch:
     """Single attention pass over every token, then the MLP."""
     if w.variant != "joint":
         raise ValueError("joint_block needs joint weights")
-    return _block(tb, w, heads, want_trace, [("joint", w.joint, w.ln1)], w.ln2)
-
-
-@dataclass
-class AttentionTrace:
-    """Detached per-block attention weights captured during a forward."""
-
-    grid: tuple
-    has_cls: bool
-    blocks: list
+    return _block(tb, w, heads, trace, [("joint", w.joint, w.ln1)], w.ln2)
 
 
 def encoder_forward(tb: TokenBatch, blocks: list, heads: int,
-                    final_ln: LayerNormParams, want_trace: bool = False):
-    traces = []
+                    final_ln: LayerNormParams, trace: list | None = None) -> TokenBatch:
+    """Each block in order, then the final norm.  When ``trace`` is a
+    list, each attention pass appends its entry (see
+    ``multi_head_attention``), in call order."""
     for w in blocks:
         step = divided_block if w.variant == "divided" else joint_block
-        tb, tr = step(tb, w, heads, want_trace)
-        traces.append(tr)
-    out = TokenBatch(T.layer_norm(tb.tokens, final_ln.g, final_ln.b), tb.grid, tb.has_cls)
-    return out, AttentionTrace(tb.grid, tb.has_cls, traces) if want_trace else None
+        tb = step(tb, w, heads, trace)
+    return TokenBatch(T.layer_norm(tb.tokens, final_ln.g, final_ln.b), tb.grid, tb.has_cls)
 
 
 # ---------------------------------------------------------------------------
 # attention rollout
 
 
-def attention_rollout(trace: AttentionTrace, batch_index: int = 0) -> np.ndarray:
+def attention_rollout(trace: list, grid: tuple, has_cls: bool,
+                      batch_index: int = 0) -> np.ndarray:
     """Roll head-averaged, identity-mixed attention across depth and map
     token mass back onto the (t, h, w) grid, normalized per frame by its
     max (a flat frame maps to all ones).
 
-    Each pass mixes as 0.5 * A / count + 0.5 * I with rows renormalized to
-    sum 1, where A holds the pass's group weights at token level and a
-    token in several groups (the CLS) gets the mean of its rows, as in the
-    forward pass.  Only one row of the product is read: the CLS row, or
-    the mean row without a CLS.  So that row is carried back through every
-    pass, last first, at O(G * L^2) per pass."""
-    t, hs, ws = trace.grid
-    off = 1 if trace.has_cls else 0
+    ``trace`` holds one (groups, weights) entry per attention pass in
+    call order, as ``encoder_forward`` appends them over a token layout of
+    ``grid`` with or without a CLS.  Each pass mixes as
+    0.5 * A / count + 0.5 * I with rows renormalized to sum 1, where A
+    holds the pass's group weights at token level and a token in several
+    groups (the CLS) gets the mean of its rows, as in the forward pass.
+    Only one row of the product is read: the CLS row, or the mean row
+    without a CLS.  So that row is carried back through every pass, last
+    first, at O(G * L^2) per pass."""
+    t, hs, ws = grid
+    off = 1 if has_cls else 0
     m = t * hs * ws + off
-    v = np.eye(1, m)[0] if trace.has_cls else np.full(m, 1.0 / m)
-    for block_trace in reversed(trace.blocks):
-        for kind in reversed(list(block_trace)):
-            ids = pass_groups(trace.grid, trace.has_cls, kind)
-            flat = ids.ravel()
-            count = np.bincount(flat, minlength=m)
-            w = block_trace[kind][batch_index]                       # [G, L, L]
-            # v @ (mixed / row sums): divide by the row sums, spread, mix
-            v = v / (0.5 * np.bincount(flat, weights=w.sum(-1, dtype=np.float64).ravel(),
-                                       minlength=m) / count + 0.5)
-            spread = np.einsum("gl,glk->gk", (v / count)[ids], w)
-            v = 0.5 * np.bincount(flat, weights=spread.ravel(), minlength=m) + 0.5 * v
+    v = np.eye(1, m)[0] if has_cls else np.full(m, 1.0 / m)
+    for ids, weights in reversed(trace):
+        flat = ids.ravel()
+        count = np.bincount(flat, minlength=m)
+        w = weights[batch_index]                                     # [G, L, L]
+        # v @ (mixed / row sums): divide by the row sums, spread, mix
+        v = v / (0.5 * np.bincount(flat, weights=w.sum(-1, dtype=np.float64).ravel(),
+                                   minlength=m) / count + 0.5)
+        spread = np.einsum("gl,glk->gk", (v / count)[ids], w)
+        v = 0.5 * np.bincount(flat, weights=spread.ravel(), minlength=m) + 0.5 * v
     heat = v[off:].reshape(t, hs, ws)
     return heat / heat.max(axis=(1, 2), keepdims=True)
 

@@ -328,8 +328,9 @@ def cmd_attn_map(args) -> int:
                              pipe, False, dtype))
     # numpy's warnings are silenced: the logits and the map are checked instead
     with np.errstate(all="ignore"), TR.no_grad(model.params()):
-        logits, trace = model.forward(x, want_trace=True)
-        heat = attention_rollout(trace)
+        trace = []
+        logits = model.forward(x, trace)
+        heat = attention_rollout(trace, model.embed.cfg.grid, model.embed.cls is not None)
     bad = first_non_finite({"logits": logits.data, "heat map": heat})
     if bad is not None:
         raise VslrError("divergence", f"attention map diverged: non-finite {bad} for video "

@@ -160,10 +160,7 @@ def normalized_cube_targets(x: np.ndarray, cfg: EmbeddingConfig, ids: np.ndarray
 def reconstruction_loss(pred: Tensor, targets: np.ndarray) -> Tensor:
     """MSE of the masked-token predictions [B, K, cube_dim] against the
     targets of the same cubes."""
-    if pred.data.shape != targets.shape:
-        raise ValueError(
-            f"prediction shape {pred.data.shape} does not match target shape {targets.shape}")
-    return T.mse(pred, targets.astype(pred.data.dtype, copy=False))
+    return T.mse(pred, targets)
 
 
 def _gather_rows(x: Tensor, ids: np.ndarray) -> Tensor:
@@ -176,8 +173,7 @@ def _gather_rows(x: Tensor, ids: np.ndarray) -> Tensor:
 def _encode_visible(model: MaeModel, tokens: Tensor, vis_ids: np.ndarray) -> Tensor:
     vis = _gather_rows(tokens, vis_ids)
     tb = TokenBatch(vis, (1, 1, vis.data.shape[1]), has_cls=False)
-    out, _ = encoder_forward(tb, model.enc_blocks, model.cfg.heads, model.enc_norm)
-    return out.tokens
+    return encoder_forward(tb, model.enc_blocks, model.cfg.heads, model.enc_norm).tokens
 
 
 def _decode(model: MaeModel, encoded: Tensor, vis_ids: np.ndarray,
@@ -192,7 +188,7 @@ def _decode(model: MaeModel, encoded: Tensor, vis_ids: np.ndarray,
     slots = np.argsort(np.concatenate([vis_ids, mask_ids], axis=1), axis=1)
     ordered = T.add(_gather_rows(seq, slots), model.dec_pos)
     tb = TokenBatch(ordered, model.embed.cfg.grid, has_cls=False)
-    out, _ = encoder_forward(tb, model.dec_blocks, model.cfg.decoder_heads, model.dec_norm)
+    out = encoder_forward(tb, model.dec_blocks, model.cfg.decoder_heads, model.dec_norm)
     return T.linear(_gather_rows(out.tokens, mask_ids), model.recon.w, model.recon.b)
 
 

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import itertools
 import json
 import os
 import time
@@ -78,46 +77,36 @@ class Adam:
         self.grad = np.zeros_like(self.flat)
         self.work = np.empty_like(self.flat)
 
-    def gather(self) -> list:
-        """Copy each parameter's gradient into ``self.grad``; returns the
-        maximal runs (lo, hi) of consecutive parameters that have one, as
-        element bounds into the flat arrays."""
-        runs, i = [], 0
-        for stepped, group in itertools.groupby(self.params.values(), lambda p: p.grad is not None):
-            group = list(group)
-            lo, hi = self.offsets[i], self.offsets[i + len(group)]
-            if stepped:
-                np.concatenate([p.grad.ravel() for p in group], out=self.grad[lo:hi])
-                runs.append((lo, hi))
-            i += len(group)
-        return runs
+    def gather(self) -> None:
+        """Copy every parameter's gradient into ``self.grad``; each one
+        must have a gradient."""
+        missing = [n for n, p in self.params.items() if p.grad is None]
+        if missing:
+            raise ValueError(f"Adam: no gradient for {missing}")
+        np.concatenate([p.grad.ravel() for p in self.params.values()], out=self.grad)
 
-    def step(self, runs=None) -> None:
-        """One update over each run ``gather`` returns (it is called here
-        when ``runs`` is None).  A parameter without a gradient keeps its
-        weight and moments.  Each array op is the textbook formula's,
-        term for term, written in place:
+    def step(self) -> None:
+        """One update over the whole buffer from the gradients ``gather``
+        copied, which it spends as scratch.  Each array op is the textbook
+        formula's, term for term, written in place:
         m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*(g*g);
         w = w - lr * (m / (1-b1^t)) / (sqrt(v / (1-b2^t)) + eps)."""
-        if runs is None:
-            runs = self.gather()
         self.t += 1
         b1, b2 = self.beta1, self.beta2
-        for lo, hi in runs:
-            w, g, m, v, a = (x[lo:hi] for x in (self.flat, self.grad, self.m, self.v, self.work))
-            m *= b1
-            m += np.multiply(g, 1 - b1, out=a)
-            v *= b2
-            np.multiply(g, g, out=a)
-            a *= 1 - b2
-            v += a
-            mhat = np.divide(m, 1 - b1 ** self.t, out=a)
-            denom = np.divide(v, 1 - b2 ** self.t, out=g)      # the gradient is spent
-            np.sqrt(denom, out=denom)
-            denom += self.eps
-            mhat *= self.lr
-            mhat /= denom
-            w -= mhat
+        w, g, m, v, a = self.flat, self.grad, self.m, self.v, self.work
+        m *= b1
+        m += np.multiply(g, 1 - b1, out=a)
+        v *= b2
+        np.multiply(g, g, out=a)
+        a *= 1 - b2
+        v += a
+        mhat = np.divide(m, 1 - b1 ** self.t, out=a)
+        denom = np.divide(v, 1 - b2 ** self.t, out=g)          # the gradient is spent
+        np.sqrt(denom, out=denom)
+        denom += self.eps
+        mhat *= self.lr
+        mhat /= denom
+        w -= mhat
 
     def zero_grad(self) -> None:
         for p in self.params.values():
@@ -128,29 +117,26 @@ def train_step(loss_fn, opt: Adam, step: int, run: str) -> float:
     """One Adam step on the loss ``loss_fn()`` builds; returns that loss.
 
     Stops the run with error[divergence] at a non-finite loss, or at the
-    first stepped parameter of ``opt.params`` whose gradient before the
-    step or weight after it is non-finite.  Each of the last two is one
-    float64 sum over the optimizer's flat arrays; only when it is not
-    finite are the parameters searched by name.  Those checks catch every
+    first parameter of ``opt.params`` whose gradient before the step or
+    weight after it is non-finite.  Each of the last two is one float64
+    sum over the optimizer's flat array; only when it is not finite are
+    the parameters searched by name.  Those checks catch every
     non-finite value numpy can make here, so its warnings are silenced."""
     def check(what: str, arrays: dict) -> None:
         bad = first_non_finite(arrays)
         if bad is not None:
             raise VslrError("divergence", f"{run} diverged: non-finite {what}{bad} at step {step}")
 
-    def finite(flat: np.ndarray, runs: list) -> bool:
-        return bool(np.isfinite(sum(flat[lo:hi].sum(dtype=np.float64) for lo, hi in runs)))
-
     with np.errstate(all="ignore"):
         loss = loss_fn()
         check("", {"loss": loss.data})
         T.backward(loss)
-        runs = opt.gather()
-        if not finite(opt.grad, runs):
-            check("gradient of ", {n: p.grad for n, p in opt.params.items() if p.grad is not None})
-        opt.step(runs)
-        if not finite(opt.flat, runs):
-            check("weight of ", {n: p.data for n, p in opt.params.items() if p.grad is not None})
+        opt.gather()
+        if not np.isfinite(opt.grad.sum(dtype=np.float64)):
+            check("gradient of ", {n: p.grad for n, p in opt.params.items()})
+        opt.step()
+        if not np.isfinite(opt.flat.sum(dtype=np.float64)):
+            check("weight of ", {n: p.data for n, p in opt.params.items()})
         opt.zero_grad()
     return float(loss.data)
 
@@ -211,16 +197,16 @@ class ClassifierModel:
         self.head = LinearParams(rng, cfg.dim, num_classes, dtype)
         self.buffer = param_buffer(self.params())
 
-    def forward(self, x: Tensor, want_trace: bool = False):
-        tb = self.embed.embed(x)
-        out, trace = encoder_forward(tb, self.blocks, self.cfg.heads, self.norm, want_trace)
+    def forward(self, x: Tensor, trace: list | None = None) -> Tensor:
+        """Logits [batch, classes]; a ``trace`` list gets each attention
+        pass's weights (see ``encoder_forward``)."""
+        out = encoder_forward(self.embed.embed(x), self.blocks, self.cfg.heads, self.norm, trace)
         if self.cfg.variant == "divided":
             feat = T.reshape(T.slice_along(out.tokens, 1, 0, 1),
                              (x.data.shape[0], self.cfg.dim))
         else:
             feat = T.mean(out.tokens, axis=1)
-        logits = T.linear(feat, self.head.w, self.head.b)
-        return (logits, trace) if want_trace else logits
+        return T.linear(feat, self.head.w, self.head.b)
 
     def named(self) -> dict:
         out = self.embed.named("embed")

@@ -189,7 +189,7 @@ def test_gradient_suite_all_primitives_and_blocks():
             grid = (f, hs, ws)
             x = Tensor(rng.standard_normal((1, n, d)), requires_grad=True)
             errs.append(T.grad_check(_scalarized(
-                lambda t: block(TokenBatch(t, grid, cls), w, heads)[0].tokens), x))
+                lambda t: block(TokenBatch(t, grid, cls), w, heads).tokens), x))
         worst[f"{variant}_block"] = max(errs)
 
     elapsed = time.perf_counter() - t0
@@ -219,8 +219,9 @@ def test_attention_rows_sum_to_one():
         tb = TokenBatch(Tensor(rng.standard_normal((2, n, d))), (f, hs, ws), cls)
         w = BlockWeights(rng, variant, d, dtype=np.float64)
         block = divided_block if variant == "divided" else joint_block
-        _, trace = block(tb, w, heads, want_trace=True)
-        for arr in trace.values():
+        trace = []
+        block(tb, w, heads, trace)
+        for _, arr in trace:
             worst = max(worst, float(np.abs(arr.sum(axis=-1) - 1.0).max()))
             rows += arr.size // arr.shape[-1]
     assert worst <= 1e-6
@@ -336,7 +337,7 @@ def test_oracle_equivalence_hundred_instances_each():
         g, n = int(rng.integers(1, 3)), int(rng.integers(2, 7))
         w = PassWeights(rng, d, dtype=np.float64)
         x = rng.standard_normal((g, n, d))
-        got, _ = multi_head_attention(Tensor(x), w, heads, np.arange(n)[None])
+        got = multi_head_attention(Tensor(x), w, heads, np.arange(n)[None])
         worst = max(worst, float(np.abs(got.data - _mha_oracle(x, w, heads)).max()))
     assert worst < 1e-10
     mha_worst = worst
@@ -428,6 +429,7 @@ def _train_steps(model, insts, videos, pipe, lr, layers, seed, max_steps,
             logits = model.forward(Tensor(np.stack(xs)))
             loss = cross_entropy(logits, np.array(ys))
             T.backward(loss)
+            opt.gather()
             opt.step()
             opt.zero_grad()
             losses.append(float(loss.data))

@@ -8,12 +8,13 @@ import numpy as np
 import pytest
 
 from vslr import tensor as T
-from vslr.attention import (AttentionTrace, BlockWeights, PassWeights, attention_rollout,
-                            divided_block, encoder_forward, joint_block,
-                            multi_head_attention, pass_groups, write_pgm)
+from vslr.attention import (BlockWeights, PassWeights, attention_rollout, divided_block,
+                            encoder_forward, joint_block, multi_head_attention,
+                            pass_groups, write_pgm)
 from vslr.embedding import TokenBatch
 from vslr.nn import LayerNormParams
 from vslr.tensor import Tensor
+from vslr.train import ClassifierModel, ModelConfig
 
 
 def mha_oracle(x, w, heads):
@@ -54,7 +55,7 @@ def test_multi_head_attention_matches_loop_oracle():
         g, n, d = 2, 5, 8
         w = _pass(rng, d)
         x = rng.standard_normal((g, n, d))
-        out, _ = multi_head_attention(Tensor(x, dtype=np.float64), w, heads, np.arange(n)[None])
+        out = multi_head_attention(Tensor(x, dtype=np.float64), w, heads, np.arange(n)[None])
         assert np.allclose(out.data, mha_oracle(x, w, heads), atol=1e-10)
 
 
@@ -68,8 +69,9 @@ def test_multi_head_attention_blocked_output_and_trace(monkeypatch):
     assert len(T._attn_blocks(g, heads, n, 8)) == 15
     w = _pass(rng, d)
     x = rng.standard_normal((g, n, d))
-    out, tr = multi_head_attention(Tensor(x, dtype=np.float64), w, heads, np.arange(n)[None],
-                                   want_trace=True)
+    trace = []
+    out = multi_head_attention(Tensor(x, dtype=np.float64), w, heads, np.arange(n)[None], trace)
+    [(_, tr)] = trace
     assert np.allclose(out.data, mha_oracle(x, w, heads), atol=1e-10)
 
     def heads_of(p):
@@ -90,7 +92,9 @@ def test_attention_rows_sum_to_one():
         heads = [1, 2, 4][int(rng.integers(0, 3))]
         w = _pass(rng, d)
         x = Tensor(rng.standard_normal((g, n, d)) * 3, dtype=np.float64)
-        _, tr = multi_head_attention(x, w, heads, np.arange(n)[None], want_trace=True)
+        trace = []
+        multi_head_attention(x, w, heads, np.arange(n)[None], trace)
+        [(_, tr)] = trace
         assert tr.shape == (g, 1, n, n)
         assert np.allclose(tr.sum(axis=-1), 1.0, atol=1e-12)
 
@@ -101,7 +105,9 @@ def test_identical_keys_give_uniform_weights():
     w = _pass(rng, d)
     w.k.w.data[:] = 0.0          # every key identical -> flat logits
     x = Tensor(rng.standard_normal((1, n, d)), dtype=np.float64)
-    _, tr = multi_head_attention(x, w, 2, np.arange(n)[None], want_trace=True)
+    trace = []
+    multi_head_attention(x, w, 2, np.arange(n)[None], trace)
+    [(_, tr)] = trace
     assert np.allclose(tr, 1.0 / n, atol=1e-15)
 
 
@@ -120,9 +126,11 @@ def test_single_frame_temporal_weights_are_exactly_one():
     rng = np.random.default_rng(3)
     w = BlockWeights(rng, "divided", 8, dtype=np.float64)
     tb = _tb(rng, 2, 1, 2, 2, 8, cls=False)
-    _, tr = divided_block(tb, w, 2, want_trace=True)
-    assert tr["temporal"].shape == (2, 4, 1, 1)
-    assert np.all(tr["temporal"] == 1.0)
+    trace = []
+    divided_block(tb, w, 2, trace)
+    (_, temporal), _ = trace
+    assert temporal.shape == (2, 4, 1, 1)
+    assert np.all(temporal == 1.0)
 
 
 def test_single_frame_divided_equals_joint_with_matched_weights():
@@ -150,8 +158,8 @@ def test_single_frame_divided_equals_joint_with_matched_weights():
         a.b.data = b.b.data.copy()
 
     tb = _tb(rng, 2, 1, 2, 3, d, cls=False)
-    out_d, _ = divided_block(tb, dw, heads)
-    out_j, _ = joint_block(tb, jw, heads)
+    out_d = divided_block(tb, dw, heads)
+    out_j = joint_block(tb, jw, heads)
     assert np.allclose(out_d.tokens.data, out_j.tokens.data, atol=1e-12)
 
 
@@ -162,8 +170,10 @@ def test_identical_frames_split_temporal_attention_evenly():
     per_position = rng.standard_normal((1, 6, d))
     tokens = np.concatenate([per_position, per_position], axis=1)  # two equal frames
     tb = TokenBatch(Tensor(tokens, dtype=np.float64), (2, 2, 3), has_cls=False)
-    _, tr = divided_block(tb, w, 2, want_trace=True)
-    assert np.all(tr["temporal"] == 0.5)
+    trace = []
+    divided_block(tb, w, 2, trace)
+    (_, temporal), _ = trace
+    assert np.all(temporal == 0.5)
 
 
 def test_frame_permutation_equivariance_without_positional():
@@ -172,14 +182,14 @@ def test_frame_permutation_equivariance_without_positional():
     s = hs * ws
     w = BlockWeights(rng, "divided", d, dtype=np.float64)
     tb = _tb(rng, b, f, hs, ws, d, cls=True)
-    out, _ = divided_block(tb, w, 2)
+    out = divided_block(tb, w, 2)
 
     perm = np.array([2, 0, 3, 1])
     tokens = tb.tokens.data
     patches = tokens[:, 1:].reshape(b, f, s, d)[:, perm].reshape(b, f * s, d)
     permuted = np.concatenate([tokens[:, :1], patches], axis=1)
-    out_p, _ = divided_block(TokenBatch(Tensor(permuted, dtype=np.float64),
-                                        (f, hs, ws), True), w, 2)
+    out_p = divided_block(TokenBatch(Tensor(permuted, dtype=np.float64),
+                                     (f, hs, ws), True), w, 2)
     want = out.tokens.data[:, 1:].reshape(b, f, s, d)[:, perm].reshape(b, f * s, d)
     assert np.allclose(out_p.tokens.data[:, 1:], want, atol=1e-10)
     assert np.allclose(out_p.tokens.data[:, 0], out.tokens.data[:, 0], atol=1e-10)
@@ -189,11 +199,13 @@ def test_divided_trace_rows_sum_to_one_with_cls():
     rng = np.random.default_rng(7)
     w = BlockWeights(rng, "divided", 8, dtype=np.float64)
     tb = _tb(rng, 2, 3, 2, 2, 8, cls=True)
-    _, tr = divided_block(tb, w, 4, want_trace=True)
-    assert np.allclose(tr["temporal"].sum(axis=-1), 1.0, atol=1e-12)
-    assert np.allclose(tr["spatial"].sum(axis=-1), 1.0, atol=1e-12)
-    assert tr["temporal"].shape == (2, 4, 4, 4)      # [B, S, 1+F, 1+F]
-    assert tr["spatial"].shape == (2, 3, 5, 5)       # [B, F, 1+S, 1+S]
+    trace = []
+    divided_block(tb, w, 4, trace)
+    (_, temporal), (_, spatial) = trace
+    assert np.allclose(temporal.sum(axis=-1), 1.0, atol=1e-12)
+    assert np.allclose(spatial.sum(axis=-1), 1.0, atol=1e-12)
+    assert temporal.shape == (2, 4, 4, 4)      # [B, S, 1+F, 1+F]
+    assert spatial.shape == (2, 3, 5, 5)       # [B, F, 1+S, 1+S]
 
 
 def divided_block_oracle(x, w, heads, grid, cls):
@@ -241,7 +253,7 @@ def test_divided_block_matches_loop_oracle(cls, ragged, monkeypatch):
         assert len(T._attn_blocks(2 * 3, heads, 5, 8)) == 12
     w = BlockWeights(rng, "divided", d, dtype=np.float64)
     tb = _tb(rng, 2, *grid, d, cls=cls)
-    out, _ = divided_block(tb, w, heads)
+    out = divided_block(tb, w, heads)
     want = divided_block_oracle(tb.tokens.data, w, heads, grid, cls)
     assert np.allclose(out.tokens.data, want, rtol=0, atol=1e-10)
 
@@ -311,9 +323,27 @@ def test_encoder_applies_final_norm():
     blocks = [BlockWeights(rng, "joint", d, dtype=np.float64)]
     ln = LayerNormParams(d, dtype=np.float64)
     tb = _tb(rng, 1, 2, 2, 2, d, cls=False)
-    out, _ = encoder_forward(tb, blocks, 2, ln)
+    out = encoder_forward(tb, blocks, 2, ln)
     assert np.allclose(out.tokens.data.mean(axis=-1), 0.0, atol=1e-9)
     assert np.allclose(out.tokens.data.var(axis=-1), 1.0, atol=1e-3)
+
+
+@pytest.mark.parametrize("variant", ["divided", "joint"])
+def test_trace_list_records_each_pass_and_leaves_the_logits(variant):
+    """At desk geometry a trace list changes no bit of the logits and gets
+    one (groups, weights) entry per attention pass, in call order."""
+    cfg = ModelConfig(variant=variant)
+    model = ClassifierModel(cfg, 5, np.random.default_rng(16))
+    x = Tensor(np.random.default_rng(17).random((2, cfg.frames, 3, cfg.image_size,
+                                                 cfg.image_size), dtype=np.float32))
+    trace = []
+    assert np.array_equal(model.forward(x, trace).data, model.forward(x).data)
+    kinds = ["temporal", "spatial"] if variant == "divided" else ["joint"]
+    grid, has_cls = model.embed.cfg.grid, model.embed.cls is not None
+    assert len(trace) == len(kinds) * cfg.depth
+    for (groups, weights), kind in zip(trace, kinds * cfg.depth):
+        assert groups is pass_groups(grid, has_cls, kind)
+        assert weights.shape == (2, *groups.shape, groups.shape[1])
 
 
 def _uniform_attention_blocks(rng, variant, d, depth):
@@ -338,8 +368,9 @@ def test_flat_attention_rolls_out_to_all_ones(variant, cls):
     blocks = _uniform_attention_blocks(rng, variant, d, depth)
     ln = LayerNormParams(d, dtype=np.float64)
     tb = _tb(rng, 1, f, hs, ws, d, cls=cls)
-    _, trace = encoder_forward(tb, blocks, 2, ln, want_trace=True)
-    heat = attention_rollout(trace)
+    trace = []
+    encoder_forward(tb, blocks, 2, ln, trace)
+    heat = attention_rollout(trace, (f, hs, ws), cls)
     assert heat.shape == (f, hs, ws)
     assert np.allclose(heat, 1.0, atol=1e-12)
 
@@ -352,33 +383,32 @@ def test_rollout_on_random_weights(variant, cls):
     blocks = [BlockWeights(rng, variant, d, dtype=np.float64) for _ in range(depth)]
     ln = LayerNormParams(d, dtype=np.float64)
     tb = _tb(rng, 2, f, hs, ws, d, cls=cls)
-    _, trace = encoder_forward(tb, blocks, 2, ln, want_trace=True)
+    trace = []
+    encoder_forward(tb, blocks, 2, ln, trace)
     for bi in range(2):
-        heat = attention_rollout(trace, batch_index=bi)
+        heat = attention_rollout(trace, (f, hs, ws), cls, batch_index=bi)
         assert heat.shape == (f, hs, ws)
         assert np.all(heat > 0)
         assert np.all(heat <= 1.0 + 1e-12)
         assert np.allclose(heat.max(axis=(1, 2)), 1.0)
 
 
-def rollout_oracle(trace, batch_index):
+def rollout_oracle(trace, grid, has_cls, batch_index):
     """Dense rollout: each pass's [M, M] matrix 0.5 * A / count + 0.5 * I,
     whose rows must already sum to 1 up to the softmax's rounding, is
-    renormalized and applied in block order, so a divided block is
+    renormalized and applied in call order, so a divided block is
     spatial @ temporal.  The map is the CLS row, or the mean row without
     a CLS, normalized per frame by its max."""
-    t, hs, ws = trace.grid
-    off = 1 if trace.has_cls else 0
+    t, hs, ws = grid
+    off = 1 if has_cls else 0
     rolled = np.eye(t * hs * ws + off)
-    for block_trace in trace.blocks:
-        for kind, weights in block_trace.items():
-            ids = pass_groups(trace.grid, trace.has_cls, kind)
-            a = np.zeros(rolled.shape)
-            np.add.at(a, (ids[:, :, None], ids[:, None, :]), weights[batch_index])
-            mixed = 0.5 * a / np.bincount(ids.ravel())[:, None] + 0.5 * np.eye(len(a))
-            assert np.allclose(mixed.sum(axis=-1), 1.0, atol=1e-6)
-            rolled = mixed / mixed.sum(axis=-1, keepdims=True) @ rolled
-    mass = rolled[0, off:] if trace.has_cls else rolled.mean(axis=0)
+    for ids, weights in trace:
+        a = np.zeros(rolled.shape)
+        np.add.at(a, (ids[:, :, None], ids[:, None, :]), weights[batch_index])
+        mixed = 0.5 * a / np.bincount(ids.ravel())[:, None] + 0.5 * np.eye(len(a))
+        assert np.allclose(mixed.sum(axis=-1), 1.0, atol=1e-6)
+        rolled = mixed / mixed.sum(axis=-1, keepdims=True) @ rolled
+    mass = rolled[0, off:] if has_cls else rolled.mean(axis=0)
     heat = mass.reshape(t, hs, ws)
     return heat / heat.max(axis=(1, 2), keepdims=True)
 
@@ -397,11 +427,12 @@ def test_rollout_matches_dense_oracle(variant, cls, grid, dtype):
     ln = LayerNormParams(d, dtype=dtype)
     n = int(np.prod(grid)) + (1 if cls else 0)
     tb = TokenBatch(Tensor(rng.standard_normal((2, n, d)), dtype=dtype), grid, has_cls=cls)
-    _, trace = encoder_forward(tb, blocks, 2, ln, want_trace=True)
+    trace = []
+    encoder_forward(tb, blocks, 2, ln, trace)
     for bi in range(2):
-        heat = attention_rollout(trace, batch_index=bi)
+        heat = attention_rollout(trace, grid, cls, batch_index=bi)
         assert heat.shape == grid
-        assert np.abs(heat - rollout_oracle(trace, bi)).max() < 1e-12
+        assert np.abs(heat - rollout_oracle(trace, grid, cls, bi)).max() < 1e-12
         assert heat.min() < 0.9               # far from the flat all-ones map
 
 
@@ -415,12 +446,13 @@ def test_divided_rollout_memory_at_paper_grid():
         w = rng.random((1, g, n, n), dtype=np.float32)
         return w / w.sum(axis=-1, keepdims=True)
 
-    blocks = [{"temporal": softmax_rows(196, 17), "spatial": softmax_rows(16, 197)}
-              for _ in range(depth)]
-    trace = AttentionTrace(grid, True, blocks)
+    trace = []
+    for _ in range(depth):
+        trace.append((pass_groups(grid, True, "temporal"), softmax_rows(196, 17)))
+        trace.append((pass_groups(grid, True, "spatial"), softmax_rows(16, 197)))
     tracemalloc.start()
     try:
-        heat = attention_rollout(trace)
+        heat = attention_rollout(trace, grid, True)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -452,7 +484,7 @@ def test_block_gradcheck(variant):
     step = divided_block if variant == "divided" else joint_block
 
     def f_x(t):
-        out, _ = step(TokenBatch(t, (f, hs, ws), cls), w, 2)
+        out = step(TokenBatch(t, (f, hs, ws), cls), w, 2)
         return T.sum_(T.mul(out.tokens, red))
 
     assert T.grad_check(f_x, x) < 1e-6

@@ -137,7 +137,7 @@ def test_reconstruction_loss_matches_loop_oracle():
     loss = reconstruction_loss(Tensor(pred, dtype=np.float64),
                                normalized_cube_targets(x, cfg, ids))
     assert np.isclose(float(loss.data), total / count, atol=1e-12)
-    with pytest.raises(ValueError, match="does not match target shape"):
+    with pytest.raises(ValueError, match="does not match prediction"):
         reconstruction_loss(Tensor(pred[:, 1:]), normalized_cube_targets(x, cfg, ids))
 
 
