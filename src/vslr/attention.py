@@ -57,7 +57,6 @@ class BlockWeights:
         if variant not in ("divided", "joint"):
             raise ValueError(f"variant must be divided or joint, got {variant!r}")
         self.variant = variant
-        self.dim = dim
         self.ln1 = LayerNormParams(dim, dtype)
         if variant == "divided":
             self.temporal = PassWeights(rng, dim, dtype)
@@ -210,7 +209,7 @@ def write_pgm(path, image: np.ndarray) -> None:
         fh.write(image.tobytes())
 
 
-def export_heatmap(heat: np.ndarray, out_dir, prefix: str = "frame") -> list:
+def export_heatmap(heat: np.ndarray, out_dir) -> list:
     """One PGM per temporal slice of a [t, h, w] rollout map in [0, 1]."""
     import os
 
@@ -218,7 +217,7 @@ def export_heatmap(heat: np.ndarray, out_dir, prefix: str = "frame") -> list:
     paths = []
     for t in range(heat.shape[0]):
         img = np.floor(heat[t] * 255.0 + 0.5).clip(0, 255).astype(np.uint8)
-        path = os.path.join(out_dir, f"{prefix}_{t:03d}.pgm")
+        path = os.path.join(out_dir, f"frame_{t:03d}.pgm")
         write_pgm(path, img)
         paths.append(path)
     return paths

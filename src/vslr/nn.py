@@ -16,9 +16,9 @@ import numpy as np
 from .tensor import Tensor
 
 
-def trunc_normal(rng: np.random.Generator, shape, std: float = 0.02,
-                 dtype=np.float32) -> np.ndarray:
-    """Normal(0, std) with draws outside two deviations redrawn."""
+def trunc_normal(rng: np.random.Generator, shape, dtype=np.float32) -> np.ndarray:
+    """Normal(0, 0.02) with draws outside two deviations redrawn."""
+    std = 0.02
     out = rng.normal(0.0, std, size=shape)
     bad = np.abs(out) > 2.0 * std
     while bad.any():

@@ -151,12 +151,6 @@ class Tensor:
     def ndim(self) -> int:
         return self.data.ndim
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
-    def backward(self) -> None:
-        backward(self)
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 

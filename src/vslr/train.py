@@ -281,8 +281,8 @@ def no_grad(params):
 
 
 def _batched_logits(model: ClassifierModel, insts: list, video_dir,
-                    pipe: PipelineConfig, seed: int, chunk: int = 8) -> np.ndarray:
-    rows = []
+                    pipe: PipelineConfig, seed: int) -> np.ndarray:
+    rows, chunk = [], 8          # instances per forward
     with no_grad(model.params()):
         for lo in range(0, len(insts), chunk):
             part = insts[lo:lo + chunk]

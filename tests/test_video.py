@@ -28,14 +28,14 @@ def _frames(values, h=4, w=5):
 def test_even_sampling_golden_indices():
     # floor(i * 10 / 4) for i in 0..3 -> 0, 2, 5, 7
     assert V.sample_indices(10, 4, "even", None) == ([0, 2, 5, 7], [0, 2, 5, 7])
-    video = V.RawVideo(_frames(range(10)), "v")
+    video = V.RawVideo(_frames(range(10)))
     clip = V.prepare_clip(video, V.PipelineConfig(4, "even", 4), False, None)
     assert clip.sampled_indices == [0, 2, 5, 7]
     assert clip.frames[:, 0, 0, 0].tolist() == [0, 2, 5, 7]
 
 
 def test_even_sampling_is_pure():
-    video = V.RawVideo(_frames(range(13)), "v")
+    video = V.RawVideo(_frames(range(13)))
     pipe = V.PipelineConfig(5, "even", 4)
     a = V.prepare_clip(video, pipe, False, None)
     b = V.prepare_clip(video, pipe, False, None)
@@ -62,7 +62,7 @@ def test_padding_12_to_16_golden():
     front = 4 - back
     expected = [-1] * front + list(range(12)) + [-1] * back
 
-    video = V.RawVideo(_frames(range(12)), "v")
+    video = V.RawVideo(_frames(range(12)))
     clip = V.prepare_clip(video, V.PipelineConfig(16, "consecutive", 4), False, rng_impl)
     assert len(clip.frames) == 16
     assert clip.sampled_indices == expected
@@ -92,7 +92,7 @@ def test_sample_indices_properties(n, target, sampling, seed):
 
 
 def test_prepare_clip_refuses_a_video_with_no_frames():
-    video = V.RawVideo(np.zeros((0, 4, 5, 3), dtype=np.uint8), "v")
+    video = V.RawVideo(np.zeros((0, 4, 5, 3), dtype=np.uint8))
     for sampling in ("consecutive", "even"):
         with pytest.raises(ValueError, match="video has no frames"):
             V.prepare_clip(video, V.PipelineConfig(4, sampling, 4), True, np.random.default_rng(0))
@@ -104,7 +104,7 @@ def test_prepare_clip_refuses_a_video_with_no_frames():
     (_frames(range(3)), "YUV"),
 ])
 def test_prepare_clip_refuses_frames_it_cannot_convert(frames, order):
-    video = V.RawVideo(frames, "v", order)
+    video = V.RawVideo(frames, order)
     with pytest.raises(ValueError, match=r"uint8 \[n, h, w, 3\] in BGR or RGB"):
         V.prepare_clip(video, V.PipelineConfig(2, "even", 4), False, None)
 
@@ -179,7 +179,7 @@ def test_resize_dims_bring_short_side_up_to_crop(h, w, want):
     whose center window the eval clip is."""
     px = np.random.default_rng(h + w).integers(0, 256, size=(h, w, 3), dtype=np.uint8)
     assert V.resize_dims(h, w, 224) == want
-    clip = V.prepare_clip(V.RawVideo(px[None], "v", channel_order="RGB"),
+    clip = V.prepare_clip(V.RawVideo(px[None], channel_order="RGB"),
                           V.PipelineConfig(1, "even", 224), False, np.random.default_rng(0))
     dy, dx = (want[0] - 224) // 2, (want[1] - 224) // 2
     full = V._resample(px[None], *want, 0, 0, *want)
@@ -190,7 +190,7 @@ def test_resize_dims_bring_short_side_up_to_crop(h, w, want):
 @pytest.mark.parametrize("h, w, out_w", [(240, 320, 299), (720, 1280, 398)])
 def test_prepare_clip_accepts_4x3_and_16x9_at_224(h, w, out_w, train):
     frames = np.random.default_rng(w).integers(0, 256, size=(3, h, w, 3), dtype=np.uint8)
-    video = V.RawVideo(frames, "v")
+    video = V.RawVideo(frames)
     clip = V.prepare_clip(video, V.PipelineConfig(2, "even", 224), train,
                           np.random.default_rng(1))
     assert clip.frames.shape == (2, 224, 224, 3)
@@ -264,7 +264,7 @@ def test_prepare_clip_at_224_keeps_the_draw_order(h, w):
     resample draws nothing, so the rng's next draw (the tube mask in
     pretraining) is the same as when the whole frame was resampled."""
     frames = np.random.default_rng(h * w).integers(0, 256, size=(6, h, w, 3), dtype=np.uint8)
-    video = V.RawVideo(frames, "v")
+    video = V.RawVideo(frames)
     nh, nw = V.resize_dims(h, w, 224)
     for sampling in ("consecutive", "even"):
         pipe = V.PipelineConfig(4, sampling, 224)
@@ -296,7 +296,7 @@ def test_prepare_clip_pad_branch_keeps_the_draw_order(sampling):
     pipe = V.PipelineConfig(8, sampling, 32)
     for seed in range(8):
         clip_rng, replay = np.random.default_rng(seed), np.random.default_rng(seed)
-        clip = V.prepare_clip(V.RawVideo(frames, "v"), pipe, True, clip_rng)
+        clip = V.prepare_clip(V.RawVideo(frames), pipe, True, clip_rng)
         read, recorded, (dy, dx, flip) = _replay(3, pipe, (40, 48), replay)
         assert recorded.count(-1) == 5
         assert clip.sampled_indices == recorded
@@ -309,11 +309,30 @@ def test_prepare_clip_pad_branch_keeps_the_draw_order(sampling):
 def test_prepare_clip_at_224_in_eval_takes_the_center_and_draws_nothing():
     frames = np.random.default_rng(3).integers(0, 256, size=(6, 180, 320, 3), dtype=np.uint8)
     rng = np.random.default_rng(7)
-    clip = V.prepare_clip(V.RawVideo(frames, "v"), V.PipelineConfig(4, "even", 224), False, rng)
+    clip = V.prepare_clip(V.RawVideo(frames), V.PipelineConfig(4, "even", 224), False, rng)
     nh, nw = V.resize_dims(180, 320, 224)
     assert (nh, nw) == (224, 398)
     assert (*clip.crop_offset, clip.flipped) == V.crop_offsets(nh, nw, 224) == (0, 87, False)
     assert rng.random() == np.random.default_rng(7).random()
+
+
+@pytest.mark.parametrize("train", [True, False])
+@pytest.mark.parametrize("h, w, crop", [(240, 320, 224), (180, 320, 224), (32, 32, 32), (40, 48, 32)])
+def test_prepared_clip_does_not_depend_on_stored_channel_order(tmp_path, h, w, crop, train):
+    """One picture stored BGR and stored RGB prepares to the same uint8 RGB
+    clip and the same model tensor, from the same draws: a prepared clip
+    needs no channel order of its own."""
+    rgb = np.random.default_rng(h * w + crop).integers(0, 256, size=(10, h, w, 3), dtype=np.uint8)
+    V.write_raw_video(tmp_path / "bgr.vraw", rgb[..., ::-1], "BGR")
+    V.write_raw_video(tmp_path / "rgb.vraw", rgb, "RGB")
+    pipe = V.PipelineConfig(8, "consecutive", crop)
+    a, b = (V.prepare_clip(V.read_raw_video(tmp_path / f"{name}.vraw"), pipe, train,
+                           np.random.default_rng(11))
+            for name in ("bgr", "rgb"))
+    for clip in (a, b):
+        assert clip.frames.dtype == np.uint8 and clip.frames.shape == (8, crop, crop, 3)
+    assert (a.sampled_indices, a.crop_offset, a.flipped) == (b.sampled_indices, b.crop_offset, b.flipped)
+    assert np.array_equal(V.to_model_tensor(a), V.to_model_tensor(b))
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +342,7 @@ def test_prepare_clip_at_224_in_eval_takes_the_center_and_draws_nothing():
 def test_augment_applies_one_transform_to_all_frames():
     rng_px = np.random.default_rng(14)
     frames = rng_px.integers(0, 256, size=(5, 10, 12, 3), dtype=np.uint8)
-    video = V.RawVideo(frames, "v", channel_order="RGB")
+    video = V.RawVideo(frames, channel_order="RGB")
     out = V.prepare_clip(video, V.PipelineConfig(5, "even", 6), True, np.random.default_rng(3))
     dy, dx = out.crop_offset
     for orig, new in zip(frames, out.frames):
@@ -336,7 +355,7 @@ def test_augment_applies_one_transform_to_all_frames():
 
 def test_center_crop_offsets():
     px = np.arange(6 * 8 * 3, dtype=np.uint8).reshape(6, 8, 3)
-    video = V.RawVideo(px[None], "v", channel_order="RGB")
+    video = V.RawVideo(px[None], channel_order="RGB")
     out = V.prepare_clip(video, V.PipelineConfig(1, "even", 4), False, None)
     assert out.crop_offset == (1, 2)
     assert out.flipped is False
@@ -344,7 +363,7 @@ def test_center_crop_offsets():
 
 
 def test_crop_larger_than_frame_rejected():
-    video = V.RawVideo(_frames([1]), "v")
+    video = V.RawVideo(_frames([1]))
     with pytest.raises(ValueError, match="exceeds"):
         V.prepare_clip(video, V.PipelineConfig(1, "even", 64), False, None)
 
@@ -352,7 +371,7 @@ def test_crop_larger_than_frame_rejected():
 def test_to_model_tensor_layout_and_scaling():
     px = np.full((4, 5, 3), 128, dtype=np.uint8)
     px[0, 0] = [255, 0, 10]
-    clip = V.VideoClip(np.stack([px] * 3), "v", [0, 1, 2], channel_order="RGB")
+    clip = V.VideoClip(np.stack([px] * 3), [0, 1, 2], None, (0, 0), False)
     arr = V.to_model_tensor(clip)
     assert arr.shape == (3, 3, 4, 5)
     assert arr.dtype == np.float32
@@ -360,9 +379,6 @@ def test_to_model_tensor_layout_and_scaling():
     assert arr[0, 0, 0, 0] == np.float32(1.0)
     assert arr[0, 1, 0, 0] == np.float32(0.0)
     assert arr[0, 0, 1, 1] == np.float32(128) / np.float32(255)
-    bgr_clip = V.VideoClip(px[None], "v", [0], channel_order="BGR")
-    with pytest.raises(ValueError, match="RGB"):
-        V.to_model_tensor(bgr_clip)
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +490,7 @@ def test_raw_video_round_trip(tmp_path):
     frames = rng.integers(0, 256, size=(6, 8, 9, 3), dtype=np.uint8)
     path = tmp_path / "clip.vraw"
     V.write_raw_video(path, frames, "BGR")
-    back = V.read_raw_video(path, "clip")
+    back = V.read_raw_video(path)
     assert back.channel_order == "BGR"
     assert back.frames.shape == (6, 8, 9, 3) and back.frames.dtype == np.uint8
     assert np.array_equal(back.frames, frames)
@@ -584,7 +600,6 @@ def test_prepare_clip_deterministic_per_seed(tmp_path):
     b = V.prepare_clip(video, pipe, True, V.derive_rng(1, inst.video_id, 0))
     ta, tb = V.to_model_tensor(a), V.to_model_tensor(b)
     assert np.array_equal(ta, tb)
-    assert a.channel_order == "RGB"
 
     # across epochs the derived stream changes and so (eventually) do clips
     variants = {V.to_model_tensor(
@@ -597,7 +612,7 @@ def test_prepare_clip_applies_resize_only_at_224():
     rng = np.random.default_rng(21)
     # square input: 230x230 is conformant, so only a 224 pipeline resizes it
     frames = rng.integers(0, 256, size=(8, 230, 230, 3), dtype=np.uint8)
-    video = V.RawVideo(frames, "v")
+    video = V.RawVideo(frames)
     clip = V.prepare_clip(video, V.PipelineConfig(4, "even", 224), False,
                           np.random.default_rng(0))
     assert clip.frames.shape[1:3] == (224, 224)
@@ -605,7 +620,7 @@ def test_prepare_clip_applies_resize_only_at_224():
     # 100x150 scales to 226x339 then caps at 171x256, whose short side is
     # under the crop; it then rises to 224, so the clip resamples straight
     # from 100x150 to 224x335 and the center crop lands at column 55
-    small = V.RawVideo(rng.integers(0, 256, size=(8, 100, 150, 3), dtype=np.uint8), "v")
+    small = V.RawVideo(rng.integers(0, 256, size=(8, 100, 150, 3), dtype=np.uint8))
     assert V.resize_plan(100, 150) == (171, 256)
     clip = V.prepare_clip(small, V.PipelineConfig(4, "even", 224), False,
                           np.random.default_rng(0))
@@ -617,7 +632,7 @@ def test_prepare_clip_applies_resize_only_at_224():
 
 
 def test_prepare_clip_small_crop_skips_resize():
-    video = V.RawVideo(_frames(range(8), 32, 32), "v")
+    video = V.RawVideo(_frames(range(8), 32, 32))
     pipe = V.PipelineConfig(frames=4, sampling="even", crop=32)
     clip = V.prepare_clip(video, pipe, False, np.random.default_rng(0))
     assert clip.frames.shape[1:3] == (32, 32)
@@ -659,7 +674,7 @@ def test_prepared_clips_match_recorded_digests(tmp_path, sampling, train):
     assert min(i.frame_count for i in m.instances) < 8    # padding is covered
     src = np.random.default_rng(5).integers(0, 256, size=(10, 200, 200, 3), dtype=np.uint8)
     V.write_raw_video(tmp_path / "big.vraw", src, "BGR")
-    big = V.read_raw_video(tmp_path / "big.vraw", "big")
+    big = V.read_raw_video(tmp_path / "big.vraw")
 
     pipe = V.PipelineConfig(8, sampling, 32)
     clips = [V.prepare_clip(V.load_instance_video(tmp_path / "videos", i), pipe, train,
