@@ -30,26 +30,6 @@ dominates (the divided temporal pass has F+1 tokens per row), and above
 it the loop's one call per column does.  A max is exact in any order, so
 both paths give the same bits.
 
-Lanes.  ``attention`` runs its blocks on ``_LANES`` threads, the caller
-and at most one worker: ``min(2, len(os.sched_getaffinity(0)))``, or 1
-where that call does not exist.  Each walk cuts the block list into at
-most two contiguous parts, at the allowed cut nearest its middle; the
-caller runs the first part and the worker, started by the first two-part
-walk, the second.  The forward may cut anywhere, as each block writes only
-its own rows of the context and log-sum-exp.  The backward cuts only
-between groups, because ``dk`` and ``dv`` sum a group's row blocks in
-order.  A walk of one part (every desk shape, and the joint backward at
-batch 1) is the serial loop: it starts no thread and imports no
-``concurrent.futures``.  A block does the same operations on either lane,
-so the bits do not depend on the lane count.  The worker runs under a copy
-of the caller's context, so numpy's ``errstate`` holds there too, and an
-error in either part is raised in the caller.  Lanes call only numpy and
-the private ``_attn_*`` helpers: they build no node and record no
-multiply-adds.  BLAS keeps its own thread count.  Paper joint attention
-(batch 2, 1568 tokens, dim 64, 4 heads, float32), forward/backward, on a
-2-core Xeon with one BLAS thread, best of 7: 36.7/55.5 ms on one lane,
-19.3/28.8 ms on two.
-
 Allocator policy.  A training step frees its whole graph, and by default
 glibc hands the freed top of the heap back to the kernel, so the next
 step faults the same pages in again.  At import, where glibc's
@@ -70,14 +50,14 @@ no setting of the machine.
 
 from __future__ import annotations
 
-import contextvars
 import ctypes
 import functools
 import math
-import os
 from typing import Callable, Sequence
 
 import numpy as np
+
+from . import lanes
 
 _ALLOWED_DTYPES = (np.float32, np.float64)
 
@@ -326,20 +306,6 @@ _ATTN_BLOCK_BYTES = 1 << 20
 # and at the paper spatial L=197 it is 44 -> 229 us.
 _ROW_MAX_COLUMNS = 32
 
-# Threads attention's blocks run on: the caller and at most one worker.
-_LANES = min(2, len(os.sched_getaffinity(0))) if hasattr(os, "sched_getaffinity") else 1
-_lane_pool = None                         # the worker, started by the first two-part call
-
-
-def _forget_lane_pool() -> None:
-    """A forked child has no worker thread, though it inherits the pool."""
-    global _lane_pool
-    _lane_pool = None
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_lane_pool)
-
 
 @functools.lru_cache(maxsize=64)
 def _attn_layout(ids: bytes, length: int, b: int, m: int, heads: int, dh: int) -> tuple:
@@ -420,38 +386,20 @@ def _attn_blocks(g: int, heads: int, n: int, itemsize: int) -> list:
 
 
 def _attn_parts(blocks: list, whole_groups: bool) -> list:
-    """The blocks as at most _LANES contiguous parts, cut at the block
-    nearest the middle.  With ``whole_groups`` a cut falls only where the
-    group slice changes, so no group's blocks are split between parts."""
-    if _LANES < 2 or len(blocks) < 2:
+    """The blocks as at most ``lanes.LANES`` contiguous parts, cut at the
+    block nearest the middle.  The forward may cut anywhere, as each block
+    writes only its own rows of the context and log-sum-exp.  The backward
+    passes ``whole_groups``: a cut falls only where the group slice
+    changes, because ``dk`` and ``dv`` sum a group's row blocks in order.
+    One part (every desk shape, and the joint backward at batch 1) runs
+    serially."""
+    if lanes.LANES < 2 or len(blocks) < 2:
         return [blocks]
     cuts = [i for i in range(1, len(blocks)) if not whole_groups or blocks[i][0] != blocks[i - 1][0]]
     if not cuts:
         return [blocks]
     cut = min(cuts, key=lambda i: abs(2 * i - len(blocks)))
     return [blocks[:cut], blocks[cut:]]
-
-
-def _on_lanes(fn: Callable, parts: list) -> None:
-    """fn(part) for each part: the first on this thread, the second, if
-    any, on the lane worker under a copy of this thread's context, so
-    numpy's errstate holds there too.  An error either part raises is
-    raised here, the first part's ahead of the second's, as a serial walk
-    would meet them."""
-    global _lane_pool
-    if len(parts) == 1:
-        fn(parts[0])
-        return
-    if _lane_pool is None:
-        from concurrent.futures import ThreadPoolExecutor
-        _lane_pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="vslr-lane")
-    future = _lane_pool.submit(contextvars.copy_context().run, fn, parts[1])
-    try:
-        fn(parts[0])
-    finally:
-        error = future.exception()        # wait: the worker writes the caller's arrays
-    if error is not None:
-        raise error
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, groups: np.ndarray) -> Tensor:
@@ -465,8 +413,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, groups: np.ndarray) -
     and query rows whose weights fit in ``_ATTN_BLOCK_BYTES`` and keeps
     only each row's log-sum-exp; backward recomputes every block's weights
     from q and k, so no [B*G, h, L, L] array is ever held.  Both walks run
-    on up to ``_LANES`` threads (the module docstring's Lanes).  Records the
-    QK^T and AV multiply-adds, 2*B*G*h*L^2*dh, under "all" and "attn".
+    on up to ``lanes.LANES`` threads, bit for bit the serial walk.  Records
+    the QK^T and AV multiply-adds, 2*B*G*h*L^2*dh, under "all" and "attn".
     """
     _check_dtype("attention", q, k, v)
     if q.data.ndim != 3 or k.data.shape != q.data.shape or v.data.shape != q.data.shape:
@@ -496,7 +444,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, groups: np.ndarray) -
             w, lse[gs, :, r] = _attn_weights(qs[gs, :, r], kt[gs])
             np.matmul(w, vh[gs], out=ctx[gs, :, r])
 
-    _on_lanes(forward, _attn_parts(blocks, whole_groups=False))
+    lanes.run(forward, _attn_parts(blocks, whole_groups=False))
     if shared.size:
         ctx = ctx.reshape(-1, dh)
         shared_ctx = ctx[shared]          # each group's own output, for backward
@@ -531,7 +479,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, groups: np.ndarray) -
                 np.matmul(dw, kh[gs], out=dqs[gs, :, r])
                 dk[gs] += np.matmul(dw.swapaxes(-1, -2), qs[gs, :, r])
 
-        _on_lanes(backward, _attn_parts(blocks, whole_groups=True))
+        lanes.run(backward, _attn_parts(blocks, whole_groups=True))
         dqs *= dtype.type(1.0 / math.sqrt(dh))
         return scatter(dqs), scatter(dk), scatter(dv)
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import lanes
 from .errors import VslrError, at_least
 
 VRAW_MAGIC = b"VRAW"
@@ -25,6 +26,15 @@ SPLITS = ("train", "val", "test")
 
 RESIZE_MIN = 226
 RESIZE_MAX = 256
+
+# Output rows _resample computes at a time, so each chunk's float64
+# temporaries stay in cache: a whole 224 window's are about 1.2 MB each,
+# and a second lane holds a set of its own.  16 frames at the 224 window,
+# one lane, best of 21 (2-core Xeon), whole frame -> 32-row chunks:
+# 200x200 25.9 -> 20.6 ms, 240x320 31.3 -> 24.6, 180x320 23.8 -> 21.1,
+# 720x1280 53.3 -> 42.5.  16 rows was slower on three of the four, and
+# 64 rows no faster, with twice the temporaries.
+_RESAMPLE_ROWS = 32
 
 
 # ---------------------------------------------------------------------------
@@ -147,9 +157,12 @@ def _resample(frames: np.ndarray, out_h: int, out_w: int,
     clamped at the edges, rounded half up), computing that window only.
 
     When nothing moves the window is a slice of the input, and the input
-    itself when it is the whole frame.  Each output pixel is the float64
-    formula of a whole-frame resample, term for term, so a window equals
-    the same slice of the whole resample bit for bit.
+    itself when it is the whole frame.  Otherwise each frame is computed
+    in chunks of _RESAMPLE_ROWS output rows, and the frames are cut into
+    two halves, one per lane (``lanes``); a 1-frame clip runs serially.
+    Each output pixel is the float64 formula of a whole-frame resample,
+    term for term, so a window equals the same slice of the whole resample
+    bit for bit, whatever the chunk and the lane count.
     """
     n, h, w, _ = frames.shape
     if (out_h, out_w) == (h, w):
@@ -169,28 +182,36 @@ def _resample(frames: np.ndarray, out_h: int, out_w: int,
     uy, ux = 1 - wy, 1 - wx
     c0 = (3 * x0[:, None] + np.arange(3)).ravel()
     c1 = (3 * x1[:, None] + np.arange(3)).ravel()
-    # the source rows the window reads, each interpolated across only once
+    # the source rows the window reads; each chunk of output rows
+    # interpolates across only the run of them its rows read, indexed locally
     rows, at = np.unique(np.concatenate([y0, y1]), return_inverse=True)
     top, bot = at[:size_h], at[size_h:]
+    chunks = []
+    for a in range(0, size_h, _RESAMPLE_ROWS):
+        r = slice(a, min(a + _RESAMPLE_ROWS, size_h))
+        lo = top[r.start]
+        chunks.append((r, rows[lo:bot[r.stop - 1] + 1], top[r] - lo, bot[r] - lo))
     flat = frames.reshape(n, h, 3 * w)
     out = np.empty((n, size_h, 3 * size_w), dtype=np.uint8)
-    # Frame by frame on purpose: one pass over the 224 window of a whole
-    # 16-frame clip measured 39-60 ms against 18-26 ms frame by frame for
-    # 200x200, 240x320 and 180x320 sources (2-core Xeon, one thread), as
-    # its float64 temporaries, about 19 MB each, fall out of cache.
-    for i in range(n):
-        src = flat[i].take(rows, axis=0)
-        across = src.take(c0, axis=1) * ux
-        across += src.take(c1, axis=1) * wx
-        v = across.take(top, axis=0)
-        v *= uy
-        b = across.take(bot, axis=0)
-        b *= wy
-        v += b
-        v += 0.5
-        # a convex mix of uint8 values: floor lands in [0, 255], so the
-        # cast needs no clip
-        out[i] = np.floor(v, out=v)
+
+    def resample(part):                   # each frame writes only its own out[i]
+        for i in part:
+            for r, src_rows, top_r, bot_r in chunks:
+                src = flat[i].take(src_rows, axis=0)
+                across = src.take(c0, axis=1) * ux
+                across += src.take(c1, axis=1) * wx
+                v = across.take(top_r, axis=0)
+                v *= uy[r]
+                b = across.take(bot_r, axis=0)
+                b *= wy[r]
+                v += b
+                v += 0.5
+                # a convex mix of uint8 values: floor lands in [0, 255], so
+                # the cast needs no clip
+                out[i, r] = np.floor(v, out=v)
+
+    half = (n + 1) // 2
+    lanes.run(resample, [range(half), range(half, n)] if lanes.LANES > 1 and n > 1 else [range(n)])
     return out.reshape(n, size_h, size_w, 3)
 
 

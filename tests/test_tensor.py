@@ -2,16 +2,14 @@
 bookkeeping, finite-difference gradient checks, MAC accounting."""
 
 import math
-import multiprocessing
-import os
 import sys
-import threading
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from vslr import lanes
 from vslr import tensor as T
 from vslr.tensor import Tensor
 
@@ -377,8 +375,8 @@ def test_attention_matches_reference_composition(mode, monkeypatch):
         _split_attention(monkeypatch, mode, g, heads, n)
     red = _weighted(rng, (g, n, d))
     leaves = [rng.standard_normal((g, n, d)) * 2 for _ in range(3)]
-    for lanes in (1, 2):
-        monkeypatch.setattr(T, "_LANES", lanes)
+    for n_lanes in (1, 2):
+        monkeypatch.setattr(lanes, "LANES", n_lanes)
         results = []
         for op in (lambda *qkv: T.attention(*qkv, heads, np.arange(n)[None]),
                    lambda *qkv: attention_reference(*qkv, heads)):
@@ -398,8 +396,8 @@ def test_attention_grad_check_blocked(mode, monkeypatch):
     qkv = [Tensor(rng.standard_normal((g, n, d)), requires_grad=True, dtype=np.float64)
            for _ in range(3)]
     red = _weighted(rng, (g, n, d))
-    for lanes in (1, 2):
-        monkeypatch.setattr(T, "_LANES", lanes)
+    for n_lanes in (1, 2):
+        monkeypatch.setattr(lanes, "LANES", n_lanes)
         for i in range(3):
             def f(t, i=i):
                 args = list(qkv)
@@ -664,7 +662,7 @@ LANE_CASES = {
 
 @DTYPES
 @pytest.mark.parametrize("case", sorted(LANE_CASES))
-def test_attention_bits_do_not_depend_on_the_lane_count(case, dtype, monkeypatch):
+def test_attention_bits_do_not_depend_on_the_lane_count(case, dtype, lane_parts, monkeypatch):
     """Many blocks, run on one lane and on two: the output and all three
     gradients are the same bits.  Backward keeps a group's row blocks on
     one lane, so joint at batch 1 runs it serially."""
@@ -673,21 +671,14 @@ def test_attention_bits_do_not_depend_on_the_lane_count(case, dtype, monkeypatch
     heads, d, size = 2, 8, np.dtype(dtype).itemsize
     monkeypatch.setattr(T, "_ATTN_BLOCK_BYTES", 2 * heads * n * size * (n if whole else 1))
     assert len(T._attn_blocks(b * g, heads, n, size)) >= 3
-    parts, on_lanes = [], T._on_lanes
-
-    def counted(fn, p):
-        parts.append(len(p))
-        on_lanes(fn, p)
-
-    monkeypatch.setattr(T, "_on_lanes", counted)
     rng = np.random.default_rng(185)
     leaves = [rng.standard_normal((b, m, d)) * 2 for _ in range(3)]
     weight = Tensor(rng.standard_normal((b, m, d)), dtype=dtype)
     results, interval = [], sys.getswitchinterval()
     sys.setswitchinterval(1e-6)                   # the lanes interleave as finely as they can
     try:
-        for lanes in (1, 2):
-            monkeypatch.setattr(T, "_LANES", lanes)
+        for n_lanes in (1, 2):
+            monkeypatch.setattr(lanes, "LANES", n_lanes)
             qkv = [Tensor(a, requires_grad=True, dtype=dtype) for a in leaves]
             out = T.attention(*qkv, heads, groups)
             T.backward(T.sum_(T.mul(out, weight)))
@@ -695,14 +686,14 @@ def test_attention_bits_do_not_depend_on_the_lane_count(case, dtype, monkeypatch
     finally:
         sys.setswitchinterval(interval)
     _same_bits(results[1], results[0])
-    assert parts == [1, 1, 2, 1 if case == "joint B1" else 2]     # fwd, bwd per lane count
+    assert lane_parts == [1, 1, 2, 1 if case == "joint B1" else 2]     # fwd, bwd per lane count
 
 
 def _last_row_overflows(monkeypatch):
     """q, k, v of a float32 joint attention in 6 row blocks whose logits
     overflow only in the last query row, which the worker's part holds."""
     n, heads = 12, 2
-    monkeypatch.setattr(T, "_LANES", 2)
+    monkeypatch.setattr(lanes, "LANES", 2)
     monkeypatch.setattr(T, "_ATTN_BLOCK_BYTES", 2 * heads * n * 4)
     first, second = T._attn_parts(T._attn_blocks(1, heads, n, 4), whole_groups=False)
     assert first[-1][1].stop < n - 1 < second[-1][1].stop
@@ -716,8 +707,8 @@ def _last_row_overflows(monkeypatch):
 def test_attention_lanes_keep_the_callers_errstate(monkeypatch):
     qkv, heads, groups = _last_row_overflows(monkeypatch)
     errors = []
-    for lanes in (1, 2):
-        monkeypatch.setattr(T, "_LANES", lanes)
+    for n_lanes in (1, 2):
+        monkeypatch.setattr(lanes, "LANES", n_lanes)
         with np.errstate(all="raise"), pytest.raises(FloatingPointError) as e:
             T.attention(*qkv, heads, groups)
         errors.append(str(e.value))
@@ -728,39 +719,6 @@ def test_attention_lanes_keep_the_callers_errstate(monkeypatch):
             out = T.attention(*qkv, heads, groups)
             T.backward(T.sum_(out))
     assert np.isnan(out.data[0, -1]).all() and np.isfinite(out.data[0, :-1]).all()
-
-
-def test_lane_errors_reach_the_caller_first_part_first():
-    threads = []
-
-    def fn(part):
-        threads.append(threading.get_ident())
-        if part in failing:
-            raise ValueError(f"part {part}")
-
-    failing = {2}
-    with pytest.raises(ValueError, match="part 2"):
-        T._on_lanes(fn, [1, 2])
-    assert len(set(threads)) == 2 and threading.get_ident() in threads
-    failing = {1, 2}
-    with pytest.raises(ValueError, match="part 1"):
-        T._on_lanes(fn, [1, 2])
-
-
-@pytest.mark.skipif(not hasattr(os, "register_at_fork"), reason="no fork")
-def test_a_forked_child_starts_its_own_lane_worker():
-    """The child of a fork inherits the pool but not its thread; a two-part
-    call there must not wait on a worker that does not exist."""
-    T._on_lanes(lambda part: None, [1, 2])       # this process's worker is up
-    child = multiprocessing.get_context("fork").Process(
-        target=T._on_lanes, args=(lambda part: None, [1, 2]))
-    child.start()
-    child.join(timeout=60)
-    hung = child.is_alive()
-    if hung:
-        child.kill()
-        child.join()
-    assert not hung and child.exitcode == 0
 
 
 # ---------------------------------------------------------------------------

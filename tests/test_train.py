@@ -518,25 +518,36 @@ _DESK_LANE_PROBE = """
 import sys, threading
 import numpy as np
 from vslr.mae import MaeConfig, MaeModel, PretrainConfig, pretrain
-from vslr.train import ClassifierModel, ModelConfig, TrainConfig, finetune
-from vslr.video import PipelineConfig, make_synthetic_dataset, merge_train_val
+from vslr.train import ClassifierModel, ModelConfig, TrainConfig, evaluate, finetune
+from vslr.video import (PipelineConfig, RawVideo, load_instance_video, make_synthetic_dataset,
+                        merge_train_val, prepare_clip, to_model_tensor)
 manifest = make_synthetic_dataset(sys.argv[1], size=32, seed=18)
 videos = sys.argv[1] + "/videos"
+pipe = PipelineConfig(frames=8, crop=32)
 for variant in ("divided", "joint"):
     cfg = ModelConfig(variant, dim=32, depth=2, heads=4, image_size=32, patch=8, frames=8)
     model = ClassifierModel(cfg, len(manifest.glosses), np.random.default_rng(18))
     finetune(model, merge_train_val(manifest), videos,
              TrainConfig(batch=4, epochs=1, lr=1e-3, frames=8, seed=18), crop=32)
+    evaluate(model, manifest, videos, pipe, 18)
 pretrain(MaeModel(MaeConfig(), np.random.default_rng(18)), manifest, videos,
-         PretrainConfig(ratio=0.75, steps=1, batch=4, seed=18), PipelineConfig(frames=8, crop=32))
+         PretrainConfig(ratio=0.75, steps=1, batch=4, seed=18), pipe)
+for i, inst in enumerate(manifest.instances):
+    clip = prepare_clip(load_instance_video(videos, inst), pipe, True,
+                        np.random.default_rng([18, i]), inst.label)
+    to_model_tensor(clip, np.float32)
+one = RawVideo(np.zeros((1, 100, 100, 3), dtype=np.uint8))
+to_model_tensor(prepare_clip(one, PipelineConfig(frames=1), True, np.random.default_rng(18)))
 print(threading.active_count(), "concurrent.futures" in sys.modules)
 """
 
 
 def test_desk_runs_start_no_lane_worker(tmp_path):
-    """Every desk attention pass is one block, so a desk fine-tune epoch
-    (both variants) and a desk MAE step run serially: no thread is started
-    and concurrent.futures is never imported."""
+    """Every desk attention pass is one block and a desk crop is a slice,
+    not a resample, so a desk fine-tune epoch and eval pass (both
+    variants), a desk MAE step and the benchmark's prep loop over every
+    desk clip run serially, as does the resample of a 1-frame 224 clip:
+    no thread is started and concurrent.futures is never imported."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(TR.__file__)))
     env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                MKL_NUM_THREADS="1")

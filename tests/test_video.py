@@ -6,12 +6,15 @@ dataset generator."""
 import hashlib
 import json
 import struct
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from vslr import lanes
 from vslr import video as V
 from vslr.errors import VslrError
 
@@ -232,6 +235,71 @@ def test_resample_window_equals_oracle_slice(h, w, out_h, out_w):
         for dy, dx in offsets:
             got = V._resample(frames, out_h, out_w, dy, dx, size_h, size_w)
             assert np.array_equal(got, full[:, dy:dy + size_h, dx:dx + size_w]), (dy, dx)
+
+
+# windows at least three row chunks tall: (h, w, out_h, out_w)
+CHUNK_SOURCES = [
+    (40, 30, 100, 75),      # upscale
+    (150, 90, 70, 42),      # downscale
+    (70, 70, 97, 97),       # upscale, square
+    (300, 20, 96, 7),       # rows skipped at over 2x; tall and narrow
+]
+
+
+@pytest.mark.parametrize("h, w, out_h, out_w", CHUNK_SOURCES)
+def test_resample_chunks_and_lanes_change_no_bit(h, w, out_h, out_w, lane_parts, monkeypatch):
+    """Windows that cross row-chunk boundaries, at the first, a middle and
+    the last offset, on one lane and on two, for 1, 2 and 3 frames: each
+    is the loop oracle's whole resample, sliced."""
+    size_h, size_w = out_h - 4, max(1, out_w - 3)
+    assert size_h > 2 * V._RESAMPLE_ROWS
+    rng = np.random.default_rng(100 * h + w)
+    frames = rng.integers(0, 256, size=(3, h, w, 3), dtype=np.uint8)
+    full = np.stack([bilinear_oracle(f, out_h, out_w) for f in frames])
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)                   # the lanes interleave as finely as they can
+    try:
+        for count in (1, 2, 3):
+            for n_lanes in (1, 2):
+                monkeypatch.setattr(lanes, "LANES", n_lanes)
+                for dy, dx in [(0, 0), (2, 1), (out_h - size_h, out_w - size_w)]:
+                    got = V._resample(frames[:count], out_h, out_w, dy, dx, size_h, size_w)
+                    want = full[:count, dy:dy + size_h, dx:dx + size_w]
+                    assert np.array_equal(got, want), (count, n_lanes, dy, dx)
+    finally:
+        sys.setswitchinterval(interval)
+    assert lane_parts == [1] * 6 + ([1] * 3 + [2] * 3) * 2      # 1 frame runs serially
+
+
+@pytest.mark.parametrize("h, w", [(200, 200), (240, 320), (180, 320), (720, 1280)])
+def test_resample_at_224_does_not_depend_on_the_lane_count(h, w, monkeypatch):
+    frames = np.random.default_rng(h * w).integers(0, 256, size=(16, h, w, 3), dtype=np.uint8)
+    dims = V.resize_dims(h, w, 224)
+    results = []
+    for n_lanes in (1, 2):
+        monkeypatch.setattr(lanes, "LANES", n_lanes)
+        results.append([V._resample(frames, *dims, dy, dx, 224, 224)
+                        for dy, dx in [(0, 0), ((dims[0] - 224) // 2, (dims[1] - 224) // 2),
+                                       (dims[0] - 224, dims[1] - 224)]])
+    for one, two in zip(*results):
+        assert np.array_equal(one, two)
+
+
+def test_resample_holds_row_chunks_not_frames(monkeypatch):
+    """A 16-frame 240x320 clip's 224 window on two lanes: beyond its own
+    output, _resample's traced peak stays under two frames' float64
+    windows.  Resampling whole frames held about four per lane."""
+    frames = np.random.default_rng(24).integers(0, 256, size=(16, 240, 320, 3), dtype=np.uint8)
+    monkeypatch.setattr(lanes, "LANES", 2)
+    V._resample(frames, 224, 299, 0, 37, 224, 224)  # the worker and its arena are up
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        out = V._resample(frames, 224, 299, 0, 37, 224, 224)
+        peak = tracemalloc.get_traced_memory()[1] - start - out.nbytes
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 224 * 224 * 3 * 8, peak
 
 
 @pytest.mark.parametrize("h, w, out_h, out_w", WINDOW_SOURCES[:6])
