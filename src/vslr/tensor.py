@@ -30,6 +30,19 @@ dominates (the divided temporal pass has F+1 tokens per row), and above
 it the loop's one call per column does.  A max is exact in any order, so
 both paths give the same bits.
 
+Lanes.  ``linear``, ``layer_norm`` and ``gelu`` run on two lanes (see
+``lanes``) above ``lanes.SPLIT_ELEMENTS`` elements; below it, at every
+desk shape, each makes its serial numpy calls on whole arrays and never
+calls ``lanes.run``.  A split cuts the leading axis of the caller's
+arrays, never a flattened view of them: np.matmul of (2,65,32)@(32,6)
+and of (2,5,33)@(33,6) differs in bits from the same product flattened
+to 2-D, while batch halves are the batched call's own products.  ``linear``'s
+``gw`` is the one column split, ``x2.T @ g2[:, c]``.  A sum across rows
+(``gb``, ``gbeta``, ``ggamma``) stays one whole-array call on the
+caller's layout, as do ``layer_norm``'s ``g * xhat`` and ``g * gamma``:
+summing a reshaped ``g`` changed the bits of a transposed-layout
+gradient.
+
 Allocator policy.  A training step frees its whole graph, and by default
 glibc hands the freed top of the heap back to the kernel, so the next
 step faults the same pages in again.  At import, where glibc's
@@ -256,24 +269,52 @@ def matmul(a: Tensor, b: Tensor, tag: str | None = None) -> Tensor:
     return _make_node(data, (a, b), vjp)
 
 
+def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
+    out = np.matmul(x, w, out=out)
+    out += b
+    return out
+
+
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """x @ w + b with w:[d_in, d_out], b:[d_out]; x may carry leading axes."""
+    """x @ w + b with w:[d_in, d_out], b:[d_out]; x may carry leading axes.
+
+    Above ``lanes.SPLIT_ELEMENTS`` output elements the forward and ``gx``
+    run by halves of x's and g's leading axis, and ``gw`` by halves of its
+    columns, ``x2.T @ g2[:, c]``, one of each per lane."""
     _check_dtype("linear", x, w, b)
     if w.data.ndim != 2 or b.data.ndim != 1 or b.data.shape[0] != w.data.shape[1]:
         raise ValueError(f"linear: weight {w.data.shape} and bias {b.data.shape} are inconsistent")
     if x.data.shape[-1] != w.data.shape[0]:
         raise ValueError(f"linear: input {x.data.shape} does not match weight {w.data.shape}")
-    data = np.matmul(x.data, w.data)
-    data += b.data
+    shape = x.data.shape[:-1] + w.data.shape[1:]
+    rows = lanes.halves(shape[0], math.prod(shape)) if len(shape) > 1 else None
+    if rows is None:
+        data = _affine(x.data, w.data, b.data)
+    else:
+        data = np.empty(shape, dtype=x.data.dtype)
+        lanes.run(lambda r: _affine(x.data[r], w.data, b.data, data[r]), rows)
     _record_macs(data.size * w.data.shape[0], None)
     # an input that is a constant (the video at the embedding) needs no gradient
     wants_gx = x.requires_grad or x._vjp is not None
 
     def vjp(g):
-        gx = np.matmul(g, w.data.T) if wants_gx else None
         g2 = g.reshape(-1, g.shape[-1])
         x2 = x.data.reshape(-1, x.data.shape[-1])
-        gw = x2.T @ g2
+        if rows is None:
+            gx = np.matmul(g, w.data.T) if wants_gx else None
+            gw = x2.T @ g2
+        else:
+            gx = np.empty(x.data.shape, dtype=g.dtype) if wants_gx else None
+            gw = np.empty(w.data.shape, dtype=g.dtype)
+            half = (shape[-1] + 1) // 2
+
+            def backward(part):
+                r, c = part
+                if wants_gx:
+                    np.matmul(g[r], w.data.T, out=gx[r])
+                np.matmul(x2.T, g2[:, c], out=gw[:, c])
+
+            lanes.run(backward, [(rows[0], slice(0, half)), (rows[1], slice(half, None))])
         gb = g2.sum(axis=0)
         return gx, gw, gb
 
@@ -486,26 +527,58 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, groups: np.ndarray) -
     return _make_node(out, (q, k, v), vjp)
 
 
+def _norm_rows(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float,
+               data=None, xhat=None, inv=None) -> tuple:
+    """layer_norm's forward over the rows of x: (output, xhat, 1/std),
+    written into the given arrays, or new ones where None."""
+    # np.mean's and np.var's own steps, with the mean and x - mean made once
+    count = np.intp(x.shape[-1])
+    mean = np.add.reduce(x, axis=-1, keepdims=True)
+    np.true_divide(mean, count, out=mean)
+    xhat = np.subtract(x, mean, out=xhat)
+    data = np.square(xhat, out=data)
+    inv = np.add.reduce(data, axis=-1, keepdims=True, out=inv)
+    np.true_divide(inv, count, out=inv)              # the variance
+    inv += x.dtype.type(eps)
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
+    xhat *= inv
+    np.multiply(xhat, gamma, out=data)
+    data += beta
+    return data, xhat, inv
+
+
+def _norm_rows_grad(dxhat: np.ndarray, xhat: np.ndarray, inv: np.ndarray, gx: np.ndarray) -> None:
+    """layer_norm's backward within each row, in place in dxhat = g * gamma;
+    gx is scratch."""
+    m1 = dxhat.mean(axis=-1, keepdims=True)
+    np.multiply(dxhat, xhat, out=gx)
+    m2 = gx.mean(axis=-1, keepdims=True)
+    np.multiply(xhat, m2, out=gx)
+    dxhat -= m1
+    dxhat -= gx
+    dxhat *= inv
+
+
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize over the last axis, then scale and shift."""
+    """Normalize over the last axis, then scale and shift.
+
+    Above ``lanes.SPLIT_ELEMENTS`` elements of a C-contiguous x, the
+    forward and the per-row backward run by halves of the leading axis,
+    one per lane; the sums over rows stay whole-array calls."""
     _check_dtype("layer_norm", x, gamma, beta)
     d = x.data.shape[-1]
     if gamma.data.shape != (d,) or beta.data.shape != (d,):
         raise ValueError(f"layer_norm: gain/bias must have shape ({d},)")
-    # np.mean's and np.var's own steps, with the mean and x - mean made once
-    count = np.intp(d)
-    mean = np.add.reduce(x.data, axis=-1, keepdims=True)
-    np.true_divide(mean, count, out=mean)
-    xhat = x.data - mean
-    data = np.square(xhat)
-    inv = np.add.reduce(data, axis=-1, keepdims=True)
-    np.true_divide(inv, count, out=inv)              # the variance
-    inv += x.data.dtype.type(eps)
-    np.sqrt(inv, out=inv)
-    np.divide(1.0, inv, out=inv)
-    xhat *= inv
-    np.multiply(xhat, gamma.data, out=data)
-    data += beta.data
+    rows = lanes.halves(x.data.shape[0], x.data.size) \
+        if x.data.ndim > 1 and x.data.flags.c_contiguous else None
+    if rows is None:
+        data, xhat, inv = _norm_rows(x.data, gamma.data, beta.data, eps)
+    else:
+        data, xhat = np.empty_like(x.data), np.empty_like(x.data)
+        inv = np.empty(x.data.shape[:-1] + (1,), dtype=x.data.dtype)
+        lanes.run(lambda r: _norm_rows(x.data[r], gamma.data, beta.data, eps,
+                                       data[r], xhat[r], inv[r]), rows)
 
     def vjp(g):
         lead = tuple(range(g.ndim - 1))
@@ -513,13 +586,10 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
         gx = g * xhat
         ggamma = gx.sum(axis=lead)
         dxhat = g * gamma.data
-        m1 = dxhat.mean(axis=-1, keepdims=True)
-        np.multiply(dxhat, xhat, out=gx)
-        m2 = gx.mean(axis=-1, keepdims=True)
-        np.multiply(xhat, m2, out=gx)
-        dxhat -= m1
-        dxhat -= gx
-        dxhat *= inv
+        if rows is None:
+            _norm_rows_grad(dxhat, xhat, inv, gx)
+        else:
+            lanes.run(lambda r: _norm_rows_grad(dxhat[r], xhat[r], inv[r], gx[r]), rows)
         return dxhat, ggamma, gbeta
 
     return _make_node(data, (x, gamma, beta), vjp)
@@ -534,49 +604,67 @@ _GELU_CHUNK = 1 << 16
 
 
 def gelu(x: Tensor) -> Tensor:
-    """tanh-approximation GELU, (0.5*x)*(1 + tanh(c*(x + k*(x*x*x))))."""
+    """tanh-approximation GELU, (0.5*x)*(1 + tanh(c*(x + k*(x*x*x)))).
+
+    Above ``lanes.SPLIT_ELEMENTS`` elements the chunks run as two
+    contiguous halves, one per lane, each lane with its own scratch."""
     dt = x.data.dtype.type
     c, k = dt(_GELU_C), dt(0.044715)
     flat = np.ascontiguousarray(x.data).reshape(-1)
     chunks = [slice(i, i + _GELU_CHUNK) for i in range(0, flat.size, _GELU_CHUNK)]
+    halves = lanes.halves(len(chunks), flat.size)
     data, t = np.empty_like(flat), np.empty_like(flat)
-    n = min(_GELU_CHUNK, flat.size)                  # scratch, allocated per pass, not kept
-    scratch = np.empty(n, flat.dtype)
-    for r in chunks:
-        xr, tr, out = flat[r], t[r], data[r]
-        half_x = scratch[:xr.size]
-        # products, not **: numpy's float32 power is ~70x slower than x*x*x
-        np.multiply(xr, xr, out=out)
-        out *= xr
-        out *= k
-        out += xr
-        out *= c
-        np.tanh(out, out=tr)
-        np.add(tr, 1.0, out=out)
-        np.multiply(xr, 0.5, out=half_x)
-        out *= half_x
+    n = min(_GELU_CHUNK, flat.size)
+
+    def forward(part):
+        scratch = np.empty(n, flat.dtype)            # allocated per pass, not kept
+        for r in part:
+            xr, tr, out = flat[r], t[r], data[r]
+            half_x = scratch[:xr.size]
+            # products, not **: numpy's float32 power is ~70x slower than x*x*x
+            np.multiply(xr, xr, out=out)
+            out *= xr
+            out *= k
+            out += xr
+            out *= c
+            np.tanh(out, out=tr)
+            np.add(tr, 1.0, out=out)
+            np.multiply(xr, 0.5, out=half_x)
+            out *= half_x
+
+    if halves is None:
+        forward(chunks)
+    else:
+        lanes.run(forward, [chunks[h] for h in halves])
 
     def vjp(g):
         g1 = np.ascontiguousarray(g).reshape(-1)
         gx = np.empty_like(flat)
-        s1, s2 = np.empty(n, flat.dtype), np.empty(n, flat.dtype)
         k3 = 3.0 * k                                 # (3.0*k) first, as the formula groups it
-        for r in chunks:
-            xr, tr, out = flat[r], t[r], gx[r]
-            du, one_minus_tt = s1[:xr.size], s2[:xr.size]
-            np.multiply(xr, k3, out=du)
-            du *= xr
-            du += 1.0
-            du *= c                                  # c*(1 + 3k*x*x)
-            np.multiply(tr, tr, out=one_minus_tt)
-            np.subtract(1.0, one_minus_tt, out=one_minus_tt)
-            np.multiply(xr, 0.5, out=out)
-            out *= one_minus_tt
-            out *= du                                # ((0.5*x)*(1 - t*t))*du
-            np.add(tr, 1.0, out=du)
-            du *= 0.5
-            out += du                                # 0.5*(1 + t) + ...
-            out *= g1[r]
+
+        def backward(part):
+            s1, s2 = np.empty(n, flat.dtype), np.empty(n, flat.dtype)
+            for r in part:
+                xr, tr, out = flat[r], t[r], gx[r]
+                du, one_minus_tt = s1[:xr.size], s2[:xr.size]
+                np.multiply(xr, k3, out=du)
+                du *= xr
+                du += 1.0
+                du *= c                              # c*(1 + 3k*x*x)
+                np.multiply(tr, tr, out=one_minus_tt)
+                np.subtract(1.0, one_minus_tt, out=one_minus_tt)
+                np.multiply(xr, 0.5, out=out)
+                out *= one_minus_tt
+                out *= du                            # ((0.5*x)*(1 - t*t))*du
+                np.add(tr, 1.0, out=du)
+                du *= 0.5
+                out += du                            # 0.5*(1 + t) + ...
+                out *= g1[r]
+
+        if halves is None:
+            backward(chunks)
+        else:
+            lanes.run(backward, [chunks[h] for h in halves])
         return (gx.reshape(x.data.shape),)
 
     return _make_node(data.reshape(x.data.shape), (x,), vjp)

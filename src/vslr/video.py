@@ -233,13 +233,19 @@ def crop_offsets(h: int, w: int, size: int, rng: np.random.Generator | None = No
 
 
 def to_model_tensor(clip: VideoClip, dtype=np.float32) -> np.ndarray:
-    """Cast a clip to [frames, 3, h, w] scaled to [0, 1]."""
+    """Cast a clip to [frames, 3, h, w] scaled to [0, 1]; above
+    ``lanes.SPLIT_ELEMENTS`` elements, by halves of its frames, one per
+    lane."""
     dt = np.dtype(dtype)
     f, h, w, _ = clip.frames.shape
     # one cast straight into C order: casting the channel-reversed view
     # that prepare_clip leaves, then transposing, is ~3x slower
-    return np.divide(np.transpose(clip.frames, (0, 3, 1, 2)), 255,
-                     out=np.empty((f, 3, h, w), dtype=dt), dtype=dt)
+    src, out = np.transpose(clip.frames, (0, 3, 1, 2)), np.empty((f, 3, h, w), dtype=dt)
+    halves = lanes.halves(f, out.size)
+    if halves is None:
+        return np.divide(src, 255, out=out, dtype=dt)
+    lanes.run(lambda r: np.divide(src[r], 255, out=out[r], dtype=dt), halves)
+    return out
 
 
 # ---------------------------------------------------------------------------

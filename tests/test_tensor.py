@@ -582,31 +582,40 @@ def test_linear_is_its_textbook_form_bit_for_bit(dtype, shape):
 
 
 @DTYPES
-@pytest.mark.parametrize("shape", [(50, 9), (2, 17, 48), (3, 129, 64)])
-def test_layer_norm_is_its_textbook_form_bit_for_bit(dtype, shape):
+@pytest.mark.parametrize("shape", [(50, 9), (2, 17, 48), (3, 129, 64), (2, 3137, 64)])
+def test_layer_norm_is_its_textbook_form_bit_for_bit(dtype, shape, monkeypatch):
+    """Also at the paper divided shape, which runs by row halves on two
+    lanes, with output gradients laid out in other orders."""
     rng = np.random.default_rng(181)
     x, g = _kernel_case(rng, dtype, shape)
     x += dtype(4.0)                               # a mean away from 0
     gamma, beta = (rng.standard_normal(shape[-1]).astype(dtype) for _ in range(2))
-    out = T.layer_norm(Tensor(x, requires_grad=True), Tensor(gamma), Tensor(beta))
     want, vjp = textbook_layer_norm(x, gamma, beta)
-    _same_bits([out.data, *out._vjp(g)], [want, *vjp(g)])
-    # an output gradient laid out in another order (a transposed view)
-    gt = np.ascontiguousarray(np.swapaxes(g, 0, -1)).swapaxes(0, -1)
-    _same_bits(out._vjp(gt), vjp(gt))
+    # transposed views: the row axis strided, and the leading axes swapped
+    layouts = [g, np.ascontiguousarray(np.swapaxes(g, 0, -1)).swapaxes(0, -1)]
+    if g.ndim == 3:
+        layouts.append(np.ascontiguousarray(np.swapaxes(g, 0, 1)).swapaxes(0, 1))
+    for n_lanes in (1, 2):
+        monkeypatch.setattr(lanes, "LANES", n_lanes)
+        out = T.layer_norm(Tensor(x, requires_grad=True), Tensor(gamma), Tensor(beta))
+        _same_bits([out.data], [want])
+        for gl in layouts:
+            _same_bits(out._vjp(gl), vjp(gl))
 
 
 @DTYPES
-@pytest.mark.parametrize("shape", [(4, 7), (2, 129, 128), (2, 300, 256), ()],
-                         ids=["small", "desk", "ragged", "scalar"])
-def test_gelu_is_its_textbook_form_bit_for_bit(dtype, shape):
+@pytest.mark.parametrize("shape", [(4, 7), (2, 129, 128), (2, 300, 256), (2, 3137, 256), ()],
+                         ids=["small", "desk", "ragged", "paper ragged", "scalar"])
+def test_gelu_is_its_textbook_form_bit_for_bit(dtype, shape, monkeypatch):
     rng = np.random.default_rng(182)
     x, g = _kernel_case(rng, dtype, shape)
-    if shape == (2, 300, 256):
+    if shape in [(2, 300, 256), (2, 3137, 256)]:
         assert x.size > T._GELU_CHUNK and x.size % T._GELU_CHUNK
-    out = T.gelu(Tensor(x, requires_grad=True))
     want, vjp = textbook_gelu(x)
-    _same_bits([out.data, *out._vjp(g)], [want, *vjp(g)])
+    for n_lanes in (1, 2):
+        monkeypatch.setattr(lanes, "LANES", n_lanes)
+        out = T.gelu(Tensor(x, requires_grad=True))
+        _same_bits([out.data, *out._vjp(g)], [want, *vjp(g)])
 
 
 @DTYPES
@@ -719,6 +728,65 @@ def test_attention_lanes_keep_the_callers_errstate(monkeypatch):
             out = T.attention(*qkv, heads, groups)
             T.backward(T.sum_(out))
     assert np.isnan(out.data[0, -1]).all() and np.isfinite(out.data[0, :-1]).all()
+
+
+# ---------------------------------------------------------------------------
+# dense kernel lanes
+
+
+# name: leading axes, d_in, d_out, the kernels of gelu(linear(layer_norm(x)))
+# above lanes.SPLIT_ELEMENTS, which make a two-part call forward and one
+# backward.  An embedding projects a constant x with linear alone.
+DENSE_CASES = {
+    "divided 64->64": ((2, 3137), 64, 64, 3),
+    "divided 64->256": ((2, 3137), 64, 256, 3),
+    "divided 256->64": ((2, 3137), 256, 64, 3),
+    "joint 64->256": ((2, 1568), 64, 256, 2),
+    "embedding divided 768->64": ((2, 3136), 768, 64, 1),
+    "embedding joint 1536->64": ((2, 1568), 1536, 64, 0),
+    "decoder 32->128": ((2, 1568), 32, 128, 2),
+    "decoder 128->32": ((2, 1568), 128, 32, 1),
+    "decoder recon 32->1536": ((2, 1411), 32, 1536, 2),
+    "desk 32->128": ((4, 129), 32, 128, 0),
+    "desk eval 128->32": ((8, 129), 128, 32, 0),
+}
+
+
+@DTYPES
+@pytest.mark.parametrize("case", sorted(DENSE_CASES))
+def test_dense_kernel_bits_do_not_depend_on_the_lane_count(case, dtype, lane_parts, monkeypatch):
+    """Every dense shape the models use at paper and desk geometry, on one
+    lane and on two: each kernel's output and every gradient are the same
+    bits.  Desk shapes reach no lane."""
+    lead, d_in, d_out, split = DENSE_CASES[case]
+    embedding = case.startswith("embedding")
+    rng = np.random.default_rng(187)
+    arrays = [(rng.standard_normal(lead + (d_in,)) * 3).astype(dtype),
+              rng.standard_normal((d_in, d_out)).astype(dtype),
+              rng.standard_normal(d_out).astype(dtype),
+              rng.standard_normal(d_in).astype(dtype),
+              rng.standard_normal(d_in).astype(dtype)]
+    weight = Tensor(rng.standard_normal(lead + (d_out,)), dtype=dtype)
+    results, interval = [], sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)                   # the lanes interleave as finely as they can
+    try:
+        for n_lanes in (1, 2):
+            monkeypatch.setattr(lanes, "LANES", n_lanes)
+            x, w, b, gamma, beta = (Tensor(a, requires_grad=not (embedding and i == 0))
+                                    for i, a in enumerate(arrays))
+            if embedding:
+                outs = [T.linear(x, w, b)]
+            else:
+                outs = [T.layer_norm(x, gamma, beta)]
+                outs.append(T.linear(outs[-1], w, b))
+                outs.append(T.gelu(outs[-1]))
+            T.backward(T.sum_(T.mul(outs[-1], weight)))
+            leaves = [w, b] if embedding else [x, w, b, gamma, beta]
+            results.append([o.data for o in outs] + [t.grad for t in leaves])
+    finally:
+        sys.setswitchinterval(interval)
+    _same_bits(results[1], results[0])
+    assert lane_parts == [2] * 2 * split
 
 
 # ---------------------------------------------------------------------------

@@ -543,8 +543,9 @@ print(threading.active_count(), "concurrent.futures" in sys.modules)
 
 
 def test_desk_runs_start_no_lane_worker(tmp_path):
-    """Every desk attention pass is one block and a desk crop is a slice,
-    not a resample, so a desk fine-tune epoch and eval pass (both
+    """Every desk attention pass is one block, every desk linear, layer
+    norm, GELU and cast is under lanes.SPLIT_ELEMENTS, and a desk crop is
+    a slice, not a resample, so a desk fine-tune epoch and eval pass (both
     variants), a desk MAE step and the benchmark's prep loop over every
     desk clip run serially, as does the resample of a 1-frame 224 clip:
     no thread is started and concurrent.futures is never imported."""

@@ -386,10 +386,13 @@ def test_prepare_clip_at_224_in_eval_takes_the_center_and_draws_nothing():
 
 @pytest.mark.parametrize("train", [True, False])
 @pytest.mark.parametrize("h, w, crop", [(240, 320, 224), (180, 320, 224), (32, 32, 32), (40, 48, 32)])
-def test_prepared_clip_does_not_depend_on_stored_channel_order(tmp_path, h, w, crop, train):
+def test_prepared_clip_does_not_depend_on_stored_channel_order(tmp_path, h, w, crop, train,
+                                                              lane_parts, monkeypatch):
     """One picture stored BGR and stored RGB prepares to the same uint8 RGB
     clip and the same model tensor, from the same draws: a prepared clip
-    needs no channel order of its own."""
+    needs no channel order of its own.  The tensor is the same cast on one
+    lane and on two; a 224 clip casts its frame halves on two lanes, a 32
+    clip reaches no lane."""
     rgb = np.random.default_rng(h * w + crop).integers(0, 256, size=(10, h, w, 3), dtype=np.uint8)
     V.write_raw_video(tmp_path / "bgr.vraw", rgb[..., ::-1], "BGR")
     V.write_raw_video(tmp_path / "rgb.vraw", rgb, "RGB")
@@ -400,7 +403,14 @@ def test_prepared_clip_does_not_depend_on_stored_channel_order(tmp_path, h, w, c
     for clip in (a, b):
         assert clip.frames.dtype == np.uint8 and clip.frames.shape == (8, crop, crop, 3)
     assert (a.sampled_indices, a.crop_offset, a.flipped) == (b.sampled_indices, b.crop_offset, b.flipped)
-    assert np.array_equal(V.to_model_tensor(a), V.to_model_tensor(b))
+    lane_parts.clear()
+    tensors = []
+    for n_lanes in (1, 2):
+        monkeypatch.setattr(lanes, "LANES", n_lanes)
+        tensors += [V.to_model_tensor(a), V.to_model_tensor(b)]
+    for t in tensors[1:]:
+        assert np.array_equal(t, tensors[0])
+    assert lane_parts == ([2, 2] if crop == 224 else [])
 
 
 # ---------------------------------------------------------------------------
