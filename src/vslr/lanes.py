@@ -36,10 +36,11 @@ Users, each with its own cut:
   tokens, dim 64, 4 heads, float32), forward/backward, on a 2-core Xeon
   with one BLAS thread, best of 7: 36.7/55.5 ms on one lane, 19.3/28.8 ms
   on two.
-- ``tensor.linear``, ``tensor.layer_norm`` and ``tensor.gelu`` cut their
-  rows (``halves``), and ``gelu`` its chunk list, in two.
-- ``video._resample`` cuts a clip's frames into halves, and
-  ``video.to_model_tensor`` does so by ``halves``.
+- ``tensor.linear``, ``tensor.layer_norm`` and ``tensor.gelu`` take the
+  parts of their rows, and ``gelu`` of its chunk starts, from ``halves``,
+  as do ``video._resample`` and ``video.to_model_tensor`` for a clip's
+  frames.  Each makes one ``run`` call per walk, which below the split
+  is a one-part call on the caller.
 """
 
 from __future__ import annotations
@@ -48,13 +49,15 @@ import contextvars
 import ctypes
 import os
 import threading
-from typing import Callable
+from typing import Callable, Sequence
 
 LANES = min(2, len(os.sched_getaffinity(0))) if hasattr(os, "sched_getaffinity") else 1
 
 # Output elements above which a kernel cuts its leading axis in two.  The
 # largest desk array, an eval chunk's [8, 129, 128] MLP hidden, holds 132k.
 SPLIT_ELEMENTS = 1 << 18
+
+_WHOLE = [slice(None)]                    # the one part of an unsplit axis; never mutated
 
 _pool = None                              # the worker, started by the first two-part call
 _worker = None                            # its native thread id
@@ -87,12 +90,13 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-def halves(n: int, size: int) -> list | None:
-    """The two halves, as slices, of a leading axis of n for an output of
-    ``size`` elements, where there are two lanes, n >= 2 and size >
-    SPLIT_ELEMENTS; else None, and the caller runs its serial code."""
-    if LANES < 2 or size <= SPLIT_ELEMENTS or n < 2:
-        return None
+def halves(n: int, size: int | None = None) -> list:
+    """The parts, as slices, of a leading axis of n for ``run``: its two
+    halves where there are two lanes, n >= 2 and, when ``size`` is given,
+    the output's ``size`` elements exceed SPLIT_ELEMENTS; else the whole
+    axis as one part, which ``run`` walks on the caller."""
+    if LANES < 2 or n < 2 or (size is not None and size <= SPLIT_ELEMENTS):
+        return _WHOLE
     h = (n + 1) // 2
     return [slice(0, h), slice(h, n)]
 
@@ -110,7 +114,7 @@ def _keep_worker_off(cpu: int) -> None:
         pass
 
 
-def run(fn: Callable, parts: list) -> None:
+def run(fn: Callable, parts: Sequence) -> None:
     """fn(part) for each part: the first on this thread, the second, if
     any, on the lane worker under a copy of this thread's context, so
     numpy's errstate holds there too.  An error either part raises is

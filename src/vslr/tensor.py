@@ -30,11 +30,13 @@ dominates (the divided temporal pass has F+1 tokens per row), and above
 it the loop's one call per column does.  A max is exact in any order, so
 both paths give the same bits.
 
-Lanes.  ``linear``, ``layer_norm`` and ``gelu`` run on two lanes (see
-``lanes``) above ``lanes.SPLIT_ELEMENTS`` elements; below it, at every
-desk shape, each makes its serial numpy calls on whole arrays and never
-calls ``lanes.run``.  A split cuts the leading axis of the caller's
-arrays, never a flattened view of them: np.matmul of (2,65,32)@(32,6)
+Lanes.  ``linear``, ``layer_norm`` and ``gelu`` each make one
+``lanes.run`` call per forward and one per backward, over the parts
+``lanes.halves`` gives: two halves, one per lane (see ``lanes``), above
+``lanes.SPLIT_ELEMENTS`` elements; below it, at every desk shape, one
+part of the whole arrays, which ``run`` walks on the caller with no
+thread started.  A split cuts the leading axis of the caller's arrays,
+never a flattened view of them: np.matmul of (2,65,32)@(32,6)
 and of (2,5,33)@(33,6) differs in bits from the same product flattened
 to 2-D, while batch halves are the batched call's own products.  ``linear``'s
 ``gw`` is the one column split, ``x2.T @ g2[:, c]``.  A sum across rows
@@ -269,30 +271,27 @@ def matmul(a: Tensor, b: Tensor, tag: str | None = None) -> Tensor:
     return _make_node(data, (a, b), vjp)
 
 
-def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
-    out = np.matmul(x, w, out=out)
+def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+    np.matmul(x, w, out=out)
     out += b
-    return out
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x @ w + b with w:[d_in, d_out], b:[d_out]; x may carry leading axes.
 
-    Above ``lanes.SPLIT_ELEMENTS`` output elements the forward and ``gx``
-    run by halves of x's and g's leading axis, and ``gw`` by halves of its
-    columns, ``x2.T @ g2[:, c]``, one of each per lane."""
+    The forward and ``gx`` run by the ``lanes.halves`` parts of x's and g's
+    leading axis (a 1-D x is one part), and ``gw`` by as many parts of its
+    columns, ``x2.T @ g2[:, c]``, one row part and one column part per
+    lane."""
     _check_dtype("linear", x, w, b)
     if w.data.ndim != 2 or b.data.ndim != 1 or b.data.shape[0] != w.data.shape[1]:
         raise ValueError(f"linear: weight {w.data.shape} and bias {b.data.shape} are inconsistent")
     if x.data.shape[-1] != w.data.shape[0]:
         raise ValueError(f"linear: input {x.data.shape} does not match weight {w.data.shape}")
     shape = x.data.shape[:-1] + w.data.shape[1:]
-    rows = lanes.halves(shape[0], math.prod(shape)) if len(shape) > 1 else None
-    if rows is None:
-        data = _affine(x.data, w.data, b.data)
-    else:
-        data = np.empty(shape, dtype=x.data.dtype)
-        lanes.run(lambda r: _affine(x.data[r], w.data, b.data, data[r]), rows)
+    rows = lanes.halves(shape[0] if len(shape) > 1 else 1, math.prod(shape))
+    data = np.empty(shape, dtype=x.data.dtype)
+    lanes.run(lambda r: _affine(x.data[r], w.data, b.data, data[r]), rows)
     _record_macs(data.size * w.data.shape[0], None)
     # an input that is a constant (the video at the embedding) needs no gradient
     wants_gx = x.requires_grad or x._vjp is not None
@@ -300,21 +299,19 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     def vjp(g):
         g2 = g.reshape(-1, g.shape[-1])
         x2 = x.data.reshape(-1, x.data.shape[-1])
-        if rows is None:
-            gx = np.matmul(g, w.data.T) if wants_gx else None
-            gw = x2.T @ g2
-        else:
-            gx = np.empty(x.data.shape, dtype=g.dtype) if wants_gx else None
-            gw = np.empty(w.data.shape, dtype=g.dtype)
-            half = (shape[-1] + 1) // 2
+        gx = np.empty(x.data.shape, dtype=g.dtype) if wants_gx else None
+        gw = np.empty(w.data.shape, dtype=g.dtype)
 
-            def backward(part):
-                r, c = part
-                if wants_gx:
-                    np.matmul(g[r], w.data.T, out=gx[r])
-                np.matmul(x2.T, g2[:, c], out=gw[:, c])
+        # column part i goes with row part i; with d_out = 1 the second is empty
+        step = -(-shape[-1] // len(rows))
 
-            lanes.run(backward, [(rows[0], slice(0, half)), (rows[1], slice(half, None))])
+        def backward(i):
+            r, c = rows[i], slice(i * step, (i + 1) * step)
+            if wants_gx:
+                np.matmul(g[r], w.data.T, out=gx[r])
+            np.matmul(x2.T, g2[:, c], out=gw[:, c])
+
+        lanes.run(backward, range(len(rows)))
         gb = g2.sum(axis=0)
         return gx, gw, gb
 
@@ -528,16 +525,16 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, groups: np.ndarray) -
 
 
 def _norm_rows(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float,
-               data=None, xhat=None, inv=None) -> tuple:
-    """layer_norm's forward over the rows of x: (output, xhat, 1/std),
-    written into the given arrays, or new ones where None."""
+               data: np.ndarray, xhat: np.ndarray, inv: np.ndarray) -> None:
+    """layer_norm's forward over the rows of x, written into data, xhat
+    and inv (1/std)."""
     # np.mean's and np.var's own steps, with the mean and x - mean made once
     count = np.intp(x.shape[-1])
     mean = np.add.reduce(x, axis=-1, keepdims=True)
     np.true_divide(mean, count, out=mean)
-    xhat = np.subtract(x, mean, out=xhat)
-    data = np.square(xhat, out=data)
-    inv = np.add.reduce(data, axis=-1, keepdims=True, out=inv)
+    np.subtract(x, mean, out=xhat)
+    np.square(xhat, out=data)
+    np.add.reduce(data, axis=-1, keepdims=True, out=inv)
     np.true_divide(inv, count, out=inv)              # the variance
     inv += x.dtype.type(eps)
     np.sqrt(inv, out=inv)
@@ -545,7 +542,6 @@ def _norm_rows(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float,
     xhat *= inv
     np.multiply(xhat, gamma, out=data)
     data += beta
-    return data, xhat, inv
 
 
 def _norm_rows_grad(dxhat: np.ndarray, xhat: np.ndarray, inv: np.ndarray, gx: np.ndarray) -> None:
@@ -563,22 +559,19 @@ def _norm_rows_grad(dxhat: np.ndarray, xhat: np.ndarray, inv: np.ndarray, gx: np
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize over the last axis, then scale and shift.
 
-    Above ``lanes.SPLIT_ELEMENTS`` elements of a C-contiguous x, the
-    forward and the per-row backward run by halves of the leading axis,
-    one per lane; the sums over rows stay whole-array calls."""
+    The forward and the per-row backward run by the ``lanes.halves`` parts
+    of the leading axis, which stays one part where x is 1-D or not
+    C-contiguous; the sums over rows stay whole-array calls."""
     _check_dtype("layer_norm", x, gamma, beta)
     d = x.data.shape[-1]
     if gamma.data.shape != (d,) or beta.data.shape != (d,):
         raise ValueError(f"layer_norm: gain/bias must have shape ({d},)")
-    rows = lanes.halves(x.data.shape[0], x.data.size) \
-        if x.data.ndim > 1 and x.data.flags.c_contiguous else None
-    if rows is None:
-        data, xhat, inv = _norm_rows(x.data, gamma.data, beta.data, eps)
-    else:
-        data, xhat = np.empty_like(x.data), np.empty_like(x.data)
-        inv = np.empty(x.data.shape[:-1] + (1,), dtype=x.data.dtype)
-        lanes.run(lambda r: _norm_rows(x.data[r], gamma.data, beta.data, eps,
-                                       data[r], xhat[r], inv[r]), rows)
+    n = x.data.shape[0] if x.data.ndim > 1 and x.data.flags.c_contiguous else 1
+    rows = lanes.halves(n, x.data.size)
+    data, xhat = np.empty_like(x.data), np.empty_like(x.data)
+    inv = np.empty(x.data.shape[:-1] + (1,), dtype=x.data.dtype)
+    lanes.run(lambda r: _norm_rows(x.data[r], gamma.data, beta.data, eps,
+                                   data[r], xhat[r], inv[r]), rows)
 
     def vjp(g):
         lead = tuple(range(g.ndim - 1))
@@ -586,10 +579,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
         gx = g * xhat
         ggamma = gx.sum(axis=lead)
         dxhat = g * gamma.data
-        if rows is None:
-            _norm_rows_grad(dxhat, xhat, inv, gx)
-        else:
-            lanes.run(lambda r: _norm_rows_grad(dxhat[r], xhat[r], inv[r], gx[r]), rows)
+        lanes.run(lambda r: _norm_rows_grad(dxhat[r], xhat[r], inv[r], gx[r]), rows)
         return dxhat, ggamma, gbeta
 
     return _make_node(data, (x, gamma, beta), vjp)
@@ -606,19 +596,20 @@ _GELU_CHUNK = 1 << 16
 def gelu(x: Tensor) -> Tensor:
     """tanh-approximation GELU, (0.5*x)*(1 + tanh(c*(x + k*(x*x*x)))).
 
-    Above ``lanes.SPLIT_ELEMENTS`` elements the chunks run as two
-    contiguous halves, one per lane, each lane with its own scratch."""
+    The chunks run by the ``lanes.halves`` parts of the chunk starts, each
+    lane with its own scratch."""
     dt = x.data.dtype.type
     c, k = dt(_GELU_C), dt(0.044715)
     flat = np.ascontiguousarray(x.data).reshape(-1)
-    chunks = [slice(i, i + _GELU_CHUNK) for i in range(0, flat.size, _GELU_CHUNK)]
-    halves = lanes.halves(len(chunks), flat.size)
+    starts = range(0, flat.size, _GELU_CHUNK)
+    parts = lanes.halves(len(starts), flat.size)
     data, t = np.empty_like(flat), np.empty_like(flat)
     n = min(_GELU_CHUNK, flat.size)
 
     def forward(part):
         scratch = np.empty(n, flat.dtype)            # allocated per pass, not kept
-        for r in part:
+        for i in starts[part]:
+            r = slice(i, i + _GELU_CHUNK)
             xr, tr, out = flat[r], t[r], data[r]
             half_x = scratch[:xr.size]
             # products, not **: numpy's float32 power is ~70x slower than x*x*x
@@ -632,10 +623,7 @@ def gelu(x: Tensor) -> Tensor:
             np.multiply(xr, 0.5, out=half_x)
             out *= half_x
 
-    if halves is None:
-        forward(chunks)
-    else:
-        lanes.run(forward, [chunks[h] for h in halves])
+    lanes.run(forward, parts)
 
     def vjp(g):
         g1 = np.ascontiguousarray(g).reshape(-1)
@@ -644,7 +632,8 @@ def gelu(x: Tensor) -> Tensor:
 
         def backward(part):
             s1, s2 = np.empty(n, flat.dtype), np.empty(n, flat.dtype)
-            for r in part:
+            for i in starts[part]:
+                r = slice(i, i + _GELU_CHUNK)
                 xr, tr, out = flat[r], t[r], gx[r]
                 du, one_minus_tt = s1[:xr.size], s2[:xr.size]
                 np.multiply(xr, k3, out=du)
@@ -661,10 +650,7 @@ def gelu(x: Tensor) -> Tensor:
                 out += du                            # 0.5*(1 + t) + ...
                 out *= g1[r]
 
-        if halves is None:
-            backward(chunks)
-        else:
-            lanes.run(backward, [chunks[h] for h in halves])
+        lanes.run(backward, parts)
         return (gx.reshape(x.data.shape),)
 
     return _make_node(data.reshape(x.data.shape), (x,), vjp)

@@ -158,8 +158,9 @@ def _resample(frames: np.ndarray, out_h: int, out_w: int,
 
     When nothing moves the window is a slice of the input, and the input
     itself when it is the whole frame.  Otherwise each frame is computed
-    in chunks of _RESAMPLE_ROWS output rows, and the frames are cut into
-    two halves, one per lane (``lanes``); a 1-frame clip runs serially.
+    in chunks of _RESAMPLE_ROWS output rows, and the frames run by the
+    ``lanes.halves`` parts of the clip: two halves, one per lane, or a
+    1-frame clip as one part on the caller.
     Each output pixel is the float64 formula of a whole-frame resample,
     term for term, so a window equals the same slice of the whole resample
     bit for bit, whatever the chunk and the lane count.
@@ -195,7 +196,7 @@ def _resample(frames: np.ndarray, out_h: int, out_w: int,
     out = np.empty((n, size_h, 3 * size_w), dtype=np.uint8)
 
     def resample(part):                   # each frame writes only its own out[i]
-        for i in part:
+        for i in range(n)[part]:
             for r, src_rows, top_r, bot_r in chunks:
                 src = flat[i].take(src_rows, axis=0)
                 across = src.take(c0, axis=1) * ux
@@ -210,8 +211,7 @@ def _resample(frames: np.ndarray, out_h: int, out_w: int,
                 # the cast needs no clip
                 out[i, r] = np.floor(v, out=v)
 
-    half = (n + 1) // 2
-    lanes.run(resample, [range(half), range(half, n)] if lanes.LANES > 1 and n > 1 else [range(n)])
+    lanes.run(resample, lanes.halves(n))
     return out.reshape(n, size_h, size_w, 3)
 
 
@@ -233,18 +233,15 @@ def crop_offsets(h: int, w: int, size: int, rng: np.random.Generator | None = No
 
 
 def to_model_tensor(clip: VideoClip, dtype=np.float32) -> np.ndarray:
-    """Cast a clip to [frames, 3, h, w] scaled to [0, 1]; above
-    ``lanes.SPLIT_ELEMENTS`` elements, by halves of its frames, one per
-    lane."""
+    """Cast a clip to [frames, 3, h, w] scaled to [0, 1], by the
+    ``lanes.halves`` parts of its frames: halves above
+    ``lanes.SPLIT_ELEMENTS`` elements, else one part on the caller."""
     dt = np.dtype(dtype)
     f, h, w, _ = clip.frames.shape
     # one cast straight into C order: casting the channel-reversed view
     # that prepare_clip leaves, then transposing, is ~3x slower
     src, out = np.transpose(clip.frames, (0, 3, 1, 2)), np.empty((f, 3, h, w), dtype=dt)
-    halves = lanes.halves(f, out.size)
-    if halves is None:
-        return np.divide(src, 255, out=out, dtype=dt)
-    lanes.run(lambda r: np.divide(src[r], 255, out=out[r], dtype=dt), halves)
+    lanes.run(lambda r: np.divide(src[r], 255, out=out[r], dtype=dt), lanes.halves(f, out.size))
     return out
 
 

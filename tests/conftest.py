@@ -1,11 +1,20 @@
-"""Helpers shared by the test modules."""
+"""Helpers shared by the test modules.
 
-import hashlib
+BLAS runs one thread, as under ``python -m vslr`` and ``perfbench/run.py``:
+the bit-for-bit pins are the bits those runs make.  The variables are set
+before numpy loads, as BLAS reads them only then."""
 
-import numpy as np
-import pytest
+import os
 
-from vslr import lanes
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import hashlib  # noqa: E402
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from vslr import lanes  # noqa: E402
 
 
 def _sha256(arrays) -> str:

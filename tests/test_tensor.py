@@ -569,16 +569,22 @@ DTYPES = pytest.mark.parametrize("dtype", [np.float32, np.float64])
 
 
 @DTYPES
-@pytest.mark.parametrize("shape", [(3, 7), (2, 5, 33), (2, 65, 32)])
-def test_linear_is_its_textbook_form_bit_for_bit(dtype, shape):
+@pytest.mark.parametrize("shape, d_out", [((3, 7), 6), ((2, 5, 33), 6), ((2, 65, 32), 6),
+                                          ((7,), 6), ((2, 131073, 4), 1)],
+                         ids=["shape0", "shape1", "shape2", "1-D x", "d_out 1 above the split"])
+def test_linear_is_its_textbook_form_bit_for_bit(dtype, shape, d_out, monkeypatch):
+    """Also a 1-D x, which is one row part on any lane count, and d_out = 1
+    above the split, whose second column part is empty."""
     rng = np.random.default_rng(180)
     x, _ = _kernel_case(rng, dtype, shape)
-    w = rng.standard_normal((shape[-1], 6)).astype(dtype)
-    b = rng.standard_normal(6).astype(dtype)
-    g = rng.standard_normal(shape[:-1] + (6,)).astype(dtype)
-    out = T.linear(Tensor(x, requires_grad=True), Tensor(w), Tensor(b))
+    w = rng.standard_normal((shape[-1], d_out)).astype(dtype)
+    b = rng.standard_normal(d_out).astype(dtype)
+    g = rng.standard_normal(shape[:-1] + (d_out,)).astype(dtype)
     want, vjp = textbook_linear(x, w, b)
-    _same_bits([out.data, *out._vjp(g)], [want, *vjp(g)])
+    for n_lanes in (1, 2):
+        monkeypatch.setattr(lanes, "LANES", n_lanes)
+        out = T.linear(Tensor(x, requires_grad=True), Tensor(w), Tensor(b))
+        _same_bits([out.data, *out._vjp(g)], [want, *vjp(g)])
 
 
 @DTYPES
@@ -734,21 +740,25 @@ def test_attention_lanes_keep_the_callers_errstate(monkeypatch):
 # dense kernel lanes
 
 
-# name: leading axes, d_in, d_out, the kernels of gelu(linear(layer_norm(x)))
-# above lanes.SPLIT_ELEMENTS, which make a two-part call forward and one
-# backward.  An embedding projects a constant x with linear alone.
+# name: leading axes, d_in, d_out, and the part count on two lanes of each
+# forward kernel of gelu(linear(layer_norm(x))): 2 above
+# lanes.SPLIT_ELEMENTS, else 1.  Each kernel makes one lanes.run call
+# forward and one backward.  An embedding projects a constant x with linear
+# alone.  The last case is no model's: d_out = 1 above the split, whose
+# second column part is empty.
 DENSE_CASES = {
-    "divided 64->64": ((2, 3137), 64, 64, 3),
-    "divided 64->256": ((2, 3137), 64, 256, 3),
-    "divided 256->64": ((2, 3137), 256, 64, 3),
-    "joint 64->256": ((2, 1568), 64, 256, 2),
-    "embedding divided 768->64": ((2, 3136), 768, 64, 1),
-    "embedding joint 1536->64": ((2, 1568), 1536, 64, 0),
-    "decoder 32->128": ((2, 1568), 32, 128, 2),
-    "decoder 128->32": ((2, 1568), 128, 32, 1),
-    "decoder recon 32->1536": ((2, 1411), 32, 1536, 2),
-    "desk 32->128": ((4, 129), 32, 128, 0),
-    "desk eval 128->32": ((8, 129), 128, 32, 0),
+    "divided 64->64": ((2, 3137), 64, 64, (2, 2, 2)),
+    "divided 64->256": ((2, 3137), 64, 256, (2, 2, 2)),
+    "divided 256->64": ((2, 3137), 256, 64, (2, 2, 2)),
+    "joint 64->256": ((2, 1568), 64, 256, (1, 2, 2)),
+    "embedding divided 768->64": ((2, 3136), 768, 64, (2,)),
+    "embedding joint 1536->64": ((2, 1568), 1536, 64, (1,)),
+    "decoder 32->128": ((2, 1568), 32, 128, (1, 2, 2)),
+    "decoder 128->32": ((2, 1568), 128, 32, (2, 1, 1)),
+    "decoder recon 32->1536": ((2, 1411), 32, 1536, (1, 2, 2)),
+    "desk 32->128": ((4, 129), 32, 128, (1, 1, 1)),
+    "desk eval 128->32": ((8, 129), 128, 32, (1, 1, 1)),
+    "d_out 1 4->1": ((2, 131073), 4, 1, (2, 2, 2)),
 }
 
 
@@ -757,8 +767,8 @@ DENSE_CASES = {
 def test_dense_kernel_bits_do_not_depend_on_the_lane_count(case, dtype, lane_parts, monkeypatch):
     """Every dense shape the models use at paper and desk geometry, on one
     lane and on two: each kernel's output and every gradient are the same
-    bits.  Desk shapes reach no lane."""
-    lead, d_in, d_out, split = DENSE_CASES[case]
+    bits.  Desk shapes make only one-part calls."""
+    lead, d_in, d_out, parts = DENSE_CASES[case]
     embedding = case.startswith("embedding")
     rng = np.random.default_rng(187)
     arrays = [(rng.standard_normal(lead + (d_in,)) * 3).astype(dtype),
@@ -786,7 +796,8 @@ def test_dense_kernel_bits_do_not_depend_on_the_lane_count(case, dtype, lane_par
     finally:
         sys.setswitchinterval(interval)
     _same_bits(results[1], results[0])
-    assert lane_parts == [2] * 2 * split
+    # forward in order, backward in reverse, on one lane and then on two
+    assert lane_parts == [1] * 2 * len(parts) + list(parts) + list(parts[::-1])
 
 
 # ---------------------------------------------------------------------------

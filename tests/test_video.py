@@ -392,7 +392,7 @@ def test_prepared_clip_does_not_depend_on_stored_channel_order(tmp_path, h, w, c
     clip and the same model tensor, from the same draws: a prepared clip
     needs no channel order of its own.  The tensor is the same cast on one
     lane and on two; a 224 clip casts its frame halves on two lanes, a 32
-    clip reaches no lane."""
+    clip is one part on either."""
     rgb = np.random.default_rng(h * w + crop).integers(0, 256, size=(10, h, w, 3), dtype=np.uint8)
     V.write_raw_video(tmp_path / "bgr.vraw", rgb[..., ::-1], "BGR")
     V.write_raw_video(tmp_path / "rgb.vraw", rgb, "RGB")
@@ -410,7 +410,7 @@ def test_prepared_clip_does_not_depend_on_stored_channel_order(tmp_path, h, w, c
         tensors += [V.to_model_tensor(a), V.to_model_tensor(b)]
     for t in tensors[1:]:
         assert np.array_equal(t, tensors[0])
-    assert lane_parts == ([2, 2] if crop == 224 else [])
+    assert lane_parts == [1, 1] + ([2, 2] if crop == 224 else [1, 1])
 
 
 # ---------------------------------------------------------------------------
