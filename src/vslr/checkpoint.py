@@ -119,7 +119,7 @@ def load_checkpoint(path) -> dict:
 
 def load_into(params: dict, loaded: dict) -> None:
     """Copy loaded arrays into model tensors, in place, so each stays a
-    view into its model's buffer; names and shapes must match."""
+    view into its flat array; names and shapes must match."""
     missing = sorted(set(params) - set(loaded))
     extra = sorted(set(loaded) - set(params))
     if missing or extra:

@@ -116,7 +116,7 @@ class MaeModel:
                            for _ in range(cfg.decoder_depth)]
         self.dec_norm = LayerNormParams(cfg.decoder_dim, dtype)
         self.recon = LinearParams(rng, cfg.decoder_dim, ecfg.cube_dim, dtype)
-        self.buffer = param_buffer(self.params())
+        param_buffer(self.params())           # one block, as in ClassifierModel
 
     def named(self) -> dict:
         out = self.embed.named("embed")

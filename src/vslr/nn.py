@@ -1,12 +1,10 @@
 """Parameter containers and initializers shared by the model modules.
 
-A model's parameters live in one contiguous buffer: ``param_buffer``
-copies them in, in ``named()`` order, when the model is built, and each
-parameter's ``data`` becomes a view into it.  So the optimizer, a
-checkpoint load and a best-epoch snapshot each touch one array, and every
-write to a parameter goes through the view, ``p.data[...] = x``.  Never
-rebind it with ``p.data = x``: the new array would be cut off from the
-buffer, and so from the optimizer.
+``param_buffer`` packs tensors into one flat array and makes each one's
+``data`` a view into it.  The optimizer packs the parameters it trains,
+so one step updates one array (see ``train.Adam``).  Every later write to
+a parameter goes through its view, ``p.data[...] = x``.  Never rebind it
+with ``p.data = x``: the new array would be cut off from the optimizer.
 """
 
 from __future__ import annotations
@@ -27,31 +25,13 @@ def trunc_normal(rng: np.random.Generator, shape, dtype=np.float32) -> np.ndarra
     return out.astype(dtype)
 
 
-def param_buffer(tensors: list) -> np.ndarray:
-    """One flat array whose consecutive slices are the tensors' data, in order.
-
-    Tensors whose data already tile one 1-D buffer in order get that
-    stretch of it back, a view.  Tensors that each own their data are
-    copied into a new buffer, and their data become views into it.  Any
-    other mix (views into separate buffers, or out of order) is refused:
-    packing it would cut those tensors off from the buffer they live in."""
+def param_buffer(tensors) -> np.ndarray:
+    """A new flat array holding the tensors' data in order; each tensor's
+    ``data`` becomes its slice of it, a view."""
     tensors = list(tensors)
     dtype = tensors[0].data.dtype
     if any(t.data.dtype != dtype for t in tensors):
         raise TypeError(f"parameters mix dtypes: {sorted({str(t.data.dtype) for t in tensors})}")
-    base = tensors[0].data.base
-    if base is not None and base.ndim == 1 and base.flags.c_contiguous:
-        at = _address(base)
-        start = pos = (_address(tensors[0].data) - at) // dtype.itemsize
-        for t in tensors:
-            if t.data.base is not base or not t.data.flags.c_contiguous \
-                    or _address(t.data) != at + pos * dtype.itemsize:
-                break
-            pos += t.data.size
-        else:
-            return base[start:pos]
-    if any(t.data.base is not None for t in tensors):
-        raise ValueError("parameters must tile one buffer in order or each own their data")
     flat = np.empty(sum(t.data.size for t in tensors), dtype=dtype)
     pos = 0
     for t in tensors:
@@ -60,10 +40,6 @@ def param_buffer(tensors: list) -> np.ndarray:
         t.data = view
         pos += view.size
     return flat
-
-
-def _address(a: np.ndarray) -> int:
-    return a.__array_interface__["data"][0]
 
 
 class LinearParams:

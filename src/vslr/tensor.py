@@ -11,7 +11,7 @@ float64 exists so finite-difference checks are not drowned in rounding
 noise.  Mixed-dtype expressions are rejected rather than silently
 promoted.
 
-A leaf's ``data`` may be a view into its model's parameter buffer (see
+A leaf's ``data`` may be a view into its optimizer's flat array (see
 ``nn.param_buffer``); ops only read it, and whatever updates a parameter
 writes ``p.data[...] = x``, never ``p.data = x``.
 
@@ -693,24 +693,6 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
         return tuple(np.split(g, splits, axis=axis))
 
     return _make_node(data, tuple(tensors), vjp)
-
-
-def slice_along(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
-    """Contiguous slice [start:stop) along one axis."""
-    n = x.data.shape[axis]
-    if not (0 <= start < stop <= n):
-        raise ValueError(f"slice_along: range [{start}, {stop}) invalid for extent {n}")
-    idx = [slice(None)] * x.data.ndim
-    idx[axis] = slice(start, stop)
-    idx = tuple(idx)
-    data = x.data[idx]
-
-    def vjp(g):
-        gx = np.zeros_like(x.data)
-        gx[idx] = g
-        return (gx,)
-
-    return _make_node(data, (x,), vjp)
 
 
 def take(x: Tensor, indices, axis: int) -> Tensor:

@@ -58,11 +58,12 @@ class Adam:
     """Adam with bias correction; constant learning rate, no weight decay.
 
     ``params`` maps each trainable parameter's name to its tensor, and is
-    the one record of what trains.  The tensors must be one run of a
-    model's buffer in order, such as ``freeze_layers``' suffix, or tensors
-    of their own, which are packed into a buffer here (see
-    ``nn.param_buffer``).  The moments are flat arrays over that run, and
-    a step updates it in place."""
+    the one record of what trains: any subset, in any order.  They are
+    packed into ``self.flat`` here (see ``nn.param_buffer``), each one's
+    ``data`` becoming a view into it, and a step updates that array in
+    place.  So a parameter trains under the optimizer built last over it,
+    and after that its ``data`` must never be rebound, only written
+    through."""
 
     def __init__(self, params: dict, lr: float, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
@@ -86,7 +87,7 @@ class Adam:
         np.concatenate([p.grad.ravel() for p in self.params.values()], out=self.grad)
 
     def step(self) -> None:
-        """One update over the whole buffer from the gradients ``gather``
+        """One update over the whole flat array from the gradients ``gather``
         copied, which it spends as scratch.  Each array op is the textbook
         formula's, term for term, written in place:
         m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*(g*g);
@@ -195,14 +196,17 @@ class ClassifierModel:
                        for _ in range(cfg.depth)]
         self.norm = LayerNormParams(cfg.dim, dtype)
         self.head = LinearParams(rng, cfg.dim, num_classes, dtype)
-        self.buffer = param_buffer(self.params())
+        # packed at build though Adam repacks what it trains: one block keeps
+        # the parameters from lying scattered among the float64 init
+        # temporaries, which raised the eval peak RSS
+        param_buffer(self.params())
 
     def forward(self, x: Tensor, trace: list | None = None) -> Tensor:
         """Logits [batch, classes]; a ``trace`` list gets each attention
         pass's weights (see ``encoder_forward``)."""
         out = encoder_forward(self.embed.embed(x), self.blocks, self.cfg.heads, self.norm, trace)
         if self.cfg.variant == "divided":
-            feat = T.reshape(T.slice_along(out.tokens, 1, 0, 1),
+            feat = T.reshape(T.take(out.tokens, np.zeros(1, np.intp), axis=1),
                              (x.data.shape[0], self.cfg.dim))
         else:
             feat = T.mean(out.tokens, axis=1)
@@ -223,8 +227,8 @@ class ClassifierModel:
 def freeze_layers(model: ClassifierModel, count) -> dict:
     """Mark only the top `count` encoder blocks, final norm, and head as
     trainable; count == depth (or "all") unfreezes everything including
-    the embedding.  Returns the trainable parameters by name: the suffix
-    of ``model.named()`` from the first of those blocks on, or all of it."""
+    the embedding.  Returns the trainable parameters by name, in
+    ``model.named()`` order."""
     depth = model.cfg.depth
     if count == "all":
         count = depth
@@ -391,11 +395,11 @@ def finetune(model: ClassifierModel, manifest: Manifest, video_dir,
         reports.append(report)
         if report.topk.get(1, 0.0) > best_top1:
             best_top1 = report.topk.get(1, 0.0)
-            best_params = model.buffer.copy()
+            best_params = opt.flat.copy()
     if not reports:                     # zero epochs: the run scores its initial weights
         reports.append(evaluate(model, manifest, video_dir, pipe, cfg.seed))
     if best_params is not None:
-        model.buffer[...] = best_params
+        opt.flat[...] = best_params
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         save_checkpoint(os.path.join(out_dir, "model.ckpt"), model.named())

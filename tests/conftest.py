@@ -1,12 +1,15 @@
 """Helpers shared by the test modules.
 
 BLAS runs one thread, as under ``python -m vslr`` and ``perfbench/run.py``:
-the bit-for-bit pins are the bits those runs make.  The variables are set
-before numpy loads, as BLAS reads them only then."""
+the bit-for-bit pins are the bits those runs make.  The variables are the
+CLI's own tuple, set before numpy loads, as BLAS reads them only then;
+``vslr.__main__`` imports no numpy."""
 
 import os
 
-for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+from vslr.__main__ import _THREAD_VARS
+
+for _var in _THREAD_VARS:
     os.environ[_var] = "1"
 
 import hashlib  # noqa: E402

@@ -145,7 +145,6 @@ def test_structural_ops_roundtrip():
     t = Tensor(x, dtype=np.float64)
     assert np.array_equal(T.reshape(t, (6, 4)).data, x.reshape(6, 4))
     assert np.array_equal(T.transpose(t, (2, 0, 1)).data, x.transpose(2, 0, 1))
-    assert np.array_equal(T.slice_along(t, 1, 1, 3).data, x[:, 1:3])
     assert np.array_equal(T.take(t, np.array([2, 0, 2]), axis=2).data, x[:, :, [2, 0, 2]])
     two = T.concat([t, t], axis=0)
     assert np.array_equal(two.data, np.concatenate([x, x], axis=0))
@@ -338,8 +337,6 @@ def test_grad_check_structural_ops():
     idx = np.array([0, 2, 2, 1])
     red3 = _weighted(rng, (4, 4))
     assert T.grad_check(lambda t: red3(T.take(t, idx, axis=0)), rand(3, 4)) < 1e-6
-    red4 = _weighted(rng, (3, 2))
-    assert T.grad_check(lambda t: red4(T.slice_along(t, 1, 1, 3)), rand(3, 4)) < 1e-6
     red5 = _weighted(rng, (3, 5))
     assert T.grad_check(lambda t: red5(T.repeat(t, 5, axis=1)), rand(3, 1)) < 1e-6
     other = Tensor(rng.standard_normal((2, 4)), dtype=np.float64)
@@ -579,9 +576,11 @@ def test_linear_is_its_textbook_form_bit_for_bit(dtype, shape, d_out, monkeypatc
     x, _ = _kernel_case(rng, dtype, shape)
     w = rng.standard_normal((shape[-1], d_out)).astype(dtype)
     b = rng.standard_normal(d_out).astype(dtype)
-    g = rng.standard_normal(shape[:-1] + (d_out,)).astype(dtype)
     want, vjp = textbook_linear(x, w, b)
     for n_lanes in (1, 2):
+        # an output gradient of its own, so a gradient block freed by the
+        # last run holds no right answer for np.empty to hand back
+        g = rng.standard_normal(shape[:-1] + (d_out,)).astype(dtype)
         monkeypatch.setattr(lanes, "LANES", n_lanes)
         out = T.linear(Tensor(x, requires_grad=True), Tensor(w), Tensor(b))
         _same_bits([out.data, *out._vjp(g)], [want, *vjp(g)])

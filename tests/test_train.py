@@ -13,6 +13,7 @@ import pytest
 
 from vslr import tensor as T
 from vslr import train as TR
+from vslr.__main__ import _THREAD_VARS
 from vslr.checkpoint import load_checkpoint, load_into, save_checkpoint
 from vslr.errors import VslrError
 from vslr.mae import MaeConfig, MaeModel, PretrainConfig, load_encoder, pretrain
@@ -112,7 +113,7 @@ def test_adam_matches_scalar_reference():
 
 def test_adam_refuses_a_missing_gradient():
     """Every parameter the optimizer holds must have a gradient; gather
-    names each one that has none and leaves the buffer as it was."""
+    names each one that has none and leaves the weights as they were."""
     p = Tensor(np.ones(3), requires_grad=True)
     q = Tensor(np.ones(3), requires_grad=True)
     r = Tensor(np.ones(3), requires_grad=True)
@@ -176,15 +177,26 @@ def test_flat_adam_matches_per_tensor_step_bit_for_bit(which):
             assert np.array_equal(opt.v[lo:hi], ref.v[i].ravel()), (step, i)
 
 
-def test_adam_steps_a_model_buffer_in_place_and_refuses_a_scattered_subset():
+def test_adam_packs_any_subset_and_steps_it_in_place():
+    """Adam's trainables become views into its flat array and the frozen
+    parameters do not; a scattered subset, not one run of ``named()``,
+    packs and steps in place too."""
     model = _tiny_model()
     trainable = freeze_layers(model, 1)
     opt = Adam(trainable, lr=1e-3)
-    assert np.shares_memory(opt.flat, model.buffer)
-    assert opt.flat.size == sum(p.data.size for p in trainable.values()) < model.buffer.size
-    with pytest.raises(ValueError, match="tile one buffer in order"):
-        Adam(dict(list(model.named().items())[::2]), lr=1e-3)   # packing would detach them
-    assert all(np.shares_memory(p.data, model.buffer) for p in model.params())
+    assert opt.flat.size == sum(p.data.size for p in trainable.values())
+    for name, p in model.named().items():
+        assert np.shares_memory(p.data, opt.flat) == (name in trainable), name
+    scattered = dict(list(model.named().items())[::2])
+    before = {n: p.data.copy() for n, p in model.named().items()}
+    opt = Adam(scattered, lr=1e-3)
+    assert all(np.shares_memory(p.data, opt.flat) for p in scattered.values())
+    for p in scattered.values():
+        p.grad = np.ones_like(p.data)
+    opt.gather()
+    opt.step()
+    for name, p in model.named().items():
+        assert np.array_equal(p.data, before[name]) == (name not in scattered), name
 
 
 # ---------------------------------------------------------------------------
@@ -443,43 +455,88 @@ def test_finetune_stops_on_non_finite_gradient(dataset, tmp_path):
         assert np.array_equal(p.data, before[name]), name
 
 
-def _cut_off(model) -> list:
-    return [n for n, p in model.named().items() if not np.shares_memory(p.data, model.buffer)]
+def _one_flat(params) -> bool:
+    """Whether every parameter's data is a view into one flat array."""
+    bases = {id(p.data.base): p.data.base for p in params}
+    base = next(iter(bases.values()))
+    return len(bases) == 1 and base is not None and base.ndim == 1
 
 
-def test_parameters_stay_views_into_the_model_buffer(dataset, tmp_path):
-    """Every path that writes a parameter writes through its view into the
-    model's buffer: a parameter rebound to a new array would silently drop
-    out of the optimizer's flat step."""
+def _trainable(model) -> list:
+    return [p for p in model.params() if p.requires_grad]
+
+
+def test_parameters_stay_views_into_one_flat_array(dataset, tmp_path):
+    """Every path that writes a parameter writes through its view: a
+    parameter rebound to a new array would silently drop out of the
+    optimizer's flat step.  After each one, every trainable parameter is a
+    view into one flat array."""
     manifest, videos = dataset
     mae_cfg = MaeConfig(dim=16, depth=3, heads=2, decoder_dim=8, decoder_depth=1,
                         decoder_heads=2, image_size=16, patch=8, frames=4, tube_depth=2)
     clf, mae = _tiny_model("joint", num_classes=2), MaeModel(mae_cfg, np.random.default_rng(1))
-    assert _cut_off(clf) == [] and _cut_off(mae) == []
+    assert _one_flat(clf.params()) and _one_flat(mae.params())
     for model, other in ((clf, _tiny_model("joint", rng_seed=3, num_classes=2)),
                          (mae, MaeModel(mae_cfg, np.random.default_rng(4)))):
         save_checkpoint(tmp_path / "other.ckpt", other.named())
         load_into(model.named(), load_checkpoint(tmp_path / "other.ckpt"))
-        assert np.array_equal(model.buffer, other.buffer)
-        assert _cut_off(model) == [], "load_into"
+        assert all(np.array_equal(p.data, q.data) for p, q in zip(model.params(), other.params()))
+        assert _one_flat(model.params()), "load_into"
     load_encoder(clf.named(), {n: p.data for n, p in mae.named().items()})
     assert np.array_equal(clf.named()["enc.1.joint.q.w"].data, mae.enc_blocks[1].joint.q.w.data)
-    assert _cut_off(clf) == [], "load_encoder"
+    assert _one_flat(clf.params()), "load_encoder"
     freeze_layers(clf, 1)
-    assert _cut_off(clf) == [], "freeze_layers"
+    assert _one_flat(_trainable(clf)), "freeze_layers"
     for model in (clf, mae):
         with no_grad(model.params()):
-            assert _cut_off(model) == [], "no_grad"
-        assert _cut_off(model) == [], "after no_grad"
-    before = clf.buffer.copy()
-    cfg = TrainConfig(batch=4, epochs=1, lr=1e-3, frames=4, layers="all", seed=0,
-                      variant="joint")
+            assert _one_flat(model.params()), "no_grad"
+        assert _one_flat(_trainable(model)), "after no_grad"
+    before = {n: p.data.copy() for n, p in clf.named().items()}
+    cfg = TrainConfig(batch=4, epochs=1, lr=1e-3, frames=4, layers=1, seed=0, variant="joint")
     finetune(clf, merge_train_val(manifest), videos, cfg, crop=16)
-    assert not np.array_equal(clf.buffer, before)
-    assert _cut_off(clf) == [], "finetune"
+    trained = _trainable(clf)
+    assert _one_flat(trained), "finetune"
+    frozen = [p for p in clf.params() if not p.requires_grad]
+    assert not any(np.shares_memory(p.data, trained[0].data.base) for p in frozen)
+    assert {n for n, p in clf.named().items() if not np.array_equal(p.data, before[n])} \
+        <= {n for n, p in clf.named().items() if p.requires_grad}
+    assert not all(np.array_equal(p.data, before[n]) for n, p in clf.named().items())
     pretrain(mae, manifest, videos, PretrainConfig(ratio=0.5, steps=1, batch=2),
              PipelineConfig(frames=4, sampling="consecutive", crop=16))
-    assert _cut_off(mae) == [], "pretrain"
+    assert _one_flat(_trainable(mae)), "pretrain"
+
+
+def test_finetune_keeps_the_best_epochs_weights(dataset, monkeypatch):
+    """finetune leaves the model holding the weights of its best epoch by
+    test top-1, here the middle one of three, and the frozen parameters
+    keep their bits."""
+    manifest, videos = dataset
+    model = _tiny_model(num_classes=2)
+    before = {n: p.data.copy() for n, p in model.named().items()}
+    seen, top1 = [], iter([0.25, 0.75, 0.5])
+
+    def scripted(model, *args, **kwargs):
+        seen.append({n: p.data.copy() for n, p in model.named().items()})
+        return TR.EvalReport({1: next(top1)}, [], [], 0, 0.0, 0)
+
+    monkeypatch.setattr(TR, "evaluate", scripted)
+    cfg = TrainConfig(batch=4, epochs=3, lr=1e-3, frames=4, layers=1, seed=0)
+    reports, _ = finetune(model, merge_train_val(manifest), videos, cfg, crop=16)
+    assert [r.topk[1] for r in reports] == [0.25, 0.75, 0.5]
+    trainable = {n for n, p in model.named().items() if p.requires_grad}
+    assert trainable and trainable != set(before)
+    assert any(not np.array_equal(seen[1][n], seen[2][n]) for n in trainable)
+    for name, p in model.named().items():
+        assert p.data.tobytes() == seen[1][name].tobytes(), name
+        if name not in trainable:
+            assert p.data.tobytes() == before[name].tobytes(), name
+
+
+def _probe_env() -> dict:
+    """A probe process's environment: this package on the path, and one
+    BLAS thread, as under the CLI."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(TR.__file__)))
+    return dict(os.environ, PYTHONPATH=src, **dict.fromkeys(_THREAD_VARS, "1"))
 
 
 _FAULT_PROBE = """
@@ -507,11 +564,8 @@ def test_second_desk_step_faults_in_no_new_pages():
     step (about 1,800 a step without the allocator policy).  A single
     step can take a burst of a few dozen, depending on where the heap
     places a vjp's scratch, so the bound is on the five-step total."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(TR.__file__)))
-    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-               MKL_NUM_THREADS="1")
-    out = subprocess.run([sys.executable, "-c", _FAULT_PROBE], env=env, capture_output=True,
-                         text=True, timeout=120, check=True)
+    out = subprocess.run([sys.executable, "-c", _FAULT_PROBE], env=_probe_env(),
+                         capture_output=True, text=True, timeout=120, check=True)
     assert int(out.stdout) < 5 * 50, out.stdout
 
 
@@ -550,10 +604,7 @@ def test_desk_runs_start_no_lane_worker(tmp_path):
     variants), a desk MAE step and the benchmark's prep loop over every
     desk clip run serially, as does the resample of a 1-frame 224 clip:
     no thread is started and concurrent.futures is never imported."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(TR.__file__)))
-    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-               MKL_NUM_THREADS="1")
-    out = subprocess.run([sys.executable, "-c", _DESK_LANE_PROBE, str(tmp_path)], env=env,
+    out = subprocess.run([sys.executable, "-c", _DESK_LANE_PROBE, str(tmp_path)], env=_probe_env(),
                          capture_output=True, text=True, timeout=120, check=True)
     assert out.stdout.split() == ["1", "False"], out.stdout
 
@@ -673,7 +724,7 @@ def test_ablation_lets_a_non_vslr_error_propagate(dataset, tmp_path, monkeypatch
     assert not (tmp_path / "ablation.csv").exists()
 
 
-# The loss curve and model.buffer sha256 of one desk fine-tune epoch (32 px,
+# The loss curve and weights sha256 of one desk fine-tune epoch (32 px,
 # 8 px patches, 8 frames, dim 32, depth 2, 4 heads, batch 4) at one BLAS
 # thread, as conftest.py sets it, recorded before the in-place kernels of
 # tensor.py, which must leave every bit as it was.  The divided pin was
@@ -690,20 +741,21 @@ DESK_FINETUNE_PINS = {
 
 
 def _desk_finetune_epoch(variant, root):
-    """The loss curve and model.buffer of one desk fine-tune epoch."""
+    """The loss curve and weights, in ``named()`` order, of one desk
+    fine-tune epoch."""
     manifest = merge_train_val(make_synthetic_dataset(root, size=32, seed=18))
     model = ClassifierModel(ModelConfig(variant, dim=32, depth=2, heads=4, image_size=32,
                                         patch=8, frames=8),
                             len(manifest.glosses), np.random.default_rng(18))
     cfg = TrainConfig(batch=4, epochs=1, lr=1e-3, frames=8, seed=18)
     _, log = finetune(model, manifest, root / "videos", cfg, crop=32)
-    return [loss for _, loss, *_ in log], model.buffer
+    return [loss for _, loss, *_ in log], model.params()
 
 
 @pytest.mark.parametrize("variant", sorted(DESK_FINETUNE_PINS))
 def test_desk_finetune_epoch_digest(variant, tmp_path, sha256):
-    curve, buffer = _desk_finetune_epoch(variant, tmp_path)
-    assert (curve, sha256([buffer])) == DESK_FINETUNE_PINS[variant]
+    curve, params = _desk_finetune_epoch(variant, tmp_path)
+    assert (curve, sha256(p.data for p in params)) == DESK_FINETUNE_PINS[variant]
 
 
 _DESK_EPOCH_PROBE = """
@@ -722,7 +774,8 @@ for variant in ("divided", "joint"):
     _, log = finetune(model, manifest, sys.argv[1] + "/videos",
                       TrainConfig(batch=4, epochs=1, lr=1e-3, frames=8, seed=18), crop=32)
     runs[variant] = ([float(loss) for _, loss, *_ in log],
-                     hashlib.sha256(model.buffer.tobytes()).hexdigest())
+                     hashlib.sha256(b"".join(p.data.tobytes() for p in model.params()))
+                     .hexdigest())
 print(json.dumps(runs))
 """
 
@@ -732,13 +785,10 @@ def test_desk_finetune_epoch_is_the_same_at_the_cli_setting(tmp_path, sha256):
     CLI's setting, one BLAS thread, and on one lane, as on a host with one
     allowed CPU, gives the loss curve and weights this process gives, bit
     for bit."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(TR.__file__)))
-    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-               MKL_NUM_THREADS="1")
     out = subprocess.run([sys.executable, "-c", _DESK_EPOCH_PROBE, str(tmp_path / "probe")],
-                         env=env, capture_output=True, text=True, timeout=120, check=True)
+                         env=_probe_env(), capture_output=True, text=True, timeout=120, check=True)
     runs = json.loads(out.stdout)
     assert sorted(runs) == sorted(DESK_FINETUNE_PINS)
     for variant, (curve, digest) in runs.items():
-        here, buffer = _desk_finetune_epoch(variant, tmp_path / variant)
-        assert (curve, digest) == (here, sha256([buffer])), variant
+        here, params = _desk_finetune_epoch(variant, tmp_path / variant)
+        assert (curve, digest) == (here, sha256(p.data for p in params)), variant
