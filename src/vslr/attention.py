@@ -12,7 +12,8 @@ Both run one block body of pre-norm residual passes, x + Attn(LayerNorm(x)),
 then the MLP.  ``pass_groups`` alone defines each pass's groups, for the
 forward pass and for rollout.  Each pass is one fused ``T.attention`` node,
 whose multiply-adds are tagged in the MAC ledger so the divided-vs-joint
-cost claim can be asserted exactly.
+cost claim can be asserted exactly, and whose forward hands the head mean
+of the weights it computed to a trace for rollout.
 """
 
 from __future__ import annotations
@@ -101,22 +102,12 @@ def pass_groups(grid: tuple, has_cls: bool, kind: str) -> np.ndarray:
 def multi_head_attention(x: Tensor, w: PassWeights, heads: int, groups: np.ndarray,
                          trace: list | None = None) -> Tensor:
     """Scaled dot-product attention within each group of [G, L] token ids
-    over [batch, tokens, dim] (see ``T.attention``).
-
-    When ``trace`` is a list, appends (groups, weights), where weights is
-    the detached head mean [batch, groups, length, length] of the
-    attention weights.
-    """
+    over [batch, tokens, dim]; a ``trace`` list gets the pass's
+    (groups, weights) entry (see ``T.attention``)."""
     q = T.linear(x, w.q.w, w.q.b)
     k = T.linear(x, w.k.w, w.k.b)
     v = T.linear(x, w.v.w, w.v.b)
-    out = T.linear(T.attention(q, k, v, heads, groups), w.o.w, w.o.b)
-    if trace is not None:
-        # the fused op never holds the full weights; only rollout needs their head mean
-        g, n = groups.shape
-        weights = T._attn_weights(*T._attn_split(q.data, k.data, heads, groups)[:2])[0]
-        trace.append((groups, weights.reshape(x.data.shape[0], g, heads, n, n).mean(axis=2)))
-    return out
+    return T.linear(T.attention(q, k, v, heads, groups, trace), w.o.w, w.o.b)
 
 
 def _block(tb: TokenBatch, w: BlockWeights, heads: int, trace: list | None,
@@ -155,8 +146,8 @@ def joint_block(tb: TokenBatch, w: BlockWeights, heads: int,
 def encoder_forward(tb: TokenBatch, blocks: list, heads: int,
                     final_ln: LayerNormParams, trace: list | None = None) -> TokenBatch:
     """Each block in order, then the final norm.  When ``trace`` is a
-    list, each attention pass appends its entry (see
-    ``multi_head_attention``), in call order."""
+    list, each attention pass appends its entry (see ``T.attention``), in
+    call order."""
     for w in blocks:
         step = divided_block if w.variant == "divided" else joint_block
         tb = step(tb, w, heads, trace)
@@ -167,18 +158,18 @@ def encoder_forward(tb: TokenBatch, blocks: list, heads: int,
 # attention rollout
 
 
-def attention_rollout(trace: list, grid: tuple, has_cls: bool,
-                      batch_index: int = 0) -> np.ndarray:
+def attention_rollout(trace: list, grid: tuple, has_cls: bool) -> np.ndarray:
     """Roll head-averaged, identity-mixed attention across depth and map
     token mass back onto the (t, h, w) grid, normalized per frame by its
     max (a flat frame maps to all ones).
 
     ``trace`` holds one (groups, weights) entry per attention pass in
-    call order, as ``encoder_forward`` appends them over a token layout of
-    ``grid`` with or without a CLS.  Each pass mixes as
-    0.5 * A / count + 0.5 * I with rows renormalized to sum 1, where A
-    holds the pass's group weights at token level and a token in several
-    groups (the CLS) gets the mean of its rows, as in the forward pass.
+    call order, as ``encoder_forward`` appends them for a batch of one
+    clip over a token layout of ``grid`` with or without a CLS.  Each pass
+    mixes as 0.5 * A / count + 0.5 * I with rows renormalized to sum 1,
+    where A holds the pass's group weights at token level and a token in
+    several groups (the CLS) gets the mean of its rows, as in the forward
+    pass.
     Only one row of the product is read: the CLS row, or the mean row
     without a CLS.  So that row is carried back through every pass, last
     first, at O(G * L^2) per pass."""
@@ -189,7 +180,7 @@ def attention_rollout(trace: list, grid: tuple, has_cls: bool,
     for ids, weights in reversed(trace):
         flat = ids.ravel()
         count = np.bincount(flat, minlength=m)
-        w = weights[batch_index]                                     # [G, L, L]
+        [w] = weights                                                # [G, L, L]
         # v @ (mixed / row sums): divide by the row sums, spread, mix
         v = v / (0.5 * np.bincount(flat, weights=w.sum(-1, dtype=np.float64).ravel(),
                                    minlength=m) / count + 0.5)

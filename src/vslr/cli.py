@@ -478,4 +478,6 @@ def dispatch(argv) -> int:
         print(f"error[{e.cls}]: {e}", file=sys.stderr)
     except OSError as e:
         print(f"error[io]: {e}", file=sys.stderr)
+    except MemoryError as e:              # the sizes that allocate come from config
+        print(f"error[config]: out of memory: {str(e) or 'allocation failed'}", file=sys.stderr)
     return 2

@@ -1,6 +1,6 @@
-"""Token embeddings for video: cube projection (a per-frame 2-D patch is a
-cube of tube depth 1), learned positional tables, and the classification
-token."""
+"""Token embeddings for video: ``cube_pixels``, the one owner of the cube
+layout (a per-frame 2-D patch is a cube of tube depth 1), the projection
+of its rows, learned positional tables, and the classification token."""
 
 from __future__ import annotations
 
@@ -81,21 +81,21 @@ class Embedding:
             out[f"{prefix}.cls"] = self.cls
         return out
 
-    def embed(self, x: Tensor) -> TokenBatch:
-        """[B, F, 3, H, W] clip -> tokens: one projection of its cubes (the
-        divided variant's per-frame patches are cubes of tube depth 1),
+    def embed(self, cubes: np.ndarray) -> TokenBatch:
+        """[B, N, cube_dim] ``cube_pixels`` rows -> tokens: their projection,
         the CLS row first (divided only), plus the positional table."""
-        tokens = T.linear(Tensor(cube_pixels(x.data, self.cfg)), self.proj.w, self.proj.b)
+        tokens = T.linear(Tensor(cubes), self.proj.w, self.proj.b)
+        del cubes               # a classifier forward holds no other reference: free it now
         if self.cls is not None:
             cls = T.repeat(self.cls, tokens.data.shape[0], axis=0)     # [B, 1, D]
             tokens = T.concat([cls, tokens], axis=1)
         return TokenBatch(T.add(tokens, self.pos), self.cfg.grid, has_cls=self.cls is not None)
 
 
-def cube_view(x: np.ndarray, cfg: EmbeddingConfig) -> np.ndarray:
-    """The [B, T, Hs, Ws, c, td, ph, pw] view of a [B, F, 3, H, W] clip
-    whose shape matches cfg: cube (t, h, w) of the grid, its pixels in
-    flatten order (c, t, ph, pw)."""
+def cube_pixels(x: np.ndarray, cfg: EmbeddingConfig) -> np.ndarray:
+    """[B, F, 3, H, W] clip whose shape matches cfg -> its cubes as
+    [B, N, cube_dim] rows: tokens run time-major then row-major over the
+    grid, a cube's pixels in flatten order (c, t, ph, pw)."""
     if x.ndim != 5:
         raise ValueError(f"video tensor must be [B, F, 3, H, W], got shape {x.shape}")
     b, f, c, h, w = x.shape
@@ -107,10 +107,5 @@ def cube_view(x: np.ndarray, cfg: EmbeddingConfig) -> np.ndarray:
         raise ValueError(f"spatial size {h}x{w} does not match configured {cfg.image_size}")
     td, p = cfg.tube_depth, cfg.patch
     t, hs, ws = cfg.grid
-    return x.reshape(b, t, td, 3, hs, p, ws, p).transpose(0, 1, 4, 6, 3, 2, 5, 7)
-
-
-def cube_pixels(x: np.ndarray, cfg: EmbeddingConfig) -> np.ndarray:
-    """[B, F, 3, H, W] -> [B, N, cube_dim]; tokens run time-major then
-    row-major over the grid."""
-    return cube_view(x, cfg).reshape(x.shape[0], cfg.n_tokens, cfg.cube_dim)
+    cubes = x.reshape(b, t, td, 3, hs, p, ws, p).transpose(0, 1, 4, 6, 3, 2, 5, 7)
+    return cubes.reshape(b, cfg.n_tokens, cfg.cube_dim)

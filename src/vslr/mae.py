@@ -5,7 +5,7 @@ across the temporal token axis, so a masked position is hidden in every
 time slice.  The encoder sees only visible tokens; a narrow, shallower
 decoder fills mask tokens back in at their original positions and
 reconstructs per-cube normalized pixels.  Loss is MSE over masked cubes
-only.
+only, its targets the masked rows of the cube array the embedding projects.
 
 A batch's masks are one boolean [B, h, w] array.  Masks at one ratio
 hide equal cell counts, so per-row gathers by the token ids built once
@@ -25,7 +25,7 @@ import numpy as np
 from . import tensor as T
 from .attention import BlockWeights, encoder_forward
 from .checkpoint import load_into, save_checkpoint
-from .embedding import Embedding, EmbeddingConfig, TokenBatch, cube_view
+from .embedding import Embedding, EmbeddingConfig, TokenBatch, cube_pixels
 from .errors import VslrError, at_least
 from .nn import LayerNormParams, LinearParams, param_buffer, trunc_normal
 from .tensor import Tensor
@@ -141,19 +141,16 @@ def _flat_rows(ids: np.ndarray, n: int) -> np.ndarray:
     return (ids + n * np.arange(len(ids))[:, None]).ravel()
 
 
-def normalized_cube_targets(x: np.ndarray, cfg: EmbeddingConfig, ids: np.ndarray) -> np.ndarray:
-    """Per-cube normalized targets [B, K, cube_dim] of the cubes ids [B, K]
-    names, and of no other: (pix - mean) / std, variance floored by 1e-6.
-
-    The cubes are gathered straight from the clip's `cube_view`, and
-    normalized in place with numpy's own `var` arithmetic term for term."""
-    cubes = cube_view(x, cfg)
-    b = x.shape[0]
-    ti, hi, wi = np.unravel_index(ids, cfg.grid)
-    c = cubes[np.arange(b)[:, None], ti, hi, wi].reshape(b, ids.shape[1], cfg.cube_dim)
+def normalized_cube_targets(cubes: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Normalized targets [B, K, cube_dim] of the rows ids [B, K] names of
+    the [B, N, cube_dim] ``cube_pixels``, and of no other: (pix - mean) /
+    std, variance floored by 1e-6, with numpy's own ``var`` arithmetic term
+    for term, in place in a new array: the embedding keeps ``cubes``."""
+    b, n, d = cubes.shape
+    c = np.take(cubes.reshape(b * n, d), _flat_rows(ids, n), axis=0).reshape(b, ids.shape[1], d)
     c -= c.mean(axis=-1, keepdims=True)
-    var = (c * c).sum(axis=-1, keepdims=True) / cfg.cube_dim
-    c /= np.sqrt(var + x.dtype.type(1e-6))
+    var = (c * c).sum(axis=-1, keepdims=True) / d
+    c /= np.sqrt(var + cubes.dtype.type(1e-6))
     return c
 
 
@@ -208,8 +205,9 @@ def mae_forward(x: Tensor, masks: np.ndarray, model: MaeModel):
     if len(counts) > 1:
         raise ValueError(f"masks in one batch must hide equal cell counts, got {counts.tolist()}")
     vis_ids, mask_ids = tube_token_ids(masks, grid[0])
-    tokens = model.embed.embed(x).tokens
-    targets = normalized_cube_targets(x.data, model.embed.cfg, mask_ids)
+    cubes = cube_pixels(x.data, model.embed.cfg)
+    tokens = model.embed.embed(cubes).tokens
+    targets = normalized_cube_targets(cubes, mask_ids)
     pred = _decode(model, _encode_visible(model, tokens, vis_ids), vis_ids, mask_ids)
     return pred, reconstruction_loss(pred, targets)
 

@@ -440,7 +440,8 @@ def _attn_parts(blocks: list, whole_groups: bool) -> list:
     return [blocks[:cut], blocks[cut:]]
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, groups: np.ndarray) -> Tensor:
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, groups: np.ndarray,
+              trace: list | None = None) -> Tensor:
     """Multi-head scaled dot-product attention, softmax(q k^T / sqrt(dh)) v,
     within each group of the [G, L] token ids ``groups``.
 
@@ -453,6 +454,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, groups: np.ndarray) -
     from q and k, so no [B*G, h, L, L] array is ever held.  Both walks run
     on up to ``lanes.LANES`` threads, bit for bit the serial walk.  Records
     the QK^T and AV multiply-adds, 2*B*G*h*L^2*dh, under "all" and "attn".
+    A ``trace`` list gets (groups, the weights' head mean [B, G, L, L]),
+    which each forward block writes from its own weights, detached.
     """
     _check_dtype("attention", q, k, v)
     if q.data.ndim != 3 or k.data.shape != q.data.shape or v.data.shape != q.data.shape:
@@ -476,13 +479,18 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, groups: np.ndarray) -
     blocks = _attn_blocks(bg, heads, n, dtype.itemsize)
     ctx = np.empty_like(vh)
     lse = np.empty((bg, heads, n, 1), dtype=dtype)
+    means = None if trace is None else np.empty((bg, n, n), dtype=dtype)
 
     def forward(part):                    # each block writes only its own rows
         for gs, r in part:
             w, lse[gs, :, r] = _attn_weights(qs[gs, :, r], kt[gs])
             np.matmul(w, vh[gs], out=ctx[gs, :, r])
+            if means is not None:
+                w.mean(axis=1, out=means[gs, r])
 
     lanes.run(forward, _attn_parts(blocks, whole_groups=False))
+    if means is not None:
+        trace.append((groups, means.reshape(b, g, n, n)))
     if shared.size:
         ctx = ctx.reshape(-1, dh)
         shared_ctx = ctx[shared]          # each group's own output, for backward

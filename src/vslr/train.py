@@ -15,7 +15,7 @@ import numpy as np
 from . import tensor as T
 from .attention import BlockWeights, encoder_forward
 from .checkpoint import save_checkpoint
-from .embedding import Embedding, EmbeddingConfig
+from .embedding import Embedding, EmbeddingConfig, cube_pixels
 from .errors import VslrError, at_least, first_non_finite
 from .nn import LayerNormParams, LinearParams, param_buffer
 from .tensor import Tensor
@@ -204,7 +204,8 @@ class ClassifierModel:
     def forward(self, x: Tensor, trace: list | None = None) -> Tensor:
         """Logits [batch, classes]; a ``trace`` list gets each attention
         pass's weights (see ``encoder_forward``)."""
-        out = encoder_forward(self.embed.embed(x), self.blocks, self.cfg.heads, self.norm, trace)
+        tokens = self.embed.embed(cube_pixels(x.data, self.embed.cfg))
+        out = encoder_forward(tokens, self.blocks, self.cfg.heads, self.norm, trace)
         if self.cfg.variant == "divided":
             feat = T.reshape(T.take(out.tokens, np.zeros(1, np.intp), axis=1),
                              (x.data.shape[0], self.cfg.dim))

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from vslr import lanes
 from vslr import tensor as T
 from vslr.attention import (BlockWeights, PassWeights, attention_rollout, divided_block,
                             encoder_forward, joint_block, multi_head_attention,
@@ -14,7 +15,7 @@ from vslr.attention import (BlockWeights, PassWeights, attention_rollout, divide
 from vslr.embedding import TokenBatch
 from vslr.nn import LayerNormParams
 from vslr.tensor import Tensor
-from vslr.train import ClassifierModel, ModelConfig
+from vslr.train import ClassifierModel, ModelConfig, no_grad
 
 
 def mha_oracle(x, w, heads):
@@ -82,6 +83,61 @@ def test_multi_head_attention_blocked_output_and_trace(monkeypatch):
     want /= want.sum(axis=-1, keepdims=True)
     assert tr.shape == (g, 1, n, n)
     assert np.allclose(tr[:, 0], want.mean(axis=1), rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("grid,cls,kind", [((3, 2, 3), True, "temporal"),
+                                           ((3, 2, 3), True, "spatial"),
+                                           ((2, 3, 2), False, "joint")])
+def test_trace_is_the_forward_weights_head_mean(monkeypatch, grid, cls, kind, dtype):
+    """The trace is the head mean of the weights each forward block
+    computed, bit for bit, on one lane or two.  Blocks of whole groups
+    give the whole-array recompute's weights.  A block of fewer query
+    rows may round its QK^T product apart from the whole one, so each
+    row block is held to its own recompute."""
+    rng = np.random.default_rng(21)
+    b, d, heads, itemsize = 2, 8, 2, np.dtype(dtype).itemsize
+    groups = pass_groups(grid, cls, kind)
+    g, n = groups.shape
+    q, k, v = (rng.standard_normal((b, int(np.prod(grid)) + cls, d)).astype(dtype)
+               for _ in range(3))
+    qs, kt, _ = T._attn_split(q, k, heads, groups)
+    whole = T._attn_weights(qs, kt)[0].mean(axis=1)
+    for budget in (heads * n * n * itemsize, 2 * heads * n * itemsize):   # a group, 2 rows
+        monkeypatch.setattr(T, "_ATTN_BLOCK_BYTES", budget)
+        blocks = T._attn_blocks(b * g, heads, n, itemsize)
+        assert len(blocks) >= 2
+        want = np.empty_like(whole)
+        for gs, r in blocks:
+            want[gs, r] = T._attn_weights(qs[gs, :, r], kt[gs])[0].mean(axis=1)
+        if blocks[0][1] == slice(0, n):
+            assert np.array_equal(want, whole)
+        for n_lanes in (1, 2):
+            monkeypatch.setattr(lanes, "LANES", n_lanes)
+            trace = []
+            T.attention(Tensor(q), Tensor(k), Tensor(v), heads, groups, trace)
+            [(ids, got)] = trace
+            assert ids is groups and got.dtype == dtype
+            assert np.array_equal(got, want.reshape(b, g, n, n))
+
+
+def test_traced_paper_joint_forward_memory():
+    """A traced paper joint forward of one clip under no_grad holds the
+    trace, two [1, 1, 1568, 1568] float32 head means (18.8 MiB), and
+    never a whole [1, 4, 1568, 1568] weights array."""
+    cfg = ModelConfig("joint", dim=64, depth=2, heads=4, image_size=224, patch=16, frames=16)
+    model = ClassifierModel(cfg, 10, np.random.default_rng(22))
+    x = Tensor(np.random.default_rng(23).random((1, 16, 3, 224, 224), dtype=np.float32))
+    trace = []
+    tracemalloc.start()
+    try:
+        with no_grad(model.params()):
+            model.forward(x, trace)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [w.shape for _, w in trace] == [(1, 1, 1568, 1568)] * 2
+    assert peak < 32 * 2 ** 20, peak / 2 ** 20
 
 
 def test_attention_rows_sum_to_one():
@@ -375,6 +431,11 @@ def test_flat_attention_rolls_out_to_all_ones(variant, cls):
     assert np.allclose(heat, 1.0, atol=1e-12)
 
 
+def _item(trace, bi):
+    """The trace of batch item bi alone, as a batch of one."""
+    return [(ids, weights[bi:bi + 1]) for ids, weights in trace]
+
+
 @pytest.mark.parametrize("variant,cls", [("divided", True), ("joint", False)])
 def test_rollout_on_random_weights(variant, cls):
     rng = np.random.default_rng(11)
@@ -386,7 +447,7 @@ def test_rollout_on_random_weights(variant, cls):
     trace = []
     encoder_forward(tb, blocks, 2, ln, trace)
     for bi in range(2):
-        heat = attention_rollout(trace, (f, hs, ws), cls, batch_index=bi)
+        heat = attention_rollout(_item(trace, bi), (f, hs, ws), cls)
         assert heat.shape == (f, hs, ws)
         assert np.all(heat > 0)
         assert np.all(heat <= 1.0 + 1e-12)
@@ -430,7 +491,7 @@ def test_rollout_matches_dense_oracle(variant, cls, grid, dtype):
     trace = []
     encoder_forward(tb, blocks, 2, ln, trace)
     for bi in range(2):
-        heat = attention_rollout(trace, grid, cls, batch_index=bi)
+        heat = attention_rollout(_item(trace, bi), grid, cls)
         assert heat.shape == grid
         assert np.abs(heat - rollout_oracle(trace, grid, cls, bi)).max() < 1e-12
         assert heat.min() < 0.9               # far from the flat all-ones map

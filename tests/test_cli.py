@@ -15,6 +15,7 @@ import struct
 import numpy as np
 import pytest
 
+from vslr import train as TR
 from vslr.__main__ import _THREAD_VARS, main
 from vslr.checkpoint import load_checkpoint, save_checkpoint
 from vslr.cli import build_parser, dispatch
@@ -566,6 +567,25 @@ def test_bad_input_prints_one_error_line(env, tmp_path, capsys, case):
     assert lines[0].startswith(f"error[{cls}]: ") and text in lines[0], lines[0]
     assert not list(tmp_path.glob("ft/*.ckpt")) and not list(tmp_path.glob("pre/*.ckpt"))
     assert not (tmp_path / "heat").exists()
+
+
+@pytest.mark.parametrize("error,text", [
+    (MemoryError("Unable to allocate 143. GiB for an array with shape (192, 100000000) "
+                 "and data type float64"), "out of memory: Unable to allocate 143. GiB"),
+    (MemoryError(), "out of memory: allocation failed")])
+def test_out_of_memory_prints_one_config_line(env, tmp_path, monkeypatch, capsys, error, text):
+    # the sizes that allocate come from config, as `--dim 100000000` does for
+    # the model build; the build is made to fail here, so nothing large is allocated
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(TR.ClassifierModel, "__init__", fail)
+    data, _ = env
+    capsys.readouterr()
+    assert dispatch(["finetune", "--data", str(data), "--out", str(tmp_path / "ft"),
+                     "--epochs", "1", *MODEL_FLAGS]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"error[config]: {text}"), line
 
 
 def test_error_classes_are_the_documented_set():

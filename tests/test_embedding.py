@@ -7,7 +7,6 @@ import pytest
 
 from vslr.embedding import Embedding, EmbeddingConfig, cube_pixels
 from vslr.mae import normalized_cube_targets
-from vslr.tensor import Tensor
 from vslr.train import ClassifierModel, ModelConfig
 
 
@@ -80,7 +79,7 @@ def test_patch_embedding_matches_loop_oracle():
     cfg = EmbeddingConfig("divided", 6, 16, 8, 3)
     emb = Embedding(cfg, rng, dtype=np.float64)
     x = rng.standard_normal((2, 3, 3, 16, 16))
-    tb = emb.embed(Tensor(x, dtype=np.float64))
+    tb = emb.embed(cube_pixels(x, cfg))
     patches = patch_tokens_oracle(x, 8) @ emb.proj.w.data + emb.proj.b.data
     cls = np.repeat(emb.cls.data, 2, axis=0)
     expect = np.concatenate([cls, patches], axis=1) + emb.pos.data
@@ -94,7 +93,7 @@ def test_cube_embedding_matches_loop_oracle():
     cfg = EmbeddingConfig("joint", 5, 16, 4, 4, tube_depth=2)
     emb = Embedding(cfg, rng, dtype=np.float64)
     x = rng.standard_normal((2, 4, 3, 16, 16))
-    tb = emb.embed(Tensor(x, dtype=np.float64))
+    tb = emb.embed(cube_pixels(x, cfg))
     expect = cube_tokens_oracle(x, 4, 2) @ emb.proj.w.data + emb.proj.b.data + emb.pos.data
     assert tb.tokens.shape == (2, 2 * 16, 5)
     assert not tb.has_cls
@@ -117,8 +116,8 @@ def test_cube_depth_one_equals_patch_embedding():
     for cfg in (pe.cfg, ce.cfg):
         assert np.array_equal(cube_pixels(x, cfg), patch_tokens_oracle(x, 8))
     assert np.array_equal(cube_tokens_oracle(x, 8, 1), patch_tokens_oracle(x, 8))
-    a = pe.embed(Tensor(x, dtype=np.float64))
-    b = ce.embed(Tensor(x, dtype=np.float64))
+    a = pe.embed(cube_pixels(x, pe.cfg))
+    b = ce.embed(cube_pixels(x, ce.cfg))
     assert np.array_equal(a.tokens.data[:, 1:], b.tokens.data)
     assert a.grid == b.grid
 
@@ -139,7 +138,7 @@ def test_positional_and_cls():
     emb = Embedding(cfg, rng, dtype=np.float64)
     assert emb.pos.shape == (1 + 2 * 4, 6)
     x = rng.standard_normal((3, 2, 3, 16, 16))
-    full = emb.embed(Tensor(x, dtype=np.float64))
+    full = emb.embed(cube_pixels(x, cfg))
     assert full.tokens.shape == (3, 9, 6)
     assert full.has_cls
     # the CLS row, then each patch's projection, each plus its positional row
@@ -153,8 +152,8 @@ def test_joint_variant_has_no_cls():
     emb = Embedding(EmbeddingConfig("joint", 6, 16, 8, 2, tube_depth=2),
                     np.random.default_rng(0))
     assert emb.cls is None
-    x = Tensor(np.zeros((1, 2, 3, 16, 16), dtype=np.float32))
-    tb = emb.embed(x)
+    x = np.zeros((1, 2, 3, 16, 16), dtype=np.float32)
+    tb = emb.embed(cube_pixels(x, emb.cfg))
     assert not tb.has_cls
     assert tb.tokens.shape == (1, 4, 6)
 
@@ -167,15 +166,14 @@ def test_divisibility_errors_name_dimension():
     with pytest.raises(ValueError, match="tube depth 1"):
         EmbeddingConfig("divided", 8, 32, 8, 4, tube_depth=2)
     cfg = EmbeddingConfig("divided", 8, 32, 8, 4)
-    emb = Embedding(cfg, np.random.default_rng(0))
     with pytest.raises(ValueError, match="frame count 3"):
-        emb.embed(Tensor(np.zeros((1, 3, 3, 32, 32), dtype=np.float32)))
+        cube_pixels(np.zeros((1, 3, 3, 32, 32), dtype=np.float32), cfg)
     with pytest.raises(ValueError, match="spatial size"):
-        emb.embed(Tensor(np.zeros((1, 4, 3, 16, 32), dtype=np.float32)))
+        cube_pixels(np.zeros((1, 4, 3, 16, 32), dtype=np.float32), cfg)
     with pytest.raises(ValueError, match="channel count 1"):
-        emb.embed(Tensor(np.zeros((1, 4, 1, 32, 32), dtype=np.float32)))
+        cube_pixels(np.zeros((1, 4, 1, 32, 32), dtype=np.float32), cfg)
     with pytest.raises(ValueError, match=r"\[B, F, 3, H, W\]"):
-        emb.embed(Tensor(np.zeros((4, 3, 32, 32), dtype=np.float32)))
+        cube_pixels(np.zeros((4, 3, 32, 32), dtype=np.float32), cfg)
 
 
 def test_embedding_gradients_flow_to_weights():
@@ -186,8 +184,8 @@ def test_embedding_gradients_flow_to_weights():
     emb = Embedding(cfg, rng, dtype=np.float64)
     for p in emb.named().values():
         p.data = p.data.astype(np.float64)
-    x = Tensor(rng.standard_normal((2, 2, 3, 8, 8)), dtype=np.float64)
-    out = emb.embed(x)
+    x = rng.standard_normal((2, 2, 3, 8, 8))
+    out = emb.embed(cube_pixels(x, cfg))
     T.backward(T.sum_(T.mul(out.tokens, out.tokens)))
     assert emb.proj.w.grad is not None
     assert emb.pos.grad is not None
@@ -204,10 +202,10 @@ def test_embedding_digests_at_paper_geometry(sha256):
     for variant in ("divided", "joint"):
         cfg = ModelConfig(variant, dim=64, depth=2, heads=4, image_size=224, patch=16, frames=16)
         model = ClassifierModel(cfg, 10, np.random.default_rng(17))
-        digests[variant] = sha256([model.embed.embed(Tensor(x)).tokens.data])
+        digests[variant] = sha256([model.embed.embed(cube_pixels(x, model.embed.cfg)).tokens.data])
     ecfg = EmbeddingConfig("joint", 64, 224, 16, 16, tube_depth=2)
     ids = np.sort(rng.choice(ecfg.n_tokens, 1411, replace=False))[None]
-    digests["targets"] = sha256([normalized_cube_targets(x[:1], ecfg, ids)])
+    digests["targets"] = sha256([normalized_cube_targets(cube_pixels(x[:1], ecfg), ids)])
     assert digests == {
         "divided": "e3972a95180e03ef713b80552fa53b8ba9b4d33c656846499ed8883e96eb7b8d",
         "joint": "96b9d3d00183f9ed0fd58389c03d5ba2a350f194b232fc778d0a8b43843abc01",

@@ -13,10 +13,8 @@ import vslr
 SRC = pathlib.Path(vslr.__file__).parent
 MODULES = sorted(SRC.glob("*.py"))
 HARNESS = {"perfbench", "jobs", "tracing", "worker"}
-# (reader, owner, name): attention's trace recomputes the fused op's weights,
-# and cross_entropy builds its own graph node
-PRIVATE_READS = {("attention", "tensor", "_attn_split"), ("attention", "tensor", "_attn_weights"),
-                 ("train", "tensor", "_make_node")}
+# (reader, owner, name): cross_entropy builds its own graph node
+PRIVATE_READS = {("train", "tensor", "_make_node")}
 
 
 def _imports(tree) -> list:

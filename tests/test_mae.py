@@ -103,21 +103,54 @@ def test_normalized_targets_match_oracle():
     x = rng.random((2, 4, 3, 8, 8))
     want = targets_oracle(x, cfg)
     every = np.tile(np.arange(cfg.n_tokens), (2, 1))
-    assert np.allclose(normalized_cube_targets(x, cfg, every), want, atol=1e-10)
+    assert np.allclose(normalized_cube_targets(cube_pixels(x, cfg), every), want, atol=1e-10)
     _, ids = tube_token_ids(_masks(cfg.grid, 0.5, rng, 2), cfg.grid[0])
-    got = normalized_cube_targets(x, cfg, ids)
+    got = normalized_cube_targets(cube_pixels(x, cfg), ids)
     assert np.allclose(got, np.take_along_axis(want, ids[:, :, None], axis=1), atol=1e-10)
 
 
 def test_normalized_targets_reject_a_wrong_shaped_clip():
+    # the targets are rows of the clip's cube_pixels, which checks its shape
     cfg = EmbeddingConfig("joint", 8, 8, 4, 4, tube_depth=2)
-    ids = np.zeros((1, 2), dtype=np.intp)
     with pytest.raises(ValueError, match="must be \\[B, F, 3, H, W\\]"):
-        normalized_cube_targets(np.zeros((4, 3, 8, 8)), cfg, ids)
+        cube_pixels(np.zeros((4, 3, 8, 8)), cfg)
     with pytest.raises(ValueError, match="frame count 2"):
-        normalized_cube_targets(np.zeros((1, 2, 3, 8, 8)), cfg, ids)
+        cube_pixels(np.zeros((1, 2, 3, 8, 8)), cfg)
     with pytest.raises(ValueError, match="spatial size 8x12"):
-        normalized_cube_targets(np.zeros((1, 4, 3, 8, 12)), cfg, ids)
+        cube_pixels(np.zeros((1, 4, 3, 8, 12)), cfg)
+
+
+def cube_view_targets(x, cfg, ids):
+    """The targets gathered by an 8-D fancy index on the clip's
+    [B, T, Hs, Ws, c, td, ph, pw] cube view, then normalized in place as
+    normalized_cube_targets does."""
+    b, td, p = x.shape[0], cfg.tube_depth, cfg.patch
+    t, hs, ws = cfg.grid
+    cubes = x.reshape(b, t, td, 3, hs, p, ws, p).transpose(0, 1, 4, 6, 3, 2, 5, 7)
+    ti, hi, wi = np.unravel_index(ids, cfg.grid)
+    c = cubes[np.arange(b)[:, None], ti, hi, wi].reshape(b, ids.shape[1], cfg.cube_dim)
+    c -= c.mean(axis=-1, keepdims=True)
+    var = (c * c).sum(axis=-1, keepdims=True) / cfg.cube_dim
+    c /= np.sqrt(var + x.dtype.type(1e-6))
+    return c
+
+
+def test_targets_equal_the_cube_view_gather_at_paper_geometry():
+    """At the paper MAE shape (2 clips, 1408 of 1568 cubes masked, 1536
+    values per cube, float32) the rows taken from cube_pixels give the
+    fancy-index gather's targets bit for bit, as a new array: the cubes
+    the embedding keeps for its weight gradient are left as they were."""
+    rng = np.random.default_rng(29)
+    cfg = EmbeddingConfig("joint", 64, 224, 16, 16, tube_depth=2)
+    x = rng.random((2, 16, 3, 224, 224), dtype=np.float32)
+    _, ids = tube_token_ids(_masks(cfg.grid, 0.9, rng, 2), cfg.grid[0])
+    assert ids.shape == (2, 1408) and cfg.cube_dim == 1536
+    cubes = cube_pixels(x, cfg)
+    kept = cubes.copy()
+    got = normalized_cube_targets(cubes, ids)
+    assert got.dtype == np.float32
+    assert np.array_equal(got, cube_view_targets(x, cfg, ids))
+    assert np.array_equal(cubes, kept) and not np.shares_memory(got, cubes)
 
 
 def test_reconstruction_loss_matches_loop_oracle():
@@ -134,11 +167,11 @@ def test_reconstruction_loss_matches_loop_oracle():
             diff = pred[b, j] - every[b, tok]
             total += float((diff * diff).sum())
             count += diff.size
-    loss = reconstruction_loss(Tensor(pred, dtype=np.float64),
-                               normalized_cube_targets(x, cfg, ids))
+    targets = normalized_cube_targets(cube_pixels(x, cfg), ids)
+    loss = reconstruction_loss(Tensor(pred, dtype=np.float64), targets)
     assert np.isclose(float(loss.data), total / count, atol=1e-12)
     with pytest.raises(ValueError, match="does not match prediction"):
-        reconstruction_loss(Tensor(pred[:, 1:]), normalized_cube_targets(x, cfg, ids))
+        reconstruction_loss(Tensor(pred[:, 1:]), targets)
 
 
 def test_visible_tokens_contribute_zero_loss():
@@ -148,14 +181,14 @@ def test_visible_tokens_contribute_zero_loss():
     x = rng.random((1, 4, 3, 8, 8))
     mask = _masks(cfg.grid, 0.5, rng, 1)
     _, ids = tube_token_ids(mask, cfg.grid[0])
-    targets = normalized_cube_targets(x, cfg, ids)
+    targets = normalized_cube_targets(cube_pixels(x, cfg), ids)
     pred = Tensor(rng.standard_normal((1, ids.shape[1], cfg.cube_dim)))
     base = reconstruction_loss(pred, targets)
     x2 = x.copy()
     p = cfg.patch
     for my, mx in np.argwhere(~mask[0]):
         x2[:, :, :, my * p:(my + 1) * p, mx * p:(mx + 1) * p] += rng.random((1, 4, 3, p, p))
-    bumped_targets = normalized_cube_targets(x2, cfg, ids)
+    bumped_targets = normalized_cube_targets(cube_pixels(x2, cfg), ids)
     assert np.array_equal(targets, bumped_targets)
     assert float(base.data) == float(reconstruction_loss(pred, bumped_targets).data)
 
@@ -311,8 +344,8 @@ def test_encoder_cost_shrinks_quadratically_at_high_ratio():
     grid = cfg.embedding_config().grid
     mask = _masks(grid, 0.9, rng, 1)
     assert (~mask).sum() == 20
-    x = Tensor(rng.random((1, 2, 3, 14, 14)).astype(np.float32))
-    tokens = model.embed.embed(x).tokens
+    x = rng.random((1, 2, 3, 14, 14)).astype(np.float32)
+    tokens = model.embed.embed(cube_pixels(x, model.embed.cfg)).tokens
 
     from vslr.mae import _encode_visible
     from vslr.attention import encoder_forward
