@@ -247,15 +247,16 @@ def pretrain(model: MaeModel, manifest: Manifest, video_dir,
         order = derive_rng(cfg.seed, "batch", step)
         picks = order.choice(len(insts), size=cfg.batch,
                              replace=len(insts) < cfg.batch)
-        xs, masks = [], []
-        for j in picks:
+        xs = np.empty((cfg.batch, pipe.frames, 3, pipe.crop, pipe.crop), dtype=dtype)
+        masks = np.empty((cfg.batch, *grid[1:]), dtype=np.bool_)
+        for i, j in enumerate(picks):
             inst = insts[int(j)]
             rng = derive_rng(cfg.seed, inst.video_id, step)
             video = load_instance_video(video_dir, inst)
             clip = prepare_clip(video, pipe, train=True, rng=rng, label=inst.label)
-            xs.append(to_model_tensor(clip, dtype))
-            masks.append(make_tube_mask(grid, cfg.ratio, rng))
-        loss = train_step(lambda: mae_forward(Tensor(np.stack(xs)), np.stack(masks), model)[1],
+            to_model_tensor(clip, dtype, out=xs[i])
+            masks[i] = make_tube_mask(grid, cfg.ratio, rng)
+        loss = train_step(lambda: mae_forward(Tensor(xs), masks, model)[1],
                           opt, step, "pretraining")
         curve.append((step, loss))
         if out_dir is not None and cfg.checkpoint_interval and \

@@ -30,6 +30,16 @@ dominates (the divided temporal pass has F+1 tokens per row), and above
 it the loop's one call per column does.  A max is exact in any order, so
 both paths give the same bits.
 
+What a kernel keeps.  A node's vjp keeps only what backward cannot make
+again from arrays the graph holds anyway (its parents' ``data``, its own
+output) by the forward's own operations in their order, so a rebuilt
+value has the forward's bits.  ``gelu`` keeps its output alone and makes
+each chunk's tanh again; ``layer_norm`` keeps each row's mean and 1/std
+and makes x^ again; ``attention`` keeps its output, each row's
+log-sum-exp and the shared rows' own outputs, and gathers the per-head
+q, k and v again.  A rebuild reads only those inputs, never scratch of
+an earlier backward, so backward may run twice on one graph.
+
 Lanes.  ``linear``, ``layer_norm`` and ``gelu`` each make one
 ``lanes.run`` call per forward and one per backward, over the parts
 ``lanes.halves`` gives: two halves, one per lane (see ``lanes``), above
@@ -380,12 +390,14 @@ def _attn_gather(x: np.ndarray, rows: np.ndarray, heads: int, length: int) -> np
 
 def _attn_split(q: np.ndarray, k: np.ndarray, heads: int, groups: np.ndarray) -> tuple:
     """Per-head queries of each group scaled by 1/sqrt(dh), [B*G, h, L, dh],
-    per-head transposed keys, [B*G, h, dh, L], and the _attn_layout plan."""
+    per-head keys in the same layout, their transposed copy [B*G, h, dh, L],
+    and the _attn_layout plan."""
     (b, m, d), n = q.shape, groups.shape[1]
     plan = _attn_layout(groups.astype(np.intp, copy=False).tobytes(), n, b, m, heads, d // heads)
     qs = _attn_gather(q, plan[0], heads, n)
     qs *= q.dtype.type(1.0 / math.sqrt(d // heads))
-    return qs, np.ascontiguousarray(_attn_gather(k, plan[0], heads, n).swapaxes(-1, -2)), plan
+    kh = _attn_gather(k, plan[0], heads, n)
+    return qs, kh, np.ascontiguousarray(kh.swapaxes(-1, -2)), plan
 
 
 def _row_max(w: np.ndarray) -> np.ndarray:
@@ -449,11 +461,13 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, groups: np.ndarray,
     The groups, which must cover all M tokens, are gathered straight into
     the per-head copies; a token in several groups (the divided CLS) gets
     the mean of its group outputs.  The forward runs over blocks of groups
-    and query rows whose weights fit in ``_ATTN_BLOCK_BYTES`` and keeps
-    only each row's log-sum-exp; backward recomputes every block's weights
-    from q and k, so no [B*G, h, L, L] array is ever held.  Both walks run
-    on up to ``lanes.LANES`` threads, bit for bit the serial walk.  Records
-    the QK^T and AV multiply-adds, 2*B*G*h*L^2*dh, under "all" and "attn".
+    and query rows whose weights fit in ``_ATTN_BLOCK_BYTES``.  The node
+    keeps the output, each row's log-sum-exp and the shared rows' own
+    outputs; backward gathers the per-head copies again from q, k and v and
+    recomputes every block's weights from them, so neither the copies nor
+    a [B*G, h, L, L] array is held.  Both walks run on up to
+    ``lanes.LANES`` threads, bit for bit the serial walk.  Records the
+    QK^T and AV multiply-adds, 2*B*G*h*L^2*dh, under "all" and "attn".
     A ``trace`` list gets (groups, the weights' head mean [B, G, L, L]),
     which each forward block writes from its own weights, detached.
     """
@@ -464,7 +478,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, groups: np.ndarray,
     b, m, d = q.data.shape
     if d % heads != 0:
         raise ValueError(f"attention: model dim {d} not divisible by {heads} heads")
-    qs, kt, (rows, rep, dup_src, dup_dst, shared, inv) = _attn_split(q.data, k.data, heads, groups)
+    qs, _, kt, (rows, rep, dup_src, dup_dst, shared, inv) = _attn_split(q.data, k.data, heads, groups)
     g, n = groups.shape
     bg, dh = b * g, d // heads
     dtype = q.data.dtype
@@ -506,12 +520,14 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, groups: np.ndarray,
             oe.reshape(-1, dh)[shared] = shared_ctx
         # sum_j w_ij * dw_ij, which equals dout_i . out_i per head
         delta = np.einsum("ghnd,ghnd->ghn", go, oe)[..., None]
-        # contiguous: a transposed view makes these stacked matmuls 2-4x slower
-        kh = np.ascontiguousarray(kt.swapaxes(-1, -2))
-        vt = np.ascontiguousarray(vh.swapaxes(-1, -2))
+        del oe
+        # the forward's gathers again; contiguous, as a transposed view
+        # makes the stacked matmuls below 2-4x slower
+        qs, kh, kt, _ = _attn_split(q.data, k.data, heads, groups)
+        vt = np.ascontiguousarray(_attn_gather(v.data, rows, heads, n).swapaxes(-1, -2))
         dqs = np.empty_like(qs)
         dk = np.zeros_like(qs)
-        dv = np.zeros_like(vh)
+        dv = np.zeros_like(qs)
 
         def backward(part):               # dk[gs], dv[gs] sum a group's blocks in order
             for gs, r in part:
@@ -533,14 +549,14 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, groups: np.ndarray,
 
 
 def _norm_rows(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float,
-               data: np.ndarray, xhat: np.ndarray, inv: np.ndarray) -> None:
-    """layer_norm's forward over the rows of x, written into data, xhat
+               data: np.ndarray, mean: np.ndarray, inv: np.ndarray) -> None:
+    """layer_norm's forward over the rows of x, written into data, mean
     and inv (1/std)."""
     # np.mean's and np.var's own steps, with the mean and x - mean made once
     count = np.intp(x.shape[-1])
-    mean = np.add.reduce(x, axis=-1, keepdims=True)
+    np.add.reduce(x, axis=-1, keepdims=True, out=mean)
     np.true_divide(mean, count, out=mean)
-    np.subtract(x, mean, out=xhat)
+    xhat = np.subtract(x, mean)                      # scratch of this pass, not kept
     np.square(xhat, out=data)
     np.add.reduce(data, axis=-1, keepdims=True, out=inv)
     np.true_divide(inv, count, out=inv)              # the variance
@@ -569,19 +585,23 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
 
     The forward and the per-row backward run by the ``lanes.halves`` parts
     of the leading axis, which stays one part where x is 1-D or not
-    C-contiguous; the sums over rows stay whole-array calls."""
+    C-contiguous; the sums over rows stay whole-array calls.  The node
+    keeps each row's mean and 1/std; backward makes x^ again from x with
+    the forward's two ops, ``x - mean`` and ``*= inv``."""
     _check_dtype("layer_norm", x, gamma, beta)
     d = x.data.shape[-1]
     if gamma.data.shape != (d,) or beta.data.shape != (d,):
         raise ValueError(f"layer_norm: gain/bias must have shape ({d},)")
     n = x.data.shape[0] if x.data.ndim > 1 and x.data.flags.c_contiguous else 1
     rows = lanes.halves(n, x.data.size)
-    data, xhat = np.empty_like(x.data), np.empty_like(x.data)
-    inv = np.empty(x.data.shape[:-1] + (1,), dtype=x.data.dtype)
+    data = np.empty_like(x.data)
+    mean, inv = (np.empty(x.data.shape[:-1] + (1,), dtype=x.data.dtype) for _ in range(2))
     lanes.run(lambda r: _norm_rows(x.data[r], gamma.data, beta.data, eps,
-                                   data[r], xhat[r], inv[r]), rows)
+                                   data[r], mean[r], inv[r]), rows)
 
     def vjp(g):
+        xhat = np.subtract(x.data, mean)
+        xhat *= inv
         lead = tuple(range(g.ndim - 1))
         gbeta = g.sum(axis=lead)
         gx = g * xhat
@@ -601,32 +621,38 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_CHUNK = 1 << 16
 
 
+def _gelu_tanh(xr: np.ndarray, c, k, u: np.ndarray, t: np.ndarray) -> None:
+    """t = tanh(c*(x + k*(x*x*x))) of a GELU chunk, by way of u."""
+    # products, not **: numpy's float32 power is ~70x slower than x*x*x
+    np.multiply(xr, xr, out=u)
+    u *= xr
+    u *= k
+    u += xr
+    u *= c
+    np.tanh(u, out=t)
+
+
 def gelu(x: Tensor) -> Tensor:
     """tanh-approximation GELU, (0.5*x)*(1 + tanh(c*(x + k*(x*x*x)))).
 
     The chunks run by the ``lanes.halves`` parts of the chunk starts, each
-    lane with its own scratch."""
+    lane with its own scratch.  The node keeps only its output: each
+    chunk's tanh lives in scratch, and backward makes it again from x."""
     dt = x.data.dtype.type
     c, k = dt(_GELU_C), dt(0.044715)
     flat = np.ascontiguousarray(x.data).reshape(-1)
     starts = range(0, flat.size, _GELU_CHUNK)
     parts = lanes.halves(len(starts), flat.size)
-    data, t = np.empty_like(flat), np.empty_like(flat)
+    data = np.empty_like(flat)
     n = min(_GELU_CHUNK, flat.size)
 
     def forward(part):
-        scratch = np.empty(n, flat.dtype)            # allocated per pass, not kept
+        s1, s2 = (np.empty(n, flat.dtype) for _ in range(2))     # per pass, not kept
         for i in starts[part]:
             r = slice(i, i + _GELU_CHUNK)
-            xr, tr, out = flat[r], t[r], data[r]
-            half_x = scratch[:xr.size]
-            # products, not **: numpy's float32 power is ~70x slower than x*x*x
-            np.multiply(xr, xr, out=out)
-            out *= xr
-            out *= k
-            out += xr
-            out *= c
-            np.tanh(out, out=tr)
+            xr, out = flat[r], data[r]
+            tr, half_x = s1[:xr.size], s2[:xr.size]
+            _gelu_tanh(xr, c, k, out, tr)
             np.add(tr, 1.0, out=out)
             np.multiply(xr, 0.5, out=half_x)
             out *= half_x
@@ -634,16 +660,18 @@ def gelu(x: Tensor) -> Tensor:
     lanes.run(forward, parts)
 
     def vjp(g):
+        xf = np.ascontiguousarray(x.data).reshape(-1)    # a view, unless x is strided
         g1 = np.ascontiguousarray(g).reshape(-1)
-        gx = np.empty_like(flat)
+        gx = np.empty_like(xf)
         k3 = 3.0 * k                                 # (3.0*k) first, as the formula groups it
 
         def backward(part):
-            s1, s2 = np.empty(n, flat.dtype), np.empty(n, flat.dtype)
+            s1, s2, s3 = (np.empty(n, xf.dtype) for _ in range(3))
             for i in starts[part]:
                 r = slice(i, i + _GELU_CHUNK)
-                xr, tr, out = flat[r], t[r], gx[r]
-                du, one_minus_tt = s1[:xr.size], s2[:xr.size]
+                xr, out = xf[r], gx[r]
+                du, one_minus_tt, tr = s1[:xr.size], s2[:xr.size], s3[:xr.size]
+                _gelu_tanh(xr, c, k, out, tr)        # the forward's t, rebuilt
                 np.multiply(xr, k3, out=du)
                 du *= xr
                 du += 1.0

@@ -150,7 +150,7 @@ def load_batch(video_dir, insts: list, rngs: list, pipe: PipelineConfig,
     for i, (inst, rng) in enumerate(zip(insts, rngs)):
         video = load_instance_video(video_dir, inst)
         clip = prepare_clip(video, pipe, train=train, rng=rng, label=inst.label)
-        out[i] = to_model_tensor(clip, dtype)
+        to_model_tensor(clip, dtype, out=out[i])
     return out
 
 

@@ -232,15 +232,19 @@ def crop_offsets(h: int, w: int, size: int, rng: np.random.Generator | None = No
     return dy, dx, flip
 
 
-def to_model_tensor(clip: VideoClip, dtype=np.float32) -> np.ndarray:
+def to_model_tensor(clip: VideoClip, dtype=np.float32,
+                    out: np.ndarray | None = None) -> np.ndarray:
     """Cast a clip to [frames, 3, h, w] scaled to [0, 1], by the
     ``lanes.halves`` parts of its frames: halves above
-    ``lanes.SPLIT_ELEMENTS`` elements, else one part on the caller."""
+    ``lanes.SPLIT_ELEMENTS`` elements, else one part on the caller.
+    Written into ``out`` where given, as a batch's slot, else a new array."""
     dt = np.dtype(dtype)
     f, h, w, _ = clip.frames.shape
+    if out is None:
+        out = np.empty((f, 3, h, w), dtype=dt)
     # one cast straight into C order: casting the channel-reversed view
     # that prepare_clip leaves, then transposing, is ~3x slower
-    src, out = np.transpose(clip.frames, (0, 3, 1, 2)), np.empty((f, 3, h, w), dtype=dt)
+    src = np.transpose(clip.frames, (0, 3, 1, 2))
     lanes.run(lambda r: np.divide(src[r], 255, out=out[r], dtype=dt), lanes.halves(f, out.size))
     return out
 

@@ -101,7 +101,7 @@ def test_trace_is_the_forward_weights_head_mean(monkeypatch, grid, cls, kind, dt
     g, n = groups.shape
     q, k, v = (rng.standard_normal((b, int(np.prod(grid)) + cls, d)).astype(dtype)
                for _ in range(3))
-    qs, kt, _ = T._attn_split(q, k, heads, groups)
+    qs, _, kt, _ = T._attn_split(q, k, heads, groups)
     whole = T._attn_weights(qs, kt)[0].mean(axis=1)
     for budget in (heads * n * n * itemsize, 2 * heads * n * itemsize):   # a group, 2 rows
         monkeypatch.setattr(T, "_ATTN_BLOCK_BYTES", budget)
@@ -138,6 +138,24 @@ def test_traced_paper_joint_forward_memory():
         tracemalloc.stop()
     assert [w.shape for _, w in trace] == [(1, 1, 1568, 1568)] * 2
     assert peak < 32 * 2 ** 20, peak / 2 ** 20
+
+
+@pytest.mark.parametrize("variant, bound_mib", [("divided", 60), ("joint", 28)])
+def test_paper_forward_graph_memory(variant, bound_mib):
+    """A paper forward of one clip with trainable parameters leaves a graph
+    of what backward cannot make again: the kernels keep no per-head q, k,
+    v copies, x^ or GELU tanh."""
+    cfg = ModelConfig(variant, dim=64, depth=2, heads=4, image_size=224, patch=16, frames=16)
+    model = ClassifierModel(cfg, 10, np.random.default_rng(24))
+    x = Tensor(np.random.default_rng(25).random((1, 16, 3, 224, 224), dtype=np.float32))
+    tracemalloc.start()
+    try:
+        logits = model.forward(x)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert logits._vjp is not None
+    assert held < bound_mib * 2 ** 20, held / 2 ** 20
 
 
 def test_attention_rows_sum_to_one():

@@ -250,17 +250,35 @@ def test_diamond_graph_accumulates_both_paths():
     assert np.allclose(x.grad, 2 * x.data + 3)
 
 
-def test_repeated_backward_accumulates_until_zeroed():
-    x = Tensor(np.array([1.0, 2.0]), requires_grad=True, dtype=np.float64)
-    loss = T.sum_(T.mul(x, x))
+# name: the op on its leaves, and the leaves' shapes.  gelu, layer_norm
+# and attention make again in backward what their forward did not keep.
+REPEATED_CASES = {
+    "mul": (lambda x: T.mul(x, x), [(2,)]),
+    "gelu": (T.gelu, [(2, 300, 256)]),
+    "layer_norm": (T.layer_norm, [(2, 9, 16), (16,), (16,)]),
+    "attention": (lambda q, k, v: T.attention(q, k, v, 3, OVERLAPPING), [(2, 8, 6)] * 3),
+}
+
+
+@pytest.mark.parametrize("case", list(REPEATED_CASES))
+def test_repeated_backward_accumulates_until_zeroed(case):
+    """A second backward on one graph adds the same gradient again, so a
+    node rebuilds only from its inputs, never from scratch an earlier
+    backward spent."""
+    op, shapes = REPEATED_CASES[case]
+    rng = np.random.default_rng(250)
+    leaves = [Tensor(rng.standard_normal(s), requires_grad=True, dtype=np.float64) for s in shapes]
+    out = op(*leaves)
+    loss = T.sum_(T.mul(out, Tensor(rng.standard_normal(out.data.shape), dtype=np.float64)))
     T.backward(loss)
-    once = x.grad.copy()
+    once = [t.grad.copy() for t in leaves]
     T.backward(loss)
-    assert np.allclose(x.grad, 2 * once)
-    x.grad = None
-    assert x.grad is None
+    for t, g in zip(leaves, once):
+        assert np.array_equal(t.grad, 2 * g)
+        t.grad = None
     T.backward(loss)
-    assert np.allclose(x.grad, once)
+    for t, g in zip(leaves, once):
+        assert np.array_equal(t.grad, g)
 
 
 def test_backward_requires_scalar():
@@ -403,25 +421,72 @@ def test_attention_grad_check_blocked(mode, monkeypatch):
             assert T.grad_check(f, qkv[i]) < 1e-6
 
 
-def test_attention_memory_is_bounded():
-    """Neither the graph a forward leaves nor backward's peak holds a full
-    [G, h, N, N] weight array (16 MiB here)."""
+def _held_after(fn):
+    """Bytes still allocated when fn() returns, and its result."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        return tracemalloc.get_traced_memory()[0] - base, out
+    finally:
+        tracemalloc.stop()
+
+
+def test_attention_memory_is_bounded(monkeypatch):
+    """On one lane and on two, the graph a forward leaves holds the output
+    and each row's log-sum-exp, no per-head copy of q, k or v; backward's
+    peak holds no full [G, h, N, N] weight array (16 MiB here)."""
     rng = np.random.default_rng(302)
     g, heads, n, d = 1, 4, 1024, 64
     full = g * heads * n * n * 4
     qkv = [Tensor(rng.standard_normal((g, n, d)).astype(np.float32), requires_grad=True)
            for _ in range(3)]
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        loss = T.sum_(T.attention(*qkv, heads, np.arange(n)[None]))
-        held = tracemalloc.get_traced_memory()[0] - base
-        tracemalloc.reset_peak()
-        T.backward(loss)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert held < full and peak < full, (held / 2 ** 20, peak / 2 ** 20)
+    groups = np.arange(n)[None]
+    for n_lanes in (1, 2):
+        monkeypatch.setattr(lanes, "LANES", n_lanes)
+        T.attention(*qkv, heads, groups)          # the cached layout, made outside the count
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = T.attention(*qkv, heads, groups)
+            held = tracemalloc.get_traced_memory()[0] - base
+            tracemalloc.reset_peak()
+            T.backward(T.sum_(out))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        lse = g * heads * n * 4
+        assert held < out.data.nbytes + lse + (16 << 10), (held, out.data.nbytes + lse)
+        assert peak < full, peak / 2 ** 20
+
+
+@pytest.mark.parametrize("n_lanes", [1, 2])
+def test_gelu_holds_only_its_output(n_lanes, monkeypatch):
+    """Above the split, so two lanes run two parts: backward makes each
+    chunk's tanh again, and the node keeps no array of x's size."""
+    monkeypatch.setattr(lanes, "LANES", n_lanes)
+    x = Tensor(np.random.default_rng(303).standard_normal((2, 600, 256)).astype(np.float32),
+               requires_grad=True)
+    assert x.data.size > lanes.SPLIT_ELEMENTS
+    T.gelu(x)                                     # a lane worker started outside the count
+    held, out = _held_after(lambda: T.gelu(x))
+    assert out.data.nbytes <= held < out.data.nbytes + (16 << 10), (held, out.data.nbytes)
+
+
+@pytest.mark.parametrize("n_lanes", [1, 2])
+def test_layer_norm_holds_its_output_and_two_row_stats(n_lanes, monkeypatch):
+    """The node keeps each row's mean and 1/std, [..., 1] each, and not x^."""
+    monkeypatch.setattr(lanes, "LANES", n_lanes)
+    rng = np.random.default_rng(304)
+    x = Tensor(rng.standard_normal((2, 2100, 64)).astype(np.float32), requires_grad=True)
+    gamma, beta = (Tensor(rng.standard_normal(64).astype(np.float32), requires_grad=True)
+                   for _ in range(2))
+    assert x.data.size > lanes.SPLIT_ELEMENTS
+    T.layer_norm(x, gamma, beta)
+    held, out = _held_after(lambda: T.layer_norm(x, gamma, beta))
+    stats = 2 * 2 * 2100 * 4
+    assert out.data.nbytes + stats <= held < out.data.nbytes + stats + (16 << 10), \
+        (held, out.data.nbytes + stats)
 
 
 # over 8 tokens: token 0 sits in every group, 1, 2, 4, 6 and 7 in two, 3 and 5 in one

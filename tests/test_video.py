@@ -459,6 +459,20 @@ def test_to_model_tensor_layout_and_scaling():
     assert arr[0, 0, 1, 1] == np.float32(128) / np.float32(255)
 
 
+@pytest.mark.parametrize("n_lanes", [1, 2])
+def test_to_model_tensor_writes_into_a_batch_slot(n_lanes, monkeypatch):
+    """``out=`` gets the bits of a new array's cast, and only its slot
+    changes; at 224 px the cast runs two parts on two lanes."""
+    monkeypatch.setattr(lanes, "LANES", n_lanes)
+    frames = np.random.default_rng(15).integers(0, 256, size=(8, 224, 224, 3), dtype=np.uint8)
+    clip = V.VideoClip(frames, list(range(8)), None, (0, 0), False)
+    batch = np.full((2, 8, 3, 224, 224), np.nan, dtype=np.float32)
+    slot = batch[1]
+    assert V.to_model_tensor(clip, np.float32, out=slot) is slot
+    assert np.array_equal(batch[1], V.to_model_tensor(clip, np.float32))
+    assert np.isnan(batch[0]).all()
+
+
 # ---------------------------------------------------------------------------
 # manifest
 
