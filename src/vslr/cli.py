@@ -31,7 +31,6 @@ from . import train as TR
 from . import video as V
 from .attention import attention_rollout, export_heatmap
 from .errors import VslrError, first_non_finite
-from .tensor import Tensor
 
 _DTYPES = {"32": np.float32, "64": np.float64}
 
@@ -324,8 +323,8 @@ def cmd_attn_map(args) -> int:
                                       f"exceeds {inst.frame_count} available")
         first = inst.frame_start + start - 1
         inst = replace(inst, frame_start=first, frame_end=first + pipe.frames - 1)
-    x = Tensor(TR.load_batch(video_dir, [inst], [V.derive_rng(seed, "attn", video_id)],
-                             pipe, False, dtype))
+    x = TR.load_batch(video_dir, [inst], [V.derive_rng(seed, "attn", video_id)],
+                      pipe, False, dtype, model.embed.cfg)
     # numpy's warnings are silenced: the logits and the map are checked instead
     with np.errstate(all="ignore"), TR.no_grad(model.params()):
         trace = []

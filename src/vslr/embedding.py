@@ -1,6 +1,7 @@
-"""Token embeddings for video: ``cube_pixels``, the one owner of the cube
-layout (a per-frame 2-D patch is a cube of tube depth 1), the projection
-of its rows, learned positional tables, and the classification token."""
+"""Token embeddings for video: ``clip_slots``, the one owner of the cube
+layout (a per-frame 2-D patch is a cube of tube depth 1), ``cube_pixels``
+over it, the projection of its rows, learned positional tables, and the
+classification token."""
 
 from __future__ import annotations
 
@@ -82,30 +83,46 @@ class Embedding:
         return out
 
     def embed(self, cubes: np.ndarray) -> TokenBatch:
-        """[B, N, cube_dim] ``cube_pixels`` rows -> tokens: their projection,
-        the CLS row first (divided only), plus the positional table."""
+        """[B, N, cube_dim] cube rows -> tokens: their projection, the CLS
+        row first (divided only), plus the positional table.  The
+        projection's node keeps ``cubes`` itself, no copy, for its weight
+        gradient."""
         tokens = T.linear(Tensor(cubes), self.proj.w, self.proj.b)
-        del cubes               # a classifier forward holds no other reference: free it now
         if self.cls is not None:
             cls = T.repeat(self.cls, tokens.data.shape[0], axis=0)     # [B, 1, D]
             tokens = T.concat([cls, tokens], axis=1)
         return TokenBatch(T.add(tokens, self.pos), self.cfg.grid, has_cls=self.cls is not None)
 
 
-def cube_pixels(x: np.ndarray, cfg: EmbeddingConfig) -> np.ndarray:
-    """[B, F, 3, H, W] clip whose shape matches cfg -> its cubes as
-    [B, N, cube_dim] rows: tokens run time-major then row-major over the
-    grid, a cube's pixels in flatten order (c, t, ph, pw)."""
-    if x.ndim != 5:
-        raise ValueError(f"video tensor must be [B, F, 3, H, W], got shape {x.shape}")
-    b, f, c, h, w = x.shape
+def check_clip_shape(shape: tuple, cfg: EmbeddingConfig) -> None:
+    """Raise ValueError unless ``shape`` is a [B, F, 3, H, W] clip batch
+    of cfg's frames and image size."""
+    if len(shape) != 5:
+        raise ValueError(f"video tensor must be [B, F, 3, H, W], got shape {shape}")
+    _, f, c, h, w = shape
     if f != cfg.frames:
         raise ValueError(f"frame count {f} does not match configured {cfg.frames}")
     if c != 3:
         raise ValueError(f"channel count {c} must be 3")
     if h != cfg.image_size or w != cfg.image_size:
         raise ValueError(f"spatial size {h}x{w} does not match configured {cfg.image_size}")
+
+
+def clip_slots(rows: np.ndarray, cfg: EmbeddingConfig) -> np.ndarray:
+    """[B, N, cube_dim] cube rows viewed in clip order, as
+    [B, t, td, 3, hs, p, ws, p]: slot i, reshaped, is clip i's
+    [F, 3, H, W].  Tokens run time-major then row-major over the grid,
+    a cube's pixels in flatten order (c, t, ph, pw)."""
     td, p = cfg.tube_depth, cfg.patch
     t, hs, ws = cfg.grid
-    cubes = x.reshape(b, t, td, 3, hs, p, ws, p).transpose(0, 1, 4, 6, 3, 2, 5, 7)
-    return cubes.reshape(b, cfg.n_tokens, cfg.cube_dim)
+    return rows.reshape(len(rows), t, hs, ws, 3, td, p, p).transpose(0, 1, 5, 4, 2, 6, 3, 7)
+
+
+def cube_pixels(x: np.ndarray, cfg: EmbeddingConfig) -> np.ndarray:
+    """[B, F, 3, H, W] clip whose shape matches cfg -> its cubes as a new
+    [B, N, cube_dim] array of rows (see ``clip_slots``)."""
+    check_clip_shape(x.shape, cfg)
+    rows = np.empty((len(x), cfg.n_tokens, cfg.cube_dim), dtype=x.dtype)
+    slots = clip_slots(rows, cfg)
+    slots[...] = x.reshape(slots.shape)
+    return rows

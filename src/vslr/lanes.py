@@ -38,9 +38,10 @@ Users, each with its own cut:
   on two.
 - ``tensor.linear``, ``tensor.layer_norm`` and ``tensor.gelu`` take the
   parts of their rows, and ``gelu`` of its chunk starts, from ``halves``,
-  as do ``video._resample`` and ``video.to_model_tensor`` for a clip's
-  frames.  Each makes one ``run`` call per walk, which below the split
-  is a one-part call on the caller.
+  as do ``video._resample`` for a clip's frames and
+  ``video.to_model_tensor`` for its output's leading axis.  Each makes
+  one ``run`` call per walk, which below the split is a one-part call on
+  the caller.
 """
 
 from __future__ import annotations

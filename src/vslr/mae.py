@@ -25,7 +25,7 @@ import numpy as np
 from . import tensor as T
 from .attention import BlockWeights, encoder_forward
 from .checkpoint import load_into, save_checkpoint
-from .embedding import Embedding, EmbeddingConfig, TokenBatch, cube_pixels
+from .embedding import Embedding, EmbeddingConfig, TokenBatch, check_clip_shape, clip_slots
 from .errors import VslrError, at_least
 from .nn import LayerNormParams, LinearParams, param_buffer, trunc_normal
 from .tensor import Tensor
@@ -143,7 +143,7 @@ def _flat_rows(ids: np.ndarray, n: int) -> np.ndarray:
 
 def normalized_cube_targets(cubes: np.ndarray, ids: np.ndarray) -> np.ndarray:
     """Normalized targets [B, K, cube_dim] of the rows ids [B, K] names of
-    the [B, N, cube_dim] ``cube_pixels``, and of no other: (pix - mean) /
+    the [B, N, cube_dim] cube rows, and of no other: (pix - mean) /
     std, variance floored by 1e-6, with numpy's own ``var`` arithmetic term
     for term, in place in a new array: the embedding keeps ``cubes``."""
     b, n, d = cubes.shape
@@ -189,14 +189,16 @@ def _decode(model: MaeModel, encoded: Tensor, vis_ids: np.ndarray,
     return T.linear(_gather_rows(out.tokens, mask_ids), model.recon.w, model.recon.b)
 
 
-def mae_forward(x: Tensor, masks: np.ndarray, model: MaeModel):
-    """Returns (masked-token predictions [B, K, cube_dim], scalar loss).
+def mae_forward(rows: np.ndarray, masks: np.ndarray, model: MaeModel):
+    """Returns (masked-token predictions [B, K, cube_dim], scalar loss) of
+    a batch's [B, N, cube_dim] cube rows, which the embedding projects and
+    the targets are taken from.
 
     masks is one boolean [B, h, w] array, True where a clip's tube is
     masked; every clip must hide the same number of cells.  The loss is
     the MSE over every masked cube of the batch.
     """
-    b = x.data.shape[0]
+    b = len(rows)
     grid = model.embed.cfg.grid
     if masks.dtype != np.bool_ or masks.shape != (b, *grid[1:]):
         raise ValueError(f"masks {masks.dtype} {masks.shape} do not fit a batch of {b} "
@@ -205,9 +207,8 @@ def mae_forward(x: Tensor, masks: np.ndarray, model: MaeModel):
     if len(counts) > 1:
         raise ValueError(f"masks in one batch must hide equal cell counts, got {counts.tolist()}")
     vis_ids, mask_ids = tube_token_ids(masks, grid[0])
-    cubes = cube_pixels(x.data, model.embed.cfg)
-    tokens = model.embed.embed(cubes).tokens
-    targets = normalized_cube_targets(cubes, mask_ids)
+    tokens = model.embed.embed(rows).tokens
+    targets = normalized_cube_targets(rows, mask_ids)
     pred = _decode(model, _encode_visible(model, tokens, vis_ids), vis_ids, mask_ids)
     return pred, reconstruction_loss(pred, targets)
 
@@ -234,12 +235,17 @@ def pretrain(model: MaeModel, manifest: Manifest, video_dir,
 
     Returns [(step, loss)].  Clip sampling, augmentation, and the tube
     mask for each clip all come from one rng derived from (seed,
-    video_id, step), so runs are reproducible by seed alone.
+    video_id, step), so runs are reproducible by seed alone.  Each clip
+    is cast straight into its slot of the step's cube rows (see
+    ``embedding.clip_slots``).  A pipeline whose frames or crop do not fit
+    the model raises ``cube_pixels``'s ValueError before any clip loads.
     """
     insts = manifest.by_split("train")
     if not insts:
         raise VslrError("manifest", "no train instances in manifest")
-    grid = model.embed.cfg.grid
+    ecfg = model.embed.cfg
+    check_clip_shape((cfg.batch, pipe.frames, 3, pipe.crop, pipe.crop), ecfg)
+    grid = ecfg.grid
     dtype = model.recon.w.data.dtype
     opt = Adam(model.named(), cfg.lr)
     curve: list[tuple] = []
@@ -247,16 +253,17 @@ def pretrain(model: MaeModel, manifest: Manifest, video_dir,
         order = derive_rng(cfg.seed, "batch", step)
         picks = order.choice(len(insts), size=cfg.batch,
                              replace=len(insts) < cfg.batch)
-        xs = np.empty((cfg.batch, pipe.frames, 3, pipe.crop, pipe.crop), dtype=dtype)
+        xs = np.empty((cfg.batch, ecfg.n_tokens, ecfg.cube_dim), dtype=dtype)
+        slots = clip_slots(xs, ecfg)
         masks = np.empty((cfg.batch, *grid[1:]), dtype=np.bool_)
         for i, j in enumerate(picks):
             inst = insts[int(j)]
             rng = derive_rng(cfg.seed, inst.video_id, step)
             video = load_instance_video(video_dir, inst)
             clip = prepare_clip(video, pipe, train=True, rng=rng, label=inst.label)
-            to_model_tensor(clip, dtype, out=xs[i])
+            to_model_tensor(clip, dtype, out=slots[i])
             masks[i] = make_tube_mask(grid, cfg.ratio, rng)
-        loss = train_step(lambda: mae_forward(Tensor(xs), masks, model)[1],
+        loss = train_step(lambda: mae_forward(xs, masks, model)[1],
                           opt, step, "pretraining")
         curve.append((step, loss))
         if out_dir is not None and cfg.checkpoint_interval and \

@@ -37,7 +37,8 @@ value has the forward's bits.  ``gelu`` keeps its output alone and makes
 each chunk's tanh again; ``layer_norm`` keeps each row's mean and 1/std
 and makes x^ again; ``attention`` keeps its output, each row's
 log-sum-exp and the shared rows' own outputs, and gathers the per-head
-q, k and v again.  A rebuild reads only those inputs, never scratch of
+q, k and v again; ``mse`` keeps its target and makes the difference
+again.  A rebuild reads only those inputs, never scratch of
 an earlier backward, so backward may run twice on one graph.
 
 Lanes.  ``linear``, ``layer_norm`` and ``gelu`` each make one
@@ -805,16 +806,20 @@ def mean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 def mse(pred: Tensor, target: np.ndarray) -> Tensor:
     """Mean squared error of ``pred`` against a constant ``target`` array of
     its shape and dtype, as one node: the same bits as
-    ``mean(mul(d, d))`` with ``d = sub(pred, target)``, from one saved
-    difference instead of that chain's graph arrays."""
+    ``mean(mul(d, d))`` with ``d = sub(pred, target)``.  It keeps
+    ``target``, which its caller would otherwise free, and makes ``d``
+    again in backward; the forward squares ``d`` in place, so at its peak
+    it holds one new array of pred's size, and after it none."""
     if target.shape != pred.data.shape or target.dtype != pred.data.dtype:
         raise ValueError(f"mse: target {target.dtype} {target.shape} does not match "
                          f"prediction {pred.data.dtype} {pred.data.shape}")
     d = pred.data - target
-    data = (d * d).mean()
+    d *= d
+    data = d.mean()
 
     def vjp(g):
-        gx = d * (g / d.dtype.type(d.size))
+        gx = pred.data - target           # the forward's d, rebuilt
+        gx *= g / gx.dtype.type(gx.size)
         gx *= 2                           # exact: the two product terms were equal
         return (gx,)
 

@@ -15,7 +15,7 @@ import numpy as np
 from . import tensor as T
 from .attention import BlockWeights, encoder_forward
 from .checkpoint import save_checkpoint
-from .embedding import Embedding, EmbeddingConfig, cube_pixels
+from .embedding import Embedding, EmbeddingConfig, check_clip_shape, clip_slots
 from .errors import VslrError, at_least, first_non_finite
 from .nn import LayerNormParams, LinearParams, param_buffer
 from .tensor import Tensor
@@ -143,15 +143,20 @@ def train_step(loss_fn, opt: Adam, step: int, run: str) -> float:
 
 
 def load_batch(video_dir, insts: list, rngs: list, pipe: PipelineConfig,
-               train: bool, dtype) -> np.ndarray:
-    """Each instance's clip, prepared with its own rng, written into one
-    fresh [B, frames, 3, crop, crop] array."""
-    out = np.empty((len(insts), pipe.frames, 3, pipe.crop, pipe.crop), dtype=dtype)
+               train: bool, dtype, cfg: EmbeddingConfig) -> np.ndarray:
+    """Each instance's clip, prepared with its own rng and cast straight
+    into its slot of one fresh [B, N, cube_dim] array of cfg's cube rows
+    (``embedding.clip_slots``), the one array of the batch.  A pipeline
+    whose frames or crop do not fit cfg raises ``cube_pixels``'s
+    ValueError before any clip loads."""
+    check_clip_shape((len(insts), pipe.frames, 3, pipe.crop, pipe.crop), cfg)
+    rows = np.empty((len(insts), cfg.n_tokens, cfg.cube_dim), dtype=dtype)
+    slots = clip_slots(rows, cfg)
     for i, (inst, rng) in enumerate(zip(insts, rngs)):
         video = load_instance_video(video_dir, inst)
         clip = prepare_clip(video, pipe, train=train, rng=rng, label=inst.label)
-        to_model_tensor(clip, dtype, out=out[i])
-    return out
+        to_model_tensor(clip, dtype, out=slots[i])
+    return rows
 
 
 @dataclass
@@ -201,14 +206,15 @@ class ClassifierModel:
         # temporaries, which raised the eval peak RSS
         param_buffer(self.params())
 
-    def forward(self, x: Tensor, trace: list | None = None) -> Tensor:
-        """Logits [batch, classes]; a ``trace`` list gets each attention
-        pass's weights (see ``encoder_forward``)."""
-        tokens = self.embed.embed(cube_pixels(x.data, self.embed.cfg))
+    def forward(self, rows: np.ndarray, trace: list | None = None) -> Tensor:
+        """Logits [batch, classes] of a batch's [B, N, cube_dim] cube rows,
+        as ``load_batch`` or ``cube_pixels`` makes them; a ``trace`` list
+        gets each attention pass's weights (see ``encoder_forward``)."""
+        tokens = self.embed.embed(rows)
         out = encoder_forward(tokens, self.blocks, self.cfg.heads, self.norm, trace)
         if self.cfg.variant == "divided":
             feat = T.reshape(T.take(out.tokens, np.zeros(1, np.intp), axis=1),
-                             (x.data.shape[0], self.cfg.dim))
+                             (len(rows), self.cfg.dim))
         else:
             feat = T.mean(out.tokens, axis=1)
         return T.linear(feat, self.head.w, self.head.b)
@@ -287,14 +293,15 @@ def no_grad(params):
 
 def _batched_logits(model: ClassifierModel, insts: list, video_dir,
                     pipe: PipelineConfig, seed: int) -> np.ndarray:
-    rows, chunk = [], 8          # instances per forward
+    logits, chunk = [], 8        # instances per forward
     with no_grad(model.params()):
         for lo in range(0, len(insts), chunk):
             part = insts[lo:lo + chunk]
             rngs = [derive_rng(seed, "eval", inst.video_id) for inst in part]
-            x = load_batch(video_dir, part, rngs, pipe, False, model.head.w.data.dtype)
-            rows.append(model.forward(Tensor(x)).data)
-    return np.concatenate(rows, axis=0)
+            x = load_batch(video_dir, part, rngs, pipe, False, model.head.w.data.dtype,
+                           model.embed.cfg)
+            logits.append(model.forward(x).data)
+    return np.concatenate(logits, axis=0)
 
 
 def evaluate(model: ClassifierModel, manifest: Manifest, video_dir,
@@ -386,9 +393,9 @@ def finetune(model: ClassifierModel, manifest: Manifest, video_dir,
             t0 = time.perf_counter()
             batch = [insts[int(j)] for j in perm[lo:lo + cfg.batch]]
             rngs = [derive_rng(cfg.seed, inst.video_id, epoch) for inst in batch]
-            x = load_batch(video_dir, batch, rngs, pipe, True, dtype)
+            x = load_batch(video_dir, batch, rngs, pipe, True, dtype, model.embed.cfg)
             y = np.array([inst.label for inst in batch])
-            loss = train_step(lambda: cross_entropy(model.forward(Tensor(x)), y),
+            loss = train_step(lambda: cross_entropy(model.forward(x), y),
                               opt, step, "training")
             log.append((step, loss, cfg.lr, (time.perf_counter() - t0) * 1000.0))
             step += 1

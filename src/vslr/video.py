@@ -14,6 +14,8 @@ import json
 import math
 import struct
 from dataclasses import dataclass, replace
+from itertools import accumulate
+from operator import mul
 
 import numpy as np
 
@@ -235,17 +237,31 @@ def crop_offsets(h: int, w: int, size: int, rng: np.random.Generator | None = No
 def to_model_tensor(clip: VideoClip, dtype=np.float32,
                     out: np.ndarray | None = None) -> np.ndarray:
     """Cast a clip to [frames, 3, h, w] scaled to [0, 1], by the
-    ``lanes.halves`` parts of its frames: halves above
+    ``lanes.halves`` parts of ``out``'s leading axis: halves above
     ``lanes.SPLIT_ELEMENTS`` elements, else one part on the caller.
-    Written into ``out`` where given, as a batch's slot, else a new array."""
-    dt = np.dtype(dtype)
-    f, h, w, _ = clip.frames.shape
-    if out is None:
-        out = np.empty((f, 3, h, w), dtype=dt)
-    # one cast straight into C order: casting the channel-reversed view
-    # that prepare_clip leaves, then transposing, is ~3x slower
+    Written into ``out`` where given, in its dtype, else into a new array
+    of ``dtype``.  ``out`` may be any view whose axes, taken in order,
+    multiply back to the clip's four one at a time, such as a batch's
+    slot of ``embedding.clip_slots``; the clip is read through the same
+    split of its axes, which copies nothing.  Any other ``out`` raises
+    ValueError."""
     src = np.transpose(clip.frames, (0, 3, 1, 2))
-    lanes.run(lambda r: np.divide(src[r], 255, out=out[r], dtype=dt), lanes.halves(f, out.size))
+    if out is None:
+        out = np.empty(src.shape, dtype=dtype)
+    elif out.size != src.size or \
+            not set(accumulate(src.shape, mul)) <= set(accumulate(out.shape, mul)):
+        raise ValueError(f"out of shape {out.shape} does not split a clip of {src.shape}")
+    src = src.reshape(out.shape)
+
+    # an exact cast copy, then the divide in place: np.divide(src, 255,
+    # dtype=) gives the same bits, but its buffered cast walks the strided
+    # views a few pixels at a time, 2.4x slower into a paper cube-row slot
+    def cast(r):
+        part = out[r]
+        np.copyto(part, src[r], casting="unsafe")       # uint8 to float is exact
+        np.divide(part, 255, out=part)
+
+    lanes.run(cast, lanes.halves(out.shape[0], out.size))
     return out
 
 

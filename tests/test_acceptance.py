@@ -16,7 +16,7 @@ from vslr import tensor as T
 from vslr import video as V
 from vslr.attention import (BlockWeights, PassWeights, divided_block,
                             joint_block, multi_head_attention)
-from vslr.embedding import EmbeddingConfig, TokenBatch
+from vslr.embedding import EmbeddingConfig, TokenBatch, cube_pixels
 from vslr.mae import (MaeConfig, MaeModel, PretrainConfig, make_tube_mask, pretrain,
                       tube_token_ids)
 from vslr.tensor import Tensor
@@ -424,7 +424,7 @@ def _train_steps(model, insts, videos, pipe, lr, layers, seed, max_steps,
                 clip = V.prepare_clip(video, pipe, train=True, rng=rng, label=inst.label)
                 xs.append(V.to_model_tensor(clip, dtype))
                 ys.append(inst.label)
-            logits = model.forward(Tensor(np.stack(xs)))
+            logits = model.forward(cube_pixels(np.stack(xs), model.embed.cfg))
             loss = cross_entropy(logits, np.array(ys))
             T.backward(loss)
             opt.gather()

@@ -12,7 +12,7 @@ from vslr import tensor as T
 from vslr.attention import (BlockWeights, PassWeights, attention_rollout, divided_block,
                             encoder_forward, joint_block, multi_head_attention,
                             pass_groups, write_pgm)
-from vslr.embedding import TokenBatch
+from vslr.embedding import TokenBatch, cube_pixels
 from vslr.nn import LayerNormParams
 from vslr.tensor import Tensor
 from vslr.train import ClassifierModel, ModelConfig, no_grad
@@ -122,17 +122,18 @@ def test_trace_is_the_forward_weights_head_mean(monkeypatch, grid, cls, kind, dt
 
 
 def test_traced_paper_joint_forward_memory():
-    """A traced paper joint forward of one clip under no_grad holds the
-    trace, two [1, 1, 1568, 1568] float32 head means (18.8 MiB), and
+    """A traced paper joint forward of one clip's rows under no_grad holds
+    the trace, two [1, 1, 1568, 1568] float32 head means (18.8 MiB), and
     never a whole [1, 4, 1568, 1568] weights array."""
     cfg = ModelConfig("joint", dim=64, depth=2, heads=4, image_size=224, patch=16, frames=16)
     model = ClassifierModel(cfg, 10, np.random.default_rng(22))
-    x = Tensor(np.random.default_rng(23).random((1, 16, 3, 224, 224), dtype=np.float32))
+    rows = cube_pixels(np.random.default_rng(23).random((1, 16, 3, 224, 224), dtype=np.float32),
+                       model.embed.cfg)
     trace = []
     tracemalloc.start()
     try:
         with no_grad(model.params()):
-            model.forward(x, trace)
+            model.forward(rows, trace)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -147,10 +148,10 @@ def test_paper_forward_graph_memory(variant, bound_mib):
     v copies, x^ or GELU tanh."""
     cfg = ModelConfig(variant, dim=64, depth=2, heads=4, image_size=224, patch=16, frames=16)
     model = ClassifierModel(cfg, 10, np.random.default_rng(24))
-    x = Tensor(np.random.default_rng(25).random((1, 16, 3, 224, 224), dtype=np.float32))
+    x = np.random.default_rng(25).random((1, 16, 3, 224, 224), dtype=np.float32)
     tracemalloc.start()
     try:
-        logits = model.forward(x)
+        logits = model.forward(cube_pixels(x, model.embed.cfg))
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
@@ -408,8 +409,9 @@ def test_trace_list_records_each_pass_and_leaves_the_logits(variant):
     one (groups, weights) entry per attention pass, in call order."""
     cfg = ModelConfig(variant=variant)
     model = ClassifierModel(cfg, 5, np.random.default_rng(16))
-    x = Tensor(np.random.default_rng(17).random((2, cfg.frames, 3, cfg.image_size,
-                                                 cfg.image_size), dtype=np.float32))
+    x = cube_pixels(np.random.default_rng(17).random((2, cfg.frames, 3, cfg.image_size,
+                                                      cfg.image_size), dtype=np.float32),
+                    model.embed.cfg)
     trace = []
     assert np.array_equal(model.forward(x, trace).data, model.forward(x).data)
     kinds = ["temporal", "spatial"] if variant == "divided" else ["joint"]

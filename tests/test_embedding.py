@@ -5,7 +5,7 @@ CLS token, and the embedding bits at paper geometry."""
 import numpy as np
 import pytest
 
-from vslr.embedding import Embedding, EmbeddingConfig, cube_pixels
+from vslr.embedding import Embedding, EmbeddingConfig, clip_slots, cube_pixels
 from vslr.mae import normalized_cube_targets
 from vslr.train import ClassifierModel, ModelConfig
 
@@ -130,6 +130,8 @@ def test_cube_pixels_round_trip():
     assert cubes.shape == (2, 2 * 16, 3 * 3 * 16)
     back = uncube_pixels(cubes, cfg)
     assert np.array_equal(back, x)
+    slots = clip_slots(cubes, cfg)          # the rows themselves, in clip order
+    assert np.shares_memory(slots, cubes) and np.array_equal(slots.reshape(x.shape), x)
 
 
 def test_positional_and_cls():

@@ -23,6 +23,11 @@ def _masks(grid, ratio, rng, n):
     return np.stack([make_tube_mask(grid, ratio, rng) for _ in range(n)])
 
 
+def _rows(x, model):
+    """A clip batch's cube rows, as mae_forward takes them."""
+    return cube_pixels(x, model.embed.cfg)
+
+
 def _desk_model(rng=None, dtype=np.float32, **kw):
     cfg = MaeConfig(dim=16, depth=2, heads=2, decoder_dim=8, decoder_depth=1,
                     decoder_heads=2, image_size=16, patch=4, frames=4,
@@ -204,7 +209,7 @@ def test_forward_shapes_and_leakage():
     mask = make_tube_mask(grid, 0.75, rng)
     masks = np.stack([mask, mask])
     x = rng.random((2, 4, 3, 16, 16)).astype(np.float32)
-    pred, loss = mae_forward(Tensor(x), masks, model)
+    pred, loss = mae_forward(_rows(x, model), masks, model)
     cube_dim = model.embed.cfg.cube_dim
     assert pred.shape == (2, grid[0] * mask.sum(), cube_dim)
     assert loss.data.shape == ()
@@ -217,7 +222,7 @@ def test_forward_shapes_and_leakage():
     p = model.embed.cfg.patch
     block = x2[:, :, :, my * p:(my + 1) * p, mx * p:(mx + 1) * p]
     block += rng.random(block.shape, dtype=np.float32)
-    pred2, loss2 = mae_forward(Tensor(x2), masks, model)
+    pred2, loss2 = mae_forward(_rows(x2, model), masks, model)
     assert np.array_equal(pred.data, pred2.data)
     assert float(loss.data) != float(loss2.data)
 
@@ -225,7 +230,7 @@ def test_forward_shapes_and_leakage():
 def test_mask_grid_must_match_model():
     model = _desk_model()
     rng = np.random.default_rng(8)
-    x = Tensor(np.zeros((1, 4, 3, 16, 16), dtype=np.float32))
+    x = _rows(np.zeros((1, 4, 3, 16, 16), dtype=np.float32), model)
     with pytest.raises(ValueError, match=r"\(1, 3, 3\) do not fit a batch of 1 on model grid"):
         mae_forward(x, _masks((2, 3, 3), 0.5, rng, 1), model)
     good = _masks(model.embed.cfg.grid, 0.5, rng, 1)
@@ -240,10 +245,10 @@ def test_batched_forward_matches_per_clip_loop():
     masks = _masks(grid, 0.75, rng, 3)
     assert len({mk.tobytes() for mk in masks}) == 3
     x = rng.random((3, 4, 3, 16, 16)).astype(np.float32)
-    pred, loss = mae_forward(Tensor(x), masks, model)
+    pred, loss = mae_forward(_rows(x, model), masks, model)
     losses = []
     for b in range(3):
-        row_pred, row_loss = mae_forward(Tensor(x[b:b + 1]), masks[b:b + 1], model)
+        row_pred, row_loss = mae_forward(_rows(x[b:b + 1], model), masks[b:b + 1], model)
         assert np.allclose(pred.data[b], row_pred.data[0], atol=1e-5)
         losses.append(float(row_loss.data))
     assert np.isclose(float(loss.data), np.mean(losses), atol=1e-6)
@@ -258,7 +263,7 @@ def test_decoder_places_mask_tokens_at_masked_positions():
     model = MaeModel(cfg, rng, np.float64)
     grid = model.embed.cfg.grid
     masks = _masks(grid, 0.75, rng, 2)
-    pred, _ = mae_forward(Tensor(rng.random((2, 4, 3, 16, 16))), masks, model)
+    pred, _ = mae_forward(_rows(rng.random((2, 4, 3, 16, 16)), model), masks, model)
     _, ids = tube_token_ids(masks, grid[0])
     for b in range(2):
         dec_in = Tensor(model.mask_token.data[0] + model.dec_pos.data[ids[b]])
@@ -271,7 +276,7 @@ def test_mask_list_must_fit_batch():
     rng = np.random.default_rng(14)
     model = _desk_model()
     grid = model.embed.cfg.grid
-    x = Tensor(rng.random((2, 4, 3, 16, 16)).astype(np.float32))
+    x = _rows(rng.random((2, 4, 3, 16, 16)).astype(np.float32), model)
     mask = make_tube_mask(grid, 0.75, rng)
     with pytest.raises(ValueError, match=r"\(1, 4, 4\) do not fit a batch of 2"):
         mae_forward(x, mask[None], model)
@@ -290,8 +295,7 @@ def test_mae_gradients_reach_all_parts():
     rng = np.random.default_rng(10)
     model = _desk_model(dtype=np.float64)
     masks = _masks(model.embed.cfg.grid, 0.75, rng, 1)
-    x = Tensor(rng.random((1, 4, 3, 16, 16)))
-    _, loss = mae_forward(Tensor(x.data.astype(np.float64)), masks, model)
+    _, loss = mae_forward(_rows(rng.random((1, 4, 3, 16, 16)), model), masks, model)
     T.backward(loss)
     for name in ("embed.proj.w", "enc.0.joint.q.w", "dec.mask", "dec.pos",
                  "dec.0.joint.q.w", "recon.w"):
@@ -304,7 +308,7 @@ def test_mae_gradcheck_mask_token_and_head():
     rng = np.random.default_rng(11)
     model = _desk_model(dtype=np.float64)
     masks = _masks(model.embed.cfg.grid, 0.75, rng, 2)
-    x = Tensor(rng.random((2, 4, 3, 16, 16)))
+    x = _rows(rng.random((2, 4, 3, 16, 16)), model)
 
     def loss_fn(_):
         _, loss = mae_forward(x, masks, model)
@@ -325,7 +329,7 @@ def test_mae_step_digest_at_paper_geometry(sha256):
     model = MaeModel(cfg, rng)
     masks = _masks(cfg.embedding_config().grid, 0.9, rng, 2)
     x = rng.random((2, 16, 3, 224, 224), dtype=np.float32)
-    _, loss = mae_forward(Tensor(x), masks, model)
+    _, loss = mae_forward(_rows(x, model), masks, model)
     T.backward(loss)
     assert float(loss.data) == 1.009480357170105
     assert sha256([loss.data]) == \
@@ -454,8 +458,8 @@ def test_load_encoder_copies_encoder():
     assert np.array_equal(src["embed.proj.w"].data, dst["embed.proj.w"].data)
     assert np.array_equal(src["enc.1.joint.v.w"].data, dst["enc.1.joint.v.w"].data)
     assert np.array_equal(dst["head.w"].data, head)
-    x = Tensor(np.random.default_rng(0).random((2, 4, 3, 16, 16)).astype(np.float32))
-    assert clf.forward(x).shape == (2, 3)
+    x = np.random.default_rng(0).random((2, 4, 3, 16, 16)).astype(np.float32)
+    assert clf.forward(cube_pixels(x, clf.embed.cfg)).shape == (2, 3)
 
     wide = ClassifierModel(ModelConfig("joint", 24, 2, 2, 16, 4, 4, 2), 3,
                            np.random.default_rng(13))

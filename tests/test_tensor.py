@@ -172,6 +172,24 @@ def test_mse_matches_sub_mul_mean_chain_bit_for_bit():
         T.mse(fused, target.astype(np.float64))
 
 
+def test_mse_forward_holds_one_array_of_the_predictions_size():
+    """The forward squares its difference in place and keeps the target,
+    not the difference: at its peak it holds one new array of pred's
+    size, and after it none."""
+    rng = np.random.default_rng(8)
+    pred = Tensor(rng.standard_normal((2, 64, 1024), dtype=np.float32), requires_grad=True)
+    target = rng.standard_normal((2, 64, 1024), dtype=np.float32)
+    tracemalloc.start()
+    try:
+        loss = T.mse(pred, target)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * target.nbytes and held < 0.1 * target.nbytes, (peak, held)
+    T.backward(loss)
+    assert np.array_equal(pred.grad, (pred.data - target) * (np.float32(1) / target.size) * 2)
+
+
 @pytest.mark.parametrize("ids,axis", [([3, 0, 4, 1, 2], 0), ([4, 1, 2], 0),
                                       ([1, 4, 1, 0, 1], 0), ([2, 0, 2], 1)],
                          ids=["permutation", "subset", "repeated", "repeated_axis1"])
@@ -250,13 +268,14 @@ def test_diamond_graph_accumulates_both_paths():
     assert np.allclose(x.grad, 2 * x.data + 3)
 
 
-# name: the op on its leaves, and the leaves' shapes.  gelu, layer_norm
-# and attention make again in backward what their forward did not keep.
+# name: the op on its leaves, and the leaves' shapes.  gelu, layer_norm,
+# attention and mse make again in backward what their forward did not keep.
 REPEATED_CASES = {
     "mul": (lambda x: T.mul(x, x), [(2,)]),
     "gelu": (T.gelu, [(2, 300, 256)]),
     "layer_norm": (T.layer_norm, [(2, 9, 16), (16,), (16,)]),
     "attention": (lambda q, k, v: T.attention(q, k, v, 3, OVERLAPPING), [(2, 8, 6)] * 3),
+    "mse": (lambda x: T.mse(x, np.linspace(-1.0, 1.0, 15).reshape(3, 5)), [(3, 5)]),
 }
 
 

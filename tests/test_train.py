@@ -7,14 +7,17 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from vslr import lanes
 from vslr import tensor as T
 from vslr import train as TR
 from vslr.__main__ import _THREAD_VARS
 from vslr.checkpoint import load_checkpoint, load_into, save_checkpoint
+from vslr.embedding import cube_pixels
 from vslr.errors import VslrError
 from vslr.mae import MaeConfig, MaeModel, PretrainConfig, load_encoder, pretrain
 from vslr.tensor import Tensor
@@ -24,7 +27,7 @@ from vslr.train import (ABLATION_COLUMNS, Adam, ClassifierModel, ModelConfig,
                         topk_accuracy, train_step)
 from vslr.video import (Manifest, PipelineConfig, derive_rng, load_instance_video,
                         load_manifest, make_synthetic_dataset, merge_train_val,
-                        prepare_clip, to_model_tensor)
+                        parse_manifest, prepare_clip, to_model_tensor)
 
 
 # ---------------------------------------------------------------------------
@@ -543,15 +546,16 @@ _FAULT_PROBE = """
 import resource
 import numpy as np
 from vslr import train as TR
-from vslr.tensor import Tensor
+from vslr.embedding import cube_pixels
 model = TR.ClassifierModel(TR.ModelConfig(), 10, np.random.default_rng(0))
 opt = TR.Adam(TR.freeze_layers(model, "all"), 1e-3)
-x = np.random.default_rng(1).random((4, 8, 3, 32, 32), dtype=np.float32)
+x = cube_pixels(np.random.default_rng(1).random((4, 8, 3, 32, 32), dtype=np.float32),
+                model.embed.cfg)
 y = np.arange(4)
 for step in range(6):
     if step == 1:
         warm = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    TR.train_step(lambda: TR.cross_entropy(model.forward(Tensor(x)), y), opt, step, "run")
+    TR.train_step(lambda: TR.cross_entropy(model.forward(x), y), opt, step, "run")
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - warm)
 """
 
@@ -648,24 +652,193 @@ def test_train_step_returns_the_loss_and_clears_gradients():
 
 
 def test_load_batch_matches_per_clip_preparation(dataset):
-    """One fresh array per call, equal to the per-clip tensors stacked."""
+    """One fresh array per call: the cube rows of the per-clip tensors
+    stacked."""
     manifest, videos = dataset
     insts = manifest.by_split("train")[:3]
     pipe = PipelineConfig(frames=4, sampling="consecutive", crop=16)
+    cfg = _tiny_model().embed.cfg
 
     def rngs():
         return [derive_rng(9, inst.video_id) for inst in insts]
 
     for train in (True, False):
-        batch = load_batch(videos, insts, rngs(), pipe, train, np.float64)
+        batch = load_batch(videos, insts, rngs(), pipe, train, np.float64, cfg)
         expected = np.stack([
             to_model_tensor(prepare_clip(load_instance_video(videos, inst), pipe, train, rng),
                             np.float64)
             for inst, rng in zip(insts, rngs())])
-        assert batch.dtype == np.float64 and batch.shape == (3, 4, 3, 16, 16)
-        assert np.array_equal(batch, expected)
-        again = load_batch(videos, insts, rngs(), pipe, train, np.float64)
+        assert batch.dtype == np.float64 and batch.shape == (3, cfg.n_tokens, cfg.cube_dim)
+        assert np.array_equal(batch, cube_pixels(expected, cfg))
+        again = load_batch(videos, insts, rngs(), pipe, train, np.float64, cfg)
         assert np.array_equal(again, batch) and not np.shares_memory(again, batch)
+
+
+# desk and paper model geometry, and the synthetic set each reads
+_GEOMETRY = {"desk": dict(dim=32, depth=2, heads=4, image_size=32, patch=8, frames=8),
+             "paper": dict(dim=64, depth=2, heads=4, image_size=224, patch=16, frames=16)}
+
+
+@pytest.fixture(scope="module")
+def geometry_sets(tmp_path_factory):
+    """Per geometry, a set of two classes (videos stored BGR, so clips are
+    channel-reversed views): two train clips and one test clip each."""
+    sets = {}
+    for name, g in _GEOMETRY.items():
+        root = tmp_path_factory.mktemp(f"{name}set")
+        make_synthetic_dataset(root, num_classes=2, per_class=3, nominal_frames=g["frames"],
+                               size=g["image_size"], seed=31)
+        entries = json.loads((root / "manifest.json").read_text())
+        for entry in entries:
+            entry["instances"][2]["split"] = "test"
+        sets[name] = parse_manifest(entries), root / "videos"
+    return sets
+
+
+@pytest.mark.parametrize("n_lanes", [1, 2])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("variant", ["divided", "joint"])
+@pytest.mark.parametrize("geometry", ["desk", "paper"])
+def test_load_batch_rows_are_the_cubes_of_the_clip_batch(geometry_sets, geometry, variant,
+                                                         dtype, n_lanes, monkeypatch):
+    """Each clip cast straight into its slot of the rows gives the bits of
+    the [B, F, 3, H, W] clip batch put through ``cube_pixels``: tube
+    depth 1 and 2, either dtype, on one lane and on two."""
+    monkeypatch.setattr(lanes, "LANES", n_lanes)
+    manifest, videos = geometry_sets[geometry]
+    insts = manifest.by_split("train")[:2]
+    g = _GEOMETRY[geometry]
+    cfg = ModelConfig(variant, **g).embedding_config()
+    pipe = PipelineConfig(frames=g["frames"], crop=g["image_size"])
+    for train in (True, False):
+        rngs = [derive_rng(31, inst.video_id) for inst in insts]
+        rows = load_batch(videos, insts, rngs, pipe, train, dtype, cfg)
+        clips = np.stack([
+            to_model_tensor(prepare_clip(load_instance_video(videos, inst), pipe, train,
+                                         derive_rng(31, inst.video_id)), dtype)
+            for inst in insts])
+        assert rows.dtype == dtype and np.array_equal(rows, cube_pixels(clips, cfg))
+
+
+def _run_with_unfit_pipelines(manifest, videos) -> None:
+    """finetune, evaluate and pretrain of desk models, each with a
+    pipeline whose frames or crop do not fit, raise ``cube_pixels``'s
+    ValueError naming the frame count or the crop."""
+    g = _GEOMETRY["desk"]
+    f, s = g["frames"], g["image_size"]
+    model = ClassifierModel(ModelConfig("divided", **g), 2, np.random.default_rng(0))
+    mae = MaeModel(MaeConfig(image_size=s, patch=g["patch"], frames=f), np.random.default_rng(0))
+    for pipe, message in [
+            (PipelineConfig(frames=f // 2, crop=s),
+             f"frame count {f // 2} does not match configured {f}"),
+            (PipelineConfig(frames=f, crop=s // 2),
+             f"spatial size {s // 2}x{s // 2} does not match configured {s}")]:
+        with pytest.raises(ValueError, match=message):
+            finetune(model, manifest, videos,
+                     TrainConfig(batch=2, epochs=1, frames=pipe.frames), pipe.crop)
+        with pytest.raises(ValueError, match=message):
+            evaluate(model, manifest, videos, pipe)
+        with pytest.raises(ValueError, match=message):
+            pretrain(mae, manifest, videos, PretrainConfig(steps=1), pipe)
+
+
+def test_a_pipeline_that_does_not_fit_the_model_raises_the_cube_errors(geometry_sets):
+    _run_with_unfit_pipelines(*geometry_sets["desk"])
+
+
+def test_a_pipeline_that_does_not_fit_the_model_loads_no_clip(geometry_sets, monkeypatch):
+    from vslr import mae as M
+
+    def no_load(*args):
+        raise AssertionError("a clip loaded")
+
+    for mod in (TR, M):
+        monkeypatch.setattr(mod, "load_instance_video", no_load)
+    _run_with_unfit_pipelines(*geometry_sets["desk"])
+
+
+def _record_batches(monkeypatch, proj_w) -> tuple:
+    """Record every ``out`` a clip is cast into, and the input array that
+    each linear node whose weight is proj_w keeps for backward."""
+    from vslr import mae as M
+
+    slots, kept = [], []
+    cast = to_model_tensor
+
+    def recording_cast(clip, dtype=np.float32, out=None):
+        slots.append(out)
+        return cast(clip, dtype, out=out)
+
+    linear = T.linear
+
+    def recording_linear(x, w, b):
+        out = linear(x, w, b)
+        if w is proj_w and out._parents:
+            kept.append(out._parents[0].data)
+        return out
+
+    for mod in (TR, M):
+        monkeypatch.setattr(mod, "to_model_tensor", recording_cast)
+    monkeypatch.setattr(T, "linear", recording_linear)
+    return slots, kept
+
+
+def test_the_embedding_keeps_the_loaded_rows_themselves(geometry_sets, monkeypatch):
+    """The batch is held once: the embedding's linear node keeps the very
+    array each clip was cast into, in a fine-tune step and a pretrain step."""
+    manifest, videos = geometry_sets["desk"]
+    g = _GEOMETRY["desk"]
+    model = ClassifierModel(ModelConfig("joint", **g), 2, np.random.default_rng(0))
+    slots, kept = _record_batches(monkeypatch, model.embed.proj.w)
+    finetune(model, manifest, videos, TrainConfig(batch=4, epochs=1, frames=g["frames"]),
+             g["image_size"])
+    assert len(slots) == 6 and len(kept) == 1          # one train step, then the test pass
+    assert all(np.shares_memory(slot, kept[0]) for slot in slots[:4])
+
+    mae = MaeModel(MaeConfig(image_size=g["image_size"], patch=g["patch"], frames=g["frames"]),
+                   np.random.default_rng(0))
+    slots, kept = _record_batches(monkeypatch, mae.embed.proj.w)
+    pretrain(mae, manifest, videos, PretrainConfig(steps=1, batch=2),
+             PipelineConfig(frames=g["frames"], crop=g["image_size"]))
+    assert len(slots) == 2 and len(kept) == 1
+    assert all(np.shares_memory(slot, kept[0]) for slot in slots)
+
+
+def _traced_peak_mib(fn) -> float:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+def test_paper_finetune_call_peak_holds_the_batch_once(geometry_sets):
+    """A paper divided fine-tune call (batch 2: two train steps and the
+    test pass), the clip loads inside the measured window, peaks under
+    140 MiB; holding each batch both as clips and as cube rows took 151."""
+    manifest, videos = geometry_sets["paper"]
+    g = _GEOMETRY["paper"]
+    model = ClassifierModel(ModelConfig("divided", **g), 2, np.random.default_rng(0))
+    cfg = TrainConfig(batch=2, epochs=1, frames=g["frames"], seed=3)
+    peak = _traced_peak_mib(lambda: finetune(model, manifest, videos, cfg, g["image_size"]))
+    assert peak < 140, peak
+
+
+def test_paper_pretrain_step_peak_holds_the_batch_once(geometry_sets):
+    """One paper MAE step (batch 2, ratio 0.9), the clip loads inside the
+    measured window, peaks under 112 MiB; the clip batch next to its cube
+    rows and the loss's kept difference took 129."""
+    manifest, videos = geometry_sets["paper"]
+    g = _GEOMETRY["paper"]
+    cfg = MaeConfig(dim=64, depth=2, heads=4, decoder_dim=32, decoder_depth=1,
+                    decoder_heads=2, image_size=224, patch=16, frames=16, tube_depth=2)
+    model = MaeModel(cfg, np.random.default_rng(0))
+    pipe = PipelineConfig(frames=g["frames"], crop=g["image_size"])
+    peak = _traced_peak_mib(lambda: pretrain(model, manifest, videos,
+                                             PretrainConfig(ratio=0.9, steps=1, batch=2,
+                                                            seed=3), pipe))
+    assert peak < 112, peak
 
 
 def test_train_config_validation():

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from vslr import lanes
 from vslr import video as V
+from vslr.embedding import EmbeddingConfig, clip_slots, cube_pixels
 from vslr.errors import VslrError
 
 
@@ -471,6 +472,41 @@ def test_to_model_tensor_writes_into_a_batch_slot(n_lanes, monkeypatch):
     assert V.to_model_tensor(clip, np.float32, out=slot) is slot
     assert np.array_equal(batch[1], V.to_model_tensor(clip, np.float32))
     assert np.isnan(batch[0]).all()
+
+
+@pytest.mark.parametrize("n_lanes", [1, 2])
+@pytest.mark.parametrize("size, frames, patch, td", [(32, 8, 8, 1), (32, 8, 8, 2),
+                                                     (224, 16, 16, 1), (224, 16, 16, 2)])
+def test_to_model_tensor_into_a_cube_row_slot(size, frames, patch, td, n_lanes, monkeypatch):
+    """Cast into a batch's ``clip_slots`` slot, from a channel-reversed
+    view: the rows get the bits of the [f, 3, h, w] cast, itself the
+    one-pass ``np.divide(src, 255, dtype=)``, then ``cube_pixels``, and
+    only that slot's rows change."""
+    monkeypatch.setattr(lanes, "LANES", n_lanes)
+    bgr = np.random.default_rng(16).integers(0, 256, size=(frames, size, size, 3), dtype=np.uint8)
+    clip = V.VideoClip(bgr[..., ::-1], list(range(frames)), None, (0, 0), False)
+    cfg = EmbeddingConfig("joint", 8, size, patch, frames, td)
+    for dtype in (np.float32, np.float64):
+        rows = np.full((2, cfg.n_tokens, cfg.cube_dim), np.nan, dtype=dtype)
+        slot = clip_slots(rows, cfg)[1]
+        assert V.to_model_tensor(clip, dtype, out=slot) is slot
+        cast = V.to_model_tensor(clip, dtype)
+        assert np.array_equal(cast, np.divide(np.transpose(clip.frames, (0, 3, 1, 2)), 255,
+                                              dtype=dtype))
+        assert np.array_equal(rows[1], cube_pixels(cast[None], cfg)[0])
+        assert np.isnan(rows[0]).all()
+
+
+def test_to_model_tensor_rejects_an_out_that_does_not_split_the_clip():
+    clip = V.VideoClip(np.zeros((4, 6, 8, 3), dtype=np.uint8), [0, 1, 2, 3], None, (0, 0), False)
+    for shape in [(4, 3, 8, 6),               # h and w swapped
+                  (12, 6, 8),                 # frames and channels merged
+                  (2, 6, 6, 8),               # the axes cut at other places
+                  (4, 3, 6, 8, 1, 2)]:        # one element too many
+        with pytest.raises(ValueError, match="does not split a clip of"):
+            V.to_model_tensor(clip, np.float32, out=np.empty(shape, dtype=np.float32))
+    fine = np.empty((2, 2, 3, 3, 2, 8, 1), dtype=np.float32)
+    assert V.to_model_tensor(clip, np.float32, out=fine) is fine
 
 
 # ---------------------------------------------------------------------------
