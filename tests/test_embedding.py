@@ -5,9 +5,12 @@ CLS token, and the embedding bits at paper geometry."""
 import numpy as np
 import pytest
 
-from vslr.embedding import Embedding, EmbeddingConfig, clip_slots, cube_pixels
+from vslr.embedding import Embedding, EmbeddingConfig, clip_slots
 from vslr.mae import normalized_cube_targets
 from vslr.train import ClassifierModel, ModelConfig
+
+import reference as R
+from reference import cube_pixels
 
 
 def uncube_pixels(cubes: np.ndarray, cfg: EmbeddingConfig) -> np.ndarray:
@@ -83,7 +86,7 @@ def test_patch_embedding_matches_loop_oracle():
     patches = patch_tokens_oracle(x, 8) @ emb.proj.w.data + emb.proj.b.data
     cls = np.repeat(emb.cls.data, 2, axis=0)
     expect = np.concatenate([cls, patches], axis=1) + emb.pos.data
-    assert tb.tokens.shape == (2, 1 + 12, 6)
+    assert tb.tokens.data.shape == (2, 1 + 12, 6)
     assert tb.has_cls and tb.grid == (3, 2, 2)
     assert np.allclose(tb.tokens.data, expect, atol=1e-12)
 
@@ -95,7 +98,7 @@ def test_cube_embedding_matches_loop_oracle():
     x = rng.standard_normal((2, 4, 3, 16, 16))
     tb = emb.embed(cube_pixels(x, cfg))
     expect = cube_tokens_oracle(x, 4, 2) @ emb.proj.w.data + emb.proj.b.data + emb.pos.data
-    assert tb.tokens.shape == (2, 2 * 16, 5)
+    assert tb.tokens.data.shape == (2, 2 * 16, 5)
     assert not tb.has_cls
     assert np.allclose(tb.tokens.data, expect, atol=1e-12)
 
@@ -138,10 +141,10 @@ def test_positional_and_cls():
     rng = np.random.default_rng(4)
     cfg = EmbeddingConfig("divided", 6, 16, 8, 2)
     emb = Embedding(cfg, rng, dtype=np.float64)
-    assert emb.pos.shape == (1 + 2 * 4, 6)
+    assert emb.pos.data.shape == (1 + 2 * 4, 6)
     x = rng.standard_normal((3, 2, 3, 16, 16))
     full = emb.embed(cube_pixels(x, cfg))
-    assert full.tokens.shape == (3, 9, 6)
+    assert full.tokens.data.shape == (3, 9, 6)
     assert full.has_cls
     # the CLS row, then each patch's projection, each plus its positional row
     assert np.array_equal(full.tokens.data[:, 0], np.broadcast_to(
@@ -157,7 +160,7 @@ def test_joint_variant_has_no_cls():
     x = np.zeros((1, 2, 3, 16, 16), dtype=np.float32)
     tb = emb.embed(cube_pixels(x, emb.cfg))
     assert not tb.has_cls
-    assert tb.tokens.shape == (1, 4, 6)
+    assert tb.tokens.data.shape == (1, 4, 6)
 
 
 def test_divisibility_errors_name_dimension():
@@ -188,7 +191,7 @@ def test_embedding_gradients_flow_to_weights():
         p.data = p.data.astype(np.float64)
     x = rng.standard_normal((2, 2, 3, 8, 8))
     out = emb.embed(cube_pixels(x, cfg))
-    T.backward(T.sum_(T.mul(out.tokens, out.tokens)))
+    T.backward(R.sum_(R.mul(out.tokens, out.tokens)))
     assert emb.proj.w.grad is not None
     assert emb.pos.grad is not None
     assert emb.cls.grad is not None

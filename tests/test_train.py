@@ -17,7 +17,6 @@ from vslr import tensor as T
 from vslr import train as TR
 from vslr.__main__ import _THREAD_VARS
 from vslr.checkpoint import load_checkpoint, load_into, save_checkpoint
-from vslr.embedding import cube_pixels
 from vslr.errors import VslrError
 from vslr.mae import MaeConfig, MaeModel, PretrainConfig, load_encoder, pretrain
 from vslr.tensor import Tensor
@@ -28,6 +27,9 @@ from vslr.train import (ABLATION_COLUMNS, Adam, ClassifierModel, ModelConfig,
 from vslr.video import (Manifest, PipelineConfig, derive_rng, load_instance_video,
                         load_manifest, make_synthetic_dataset, merge_train_val,
                         parse_manifest, prepare_clip, to_model_tensor)
+
+import reference as R
+from reference import cube_pixels
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +95,7 @@ def test_cross_entropy_gradient():
     rng = np.random.default_rng(1)
     z = Tensor(rng.standard_normal((5, 7)), requires_grad=True)
     y = rng.integers(0, 7, size=5)
-    assert T.grad_check(lambda t: cross_entropy(t, y), z) < 1e-7
+    assert R.grad_check(lambda t: cross_entropy(t, y), z) < 1e-7
 
 
 # ---------------------------------------------------------------------------
@@ -308,11 +310,11 @@ def test_evaluate_report_shape(dataset):
     manifest, videos = dataset
     model = _tiny_model(num_classes=2)
     pipe = PipelineConfig(frames=4, sampling="even", crop=16)
-    report = evaluate(model, manifest, videos, pipe, seed=1, ks=(1, 2))
+    report = evaluate(model, manifest, videos, pipe, seed=1)
     n_test = len(manifest.by_split("test"))
     assert report.num_instances == n_test
-    assert set(report.topk) == {1, 2}
-    assert report.topk[2] == 1.0                     # two classes, K covers all
+    assert set(report.topk) == {1, 5, 10}
+    assert report.topk[5] == 1.0                     # two classes, K covers all
     assert len(report.per_class) == 2
     conf = np.array(report.confusion)
     assert conf.shape == (2, 2) and conf.sum() == n_test
@@ -536,17 +538,18 @@ def test_finetune_keeps_the_best_epochs_weights(dataset, monkeypatch):
 
 
 def _probe_env() -> dict:
-    """A probe process's environment: this package on the path, and one
-    BLAS thread, as under the CLI."""
+    """A probe process's environment: this package and the test
+    references on the path, and one BLAS thread, as under the CLI."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(TR.__file__)))
-    return dict(os.environ, PYTHONPATH=src, **dict.fromkeys(_THREAD_VARS, "1"))
+    path = os.pathsep.join([src, os.path.dirname(os.path.abspath(__file__))])
+    return dict(os.environ, PYTHONPATH=path, **dict.fromkeys(_THREAD_VARS, "1"))
 
 
 _FAULT_PROBE = """
 import resource
 import numpy as np
 from vslr import train as TR
-from vslr.embedding import cube_pixels
+from reference import cube_pixels
 model = TR.ClassifierModel(TR.ModelConfig(), 10, np.random.default_rng(0))
 opt = TR.Adam(TR.freeze_layers(model, "all"), 1e-3)
 x = cube_pixels(np.random.default_rng(1).random((4, 8, 3, 32, 32), dtype=np.float32),
@@ -643,9 +646,9 @@ def test_train_step_returns_the_loss_and_clears_gradients():
     w = Tensor(np.ones((3, 2), dtype=np.float32), requires_grad=True)
     x = Tensor(np.arange(6, dtype=np.float32).reshape(2, 3))
     y = np.array([0, 1])
-    expected = float(cross_entropy(T.matmul(x, w), y).data)
+    expected = float(cross_entropy(R.matmul(x, w), y).data)
     opt = Adam({"w": w}, lr=1e-2)
-    loss = train_step(lambda: cross_entropy(T.matmul(x, w), y), opt, 0, "run")
+    loss = train_step(lambda: cross_entropy(R.matmul(x, w), y), opt, 0, "run")
     assert loss == expected
     assert w.grad is None and opt.t == 1
     assert not np.array_equal(w.data, np.ones((3, 2), dtype=np.float32))

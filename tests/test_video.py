@@ -16,8 +16,10 @@ from hypothesis import strategies as st
 
 from vslr import lanes
 from vslr import video as V
-from vslr.embedding import EmbeddingConfig, clip_slots, cube_pixels
+from vslr.embedding import EmbeddingConfig, clip_slots
 from vslr.errors import VslrError
+
+from reference import cube_pixels
 
 
 def _frames(values, h=4, w=5):
